@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import connectify as cn
 from . import finite as fin
@@ -27,7 +28,9 @@ from .intervals import parse_point, parse_set
 from .space import Space, components
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="onepoint",
         description="Decide and construct one-point connectifications and compactifications.",

@@ -1,15 +1,17 @@
-"""Brute-force oracle on finite topological spaces (at most 6 points).
+"""Oracle on finite topological spaces (at most 6 points).
 
 Subsets of {0..n-1} are n-bit masks.  Every finite topology is Alexandrov and
 corresponds to a preorder through specialization; the module carries both
 views plus two independent enumerators so they can cross-check each other.
+The connectification search builds each one-point extension of a base from
+an (up-set, down-set) pair of its preorder rather than scanning every
+topology on one more point.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ParseError, SizeTooLarge
 
@@ -168,14 +170,10 @@ def enumerate_topologies(n: int, method: str = "preorder"):
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
+    """Count topologies; the preorder method counts preorders unbuilt."""
+    if method == "preorder" and 0 <= n <= MAX_POINTS:
+        return sum(1 for _ in _preorder_enumeration(n))
     return sum(1 for _ in enumerate_topologies(n, method))
-
-
-@lru_cache(maxsize=None)
-def _topologies_cached(n: int) -> tuple[FiniteSpace, ...]:
-    if n > MAX_SEARCH_POINTS:
-        raise SizeTooLarge(f"cached enumeration capped at {MAX_SEARCH_POINTS} points")
-    return tuple(enumerate_topologies(n, "preorder"))
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +319,7 @@ def components_growth(s: FiniteSpace) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# subspaces, density, and the exhaustive connectification search
+# subspaces, density, and the connectification search
 # --------------------------------------------------------------------------
 
 
@@ -351,26 +349,38 @@ def is_dense(s: FiniteSpace, mask: int) -> bool:
 def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[FiniteSpace]:
     """All topologies on one extra point that connectify x with the axiom.
 
-    Enumerates every topology on size+1 points, keeping those whose subspace
-    on the original points equals x, in which x is dense, that are connected,
-    and that satisfy the axiom.  The extra point always carries the last label.
+    An extension of x by a point p is fixed by the open A of points above p
+    and the closed B of points below p, with every point of B below every
+    point of A; its subspace on the original points is x by construction.
+    Keeps the extensions in which x is dense, that are connected, and that
+    satisfy the axiom, in the lexicographic order of their preorder rows.
+    The extra point always carries the last label.
     """
     m = x.size + 1
     if m > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
-    prefix = (1 << x.size) - 1
+    up = to_preorder(x).up
+    prefix = x.full
+    p_bit = 1 << x.size
     found = []
-    for t in _topologies_cached(m):
-        if subspace(t, prefix).opens != x.opens:
-            continue
-        if not is_dense(t, prefix):
-            continue
-        if not _is_connected(t):
-            continue
-        if not check_axiom(t, axiom):
-            continue
-        found.append(t)
-    return found
+    for a in x.opens:
+        below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
+        for o in x.opens:
+            b = prefix ^ o
+            if b & ~below_a:
+                continue
+            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
+            rows += (a | p_bit,)
+            t = from_preorder(Preorder(m, rows))
+            if not is_dense(t, prefix):
+                continue
+            if not _is_connected(t):
+                continue
+            if not check_axiom(t, axiom):
+                continue
+            found.append((rows, t))
+    found.sort(key=lambda pair: pair[0])
+    return [t for _, t in found]
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +405,23 @@ def parse_topology_literal(text: str) -> FiniteSpace:
     if not _LITERAL_RE.match(flat):
         raise ParseError(f"bad topology literal: {text!r}")
     masks = []
+    too_large = False
     for group in re.findall(r"\{([0-9,]*)\}", flat):
         mask = 0
         if group:
             for tok in group.split(","):
                 if not tok:
                     raise ParseError(f"bad open set in literal: {{{group}}}")
-                mask |= 1 << int(tok)
+                # Length first, so a long token is never converted or shifted;
+                # the size error waits until every group has parsed.
+                digits = tok.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_POINTS)) or int(digits) >= MAX_POINTS:
+                    too_large = True
+                else:
+                    mask |= 1 << int(digits)
         masks.append(mask)
+    if too_large:
+        raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")
     n = max(masks).bit_length()
     try:
         space = FiniteSpace(n, frozenset(masks))

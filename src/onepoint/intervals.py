@@ -359,6 +359,8 @@ def _parse_endpoint(text: str) -> Value:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in endpoint {text!r}") from exc
+    except ValueError as exc:
+        raise ParseError(f"endpoint too long ({len(text)} characters)") from exc
 
 
 def parse_set(text: str) -> IntervalSet:
@@ -393,3 +395,5 @@ def parse_point(text: str) -> Fraction:
         return Fraction(flat)
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in point {text!r}") from exc
+    except ValueError as exc:
+        raise ParseError(f"point too long ({len(flat)} characters)") from exc

@@ -91,6 +91,30 @@ def test_parse_errors_exit_2():
     assert code == 2
 
 
+OVERSIZED = "1" + "0" * 4400  # past the 4300-digit limit of int and Fraction parsing
+
+
+def test_oversized_endpoint_exits_2(capsys):
+    code, lines = run_cli("connectify", f"(0,1) U [{OVERSIZED},inf)")
+    assert code == 2 and lines == []
+    assert capsys.readouterr().err.startswith("error: endpoint too long")
+
+
+def test_oversized_point_exits_2(capsys):
+    code, lines = run_cli("witness", "hausdorff", "(0,inf)", "p", OVERSIZED)
+    assert code == 2 and lines == []
+    assert capsys.readouterr().err.startswith("error: point too long")
+
+
+def test_huge_topology_literal_tokens_exit_2(capsys):
+    run_cli("finite", "search", "{},{7}", "T0")
+    small_err = capsys.readouterr().err
+    for token in ("10000000000", OVERSIZED):
+        code, lines = run_cli("finite", "search", f"{{}},{{{token}}}", "T0")
+        assert code == 2 and lines == []
+        assert capsys.readouterr().err == small_err == "error: finite spaces handle at most 6 points\n"
+
+
 def test_bad_point_arguments_exit_2():
     code, _ = run_cli("witness", "hausdorff", "(0,1)", "p", "p")
     assert code == 2

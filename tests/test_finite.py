@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import pytest
 
 from onepoint import (
+    AXIOMS,
     FiniteSpace,
     ParseError,
     SizeTooLarge,
@@ -68,7 +71,7 @@ def test_round_trip_everything_up_to_4():
 
 
 def test_enumerator_counts_agree():
-    expected = [1, 1, 4, 29, 355]
+    expected = [1, 1, 4, 29, 355, 6942]  # OEIS A000798
     for n, want in enumerate(expected):
         assert count_topologies(n, "preorder") == want
         if n <= 4:
@@ -153,7 +156,7 @@ def test_subspace_and_density_examples():
 
 
 # --------------------------------------------------------------------------
-# the exhaustive connectification search
+# the connectification search
 # --------------------------------------------------------------------------
 
 
@@ -186,6 +189,55 @@ def test_search_positive_control():
 
 
 # --------------------------------------------------------------------------
+# the search against a scan of every topology on one more point
+# --------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _topologies(m):
+    return tuple(enumerate_topologies(m, "preorder"))
+
+
+@lru_cache(maxsize=None)
+def _scanned_dense_connected(x):
+    """Reference oracle: every (size+1)-point topology whose subspace on the
+    first size points is x, in which x is dense and that is connected, in
+    enumeration order."""
+    prefix = x.full
+    return [
+        t
+        for t in _topologies(x.size + 1)
+        if subspace(t, prefix).opens == x.opens
+        and is_dense(t, prefix)
+        and check_axiom(t, "connected")
+    ]
+
+
+def brute_force_search(x, axiom):
+    return [t for t in _scanned_dense_connected(x) if check_axiom(t, axiom)]
+
+
+FOUR_POINT_STRIDE = 30  # every 30th 4-point base in enumeration order: 12 of 355
+
+
+def _differential_bases():
+    small = [t for n in range(4) for t in enumerate_topologies(n, "preorder")]
+    return small + list(enumerate_topologies(4, "preorder"))[::FOUR_POINT_STRIDE]
+
+
+def test_search_equals_brute_force_scan():
+    bases = _differential_bases()
+    assert len(bases) == 35 + 12
+    nonempty = 0
+    for x in bases:
+        for axiom in AXIOMS:
+            got = search_one_point_connectifications(x, axiom)
+            assert got == brute_force_search(x, axiom), (topology_literal(x), axiom)
+            nonempty += bool(got)
+    assert nonempty > 0
+
+
+# --------------------------------------------------------------------------
 # the textual dump
 # --------------------------------------------------------------------------
 
@@ -195,6 +247,15 @@ def test_topology_literal_round_trip():
     assert parse_topology_literal("{},{0},{0,1}") == SIERPINSKI
     for t in enumerate_topologies(3, "preorder"):
         assert parse_topology_literal(topology_literal(t)) == t
+
+
+def test_parse_topology_literal_rejects_huge_tokens():
+    for token in ("6", "7", "10000000000", "0" * 5000 + "6", "9" * 5000):
+        with pytest.raises(SizeTooLarge):
+            parse_topology_literal(f"{{}},{{0,{token}}}")
+    assert parse_topology_literal("{},{" + "0" * 5000 + "}") == discrete(1)
+    with pytest.raises(ParseError):  # a malformed group still wins over size
+        parse_topology_literal("{},{7},{1,,2}")
 
 
 def test_parse_topology_literal_rejects_garbage():
