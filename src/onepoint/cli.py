@@ -178,7 +178,7 @@ def main(argv=None, emit=print) -> int:
             return _cmd_compactify(args, emit)
         if args.verb == "finite":
             return _cmd_finite(args, emit)
-        return selftest.run(args.format, emit)
+        return selftest.run(emit)
     except (DensityFailure, FidelityFailure, InvalidExtension) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1

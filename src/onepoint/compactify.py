@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EqualPoints, NotACover, PointOutsideComponent
-from .connectify import OPEN_OK, OpenCheck, TypeI
+from .connectify import OPEN_OK, NamedPoint, OpenCheck, TypeI
 from .intervals import (
     EMPTY,
     Interval,
@@ -21,25 +21,13 @@ from .intervals import (
     only,
     union,
 )
-from .space import Space, split_points
+from .space import Space, closed_and_bounded, split_points
 
 
-class _InfinityPoint:
-    _instance = None
+#: The added point at infinity.
+INFINITY = NamedPoint("infinity")
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "infinity"
-
-
-#: The added point at infinity (a reserved token, not a rational).
-INFINITY = _InfinityPoint()
-
-CompPoint = Fraction | _InfinityPoint
+CompPoint = Fraction | NamedPoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,10 +47,7 @@ CompactVerdict = CompactExtension | CompactRefused
 
 def is_space_compact(space: Space) -> bool:
     """Compact iff every piece is a bounded closed interval."""
-    return all(
-        is_finite(p.lo) and is_finite(p.hi) and p.lo_closed and p.hi_closed
-        for p in space.ambient.pieces
-    )
+    return all(map(closed_and_bounded, space.ambient.pieces))
 
 
 def compactify(space: Space) -> CompactVerdict:
@@ -93,10 +78,8 @@ def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenChe
         return OpenCheck(False, "TraceNotOpen")
     if isinstance(u, TypeI):
         return OPEN_OK
-    remainder = difference(x, u.trace)
-    for piece in remainder.pieces:
-        if not (is_finite(piece.lo) and is_finite(piece.hi) and piece.lo_closed and piece.hi_closed):
-            return OpenCheck(False, "RemainderNotCompact")
+    if not all(map(closed_and_bounded, difference(x, u.trace).pieces)):
+        return OpenCheck(False, "RemainderNotCompact")
     return OPEN_OK
 
 

@@ -37,8 +37,7 @@ from .intervals import (
     EMPTY,
     Interval,
     IntervalSet,
-    NEG_INF,
-    POS_INF,
+    Value,
     difference,
     interior_in,
     intersect,
@@ -60,84 +59,67 @@ from .space import separate_disjoint_closed, split_points
 
 
 @dataclass(frozen=True, slots=True)
-class TowardPosInf:
-    def __str__(self) -> str:
-        return "pos_inf"
-
-
-@dataclass(frozen=True, slots=True)
-class TowardNegInf:
-    def __str__(self) -> str:
-        return "neg_inf"
-
-
-@dataclass(frozen=True, slots=True)
-class TowardOpenRight:
-    bound: Fraction
-
-    def __str__(self) -> str:
-        return f"open_right({self.bound})"
-
-
-@dataclass(frozen=True, slots=True)
-class TowardOpenLeft:
-    bound: Fraction
-
-    def __str__(self) -> str:
-        return f"open_left({self.bound})"
-
-
-Direction = TowardPosInf | TowardNegInf | TowardOpenRight | TowardOpenLeft
-
-
-@dataclass(frozen=True, slots=True)
 class EscapeFilter:
     """Descending chain of closed escape sets along one component.
 
-    element(n) is ``[anchor+n, inf)`` toward an infinite end and a dyadic
-    approach block ``[b - (b-anchor)/2^n, b)`` toward a finite excluded end
-    (mirror images on the left), always intersected with the component.
+    The chain runs toward ``end`` on one ``side`` of the component: ``side``
+    is +1 for the right end and -1 for the left end, and ``end`` is that end
+    as a value of the extended line, an infinity or the excluded finite
+    endpoint.  element(n) is the block from ``start(n)`` to ``end``, with
+    ``start(n)`` included, intersected with the component: ``start(n)`` is
+    ``anchor + n`` (``anchor - n`` on the left) toward an infinite end and
+    ``end - (end - anchor)/2^n`` toward a finite one.
     """
 
     component: Component
-    direction: Direction
+    side: int
+    end: Value
     anchor: Fraction
+
+    def start(self, n: int) -> Fraction:
+        """The near endpoint of element(n), the one away from the escape end."""
+        if is_finite(self.end):
+            return self.end - (self.end - self.anchor) / 2**n
+        return self.anchor + n if self.side > 0 else self.anchor - n
+
+    def toward_end(self, near: Fraction, closed: bool) -> Interval:
+        """The interval from a near point to the escape end, which it excludes."""
+        if self.side > 0:
+            return Interval(near, self.end, closed, False)
+        return Interval(self.end, near, False, closed)
 
     def element(self, n: int) -> IntervalSet:
         if n < 0:
             raise ValueError("filter indices are naturals")
-        d = self.direction
-        if isinstance(d, TowardPosInf):
-            block = Interval(self.anchor + n, POS_INF, True, False)
-        elif isinstance(d, TowardNegInf):
-            block = Interval(NEG_INF, self.anchor - n, False, True)
-        elif isinstance(d, TowardOpenRight):
-            block = Interval(d.bound - (d.bound - self.anchor) / 2**n, d.bound, True, False)
+        return intersect(only(self.toward_end(self.start(n), True)), self.component.as_set())
+
+    def _index_past(self, q: Fraction, included: bool) -> int:
+        """Least n whose start(n) lies past q toward the end, or at q if included.
+
+        For an infinite end this is a floor or a ceiling.  For a finite
+        end, start(n) is past q exactly when span/2^n < gap, with span the
+        distance from anchor to end and gap the distance from q to end; the
+        least such n comes from the bit lengths of span/gap in lowest terms.
+        """
+        if not is_finite(self.end):
+            need = q - self.anchor if self.side > 0 else self.anchor - q
+            return max(0, math.ceil(need) if included else math.floor(need) + 1)
+        if self.side > 0:
+            span, gap = self.end - self.anchor, self.end - q
         else:
-            block = Interval(d.bound, d.bound + (self.anchor - d.bound) / 2**n, False, True)
-        return intersect(only(block), self.component.as_set())
+            span, gap = self.anchor - self.end, q - self.end
+        num = span.numerator * gap.denominator
+        den = span.denominator * gap.numerator
+        n = max(0, num.bit_length() - den.bit_length())
+        scaled = den << n
+        return n + 1 if scaled < num or (scaled == num and not included) else n
 
     def avoid_index(self, z) -> int:
         """Least n with z outside element(n)."""
         z = Fraction(z)
         if not self.component.piece.contains(z):
             raise PointOutsideComponent(f"{z} is not in {self.component.piece}")
-        d = self.direction
-        if isinstance(d, TowardPosInf):
-            return max(0, math.floor(z - self.anchor) + 1)
-        if isinstance(d, TowardNegInf):
-            return max(0, math.floor(self.anchor - z) + 1)
-        if isinstance(d, TowardOpenRight):
-            span = d.bound - self.anchor
-            n = 0
-            while not z < d.bound - span / 2**n:
-                n += 1
-            return n
-        span = self.anchor - d.bound
-        n = 0
-        while not z > d.bound + span / 2**n:
-            n += 1
-        return n
+        return self._index_past(z, False)
 
 
 def choose_escape(component: Component) -> EscapeFilter:
@@ -145,15 +127,8 @@ def choose_escape(component: Component) -> EscapeFilter:
     if is_compact(component):
         raise CompactComponent(f"{component.piece} has no non-compact end")
     p = component.piece
-    direction: Direction
-    if not is_finite(p.hi):
-        direction = TowardPosInf()
-    elif not p.hi_closed:
-        direction = TowardOpenRight(p.hi)
-    elif not is_finite(p.lo):
-        direction = TowardNegInf()
-    else:
-        direction = TowardOpenLeft(p.lo)
+    # An infinite endpoint is never included, so an open right end is non-compact.
+    side, end = (-1, p.lo) if p.hi_closed else (1, p.hi)
     if is_finite(p.lo) and is_finite(p.hi):
         anchor = midpoint(p.lo, p.hi)
     elif is_finite(p.lo):
@@ -162,7 +137,7 @@ def choose_escape(component: Component) -> EscapeFilter:
         anchor = p.hi - 1
     else:
         anchor = Fraction(0)
-    return EscapeFilter(component, direction, anchor)
+    return EscapeFilter(component, side, end, anchor)
 
 
 # --------------------------------------------------------------------------
@@ -170,22 +145,25 @@ def choose_escape(component: Component) -> EscapeFilter:
 # --------------------------------------------------------------------------
 
 
-class _ExtraPoint:
-    _instance = None
+class NamedPoint:
+    """A point added to a space: a reserved token, not a rational.
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    Each added point is one module-level instance, so identity is equality.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:
-        return "p"
+        return self.name
 
 
-#: The added point of the extension (a reserved token, not a rational).
-P = _ExtraPoint()
+#: The added point of the extension.
+P = NamedPoint("p")
 
-ExtPoint = Fraction | _ExtraPoint
+ExtPoint = Fraction | NamedPoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,10 +172,6 @@ class Extension:
 
     space: Space
     filters: tuple[EscapeFilter, ...]
-
-    @property
-    def component_list(self) -> tuple[Component, ...]:
-        return tuple(f.component for f in self.filters)
 
     def whole_open(self) -> TypeII:
         return TypeII(self.space.ambient, (0,) * len(self.filters))
@@ -287,52 +261,17 @@ def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None
     """The piece of a trace that reaches the filter's escape end, if any."""
     if not trace_in_c.pieces:
         return None
-    d = flt.direction
-    if isinstance(d, TowardPosInf):
-        last = trace_in_c.pieces[-1]
-        return None if is_finite(last.hi) else last
-    if isinstance(d, TowardOpenRight):
-        last = trace_in_c.pieces[-1]
-        return last if last.hi == d.bound else None
-    if isinstance(d, TowardNegInf):
-        first = trace_in_c.pieces[0]
-        return None if is_finite(first.lo) else first
-    first = trace_in_c.pieces[0]
-    return first if first.lo == d.bound else None
+    if flt.side > 0:
+        piece = trace_in_c.pieces[-1]
+        return piece if piece.hi == flt.end else None
+    piece = trace_in_c.pieces[0]
+    return piece if piece.lo == flt.end else None
 
 
 def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
     """Least index whose element fits inside an escape-end piece."""
-    d = flt.direction
-    if isinstance(d, TowardPosInf):
-        if not is_finite(piece.lo):
-            return 0
-        need = piece.lo - flt.anchor
-        return max(0, math.ceil(need) if piece.lo_closed else math.floor(need) + 1)
-    if isinstance(d, TowardNegInf):
-        if not is_finite(piece.hi):
-            return 0
-        need = flt.anchor - piece.hi
-        return max(0, math.ceil(need) if piece.hi_closed else math.floor(need) + 1)
-    if isinstance(d, TowardOpenRight):
-        if not is_finite(piece.lo):
-            return 0
-        span = d.bound - flt.anchor
-        n = 0
-        while True:
-            start = d.bound - span / 2**n
-            if start > piece.lo or (start == piece.lo and piece.lo_closed):
-                return n
-            n += 1
-    if not is_finite(piece.hi):
-        return 0
-    span = flt.anchor - d.bound
-    n = 0
-    while True:
-        end = d.bound + span / 2**n
-        if end < piece.hi or (end == piece.hi and piece.hi_closed):
-            return n
-        n += 1
+    near, closed = (piece.lo, piece.lo_closed) if flt.side > 0 else (piece.hi, piece.hi_closed)
+    return flt._index_past(near, closed) if is_finite(near) else 0
 
 
 def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
@@ -515,18 +454,16 @@ def connectedness_certificate(ext: Extension) -> ConnectednessCertificate:
 
 
 def verify_connectedness(ext: Extension, cert: ConnectednessCertificate) -> bool:
-    """Replay each step as exact set algebra."""
-    if tuple(s.component for s in cert.steps) != ext.component_list:
+    """Replay each step as exact set algebra against its component's filter."""
+    if len(cert.steps) != len(ext.filters):
         return False
-    for step in cert.steps:
+    for step, flt in zip(cert.steps, ext.filters):
+        if step.component != flt.component or step.tail != flt.element(0):
+            return False
         c = step.component.as_set()
-        if not step.tail:
+        if not step.tail or not step.tail.issubset(c) or not is_closed_in(step.tail, c):
             return False
-        if not step.tail.issubset(c):
-            return False
-        if not is_closed_in(step.tail, c):
-            return False
-        if len(c.pieces) != 1:
+        if _escape_piece(flt, step.tail) is None:
             return False
     return True
 
@@ -603,22 +540,13 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     i = _component_index_of(ext, z)
     flt = ext.filters[i]
     c_set = flt.component.as_set()
-    avoided = flt.element(flt.avoid_index(z))
-    d = flt.direction
-    if isinstance(d, (TowardPosInf, TowardOpenRight)):
-        start = avoided.pieces[0].lo  # first point of the escape block, above z
+    start = flt.start(flt.avoid_index(z))  # first point of the escape block, past z
+    if flt.side > 0:
         delta = min(Fraction(1), start - z)
-        if isinstance(d, TowardPosInf):
-            block = Interval(z + delta, POS_INF, True, False)
-        else:
-            block = Interval(z + delta, d.bound, True, False)
+        block = flt.toward_end(z + delta, True)
     else:
-        end = avoided.pieces[-1].hi  # last point of the escape block, below z
-        delta = min(Fraction(1), z - end)
-        if isinstance(d, TowardNegInf):
-            block = Interval(NEG_INF, z - delta, False, True)
-        else:
-            block = Interval(d.bound, z - delta, False, True)
+        delta = min(Fraction(1), z - start)
+        block = flt.toward_end(z - delta, True)
     v_trace = intersect(only(Interval(z - delta, z + delta)), c_set)
     near = interior_in(intersect(only(block), c_set), x)
     escape = _escape_piece(flt, near)

@@ -50,7 +50,8 @@ class PInBoth(OnePointError):
 
 
 class SizeTooLarge(OnePointError):
-    """Finite-space enumeration size limit exceeded."""
+    """An input or a result exceeds a size limit: a finite-space enumeration
+    bound, or a number too long to print as text."""
 
 
 class NotACover(OnePointError):

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedInterval, NotASubset, ParseError
+from .errors import MalformedInterval, NotASubset, ParseError, SizeTooLarge
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -50,7 +50,10 @@ def is_finite(v: Value) -> bool:
 def fmt_value(v: Value) -> str:
     if isinstance(v, float):
         return "inf" if v > 0 else "-inf"
-    return str(v)
+    try:
+        return str(v)
+    except ValueError as exc:  # beyond the interpreter's integer-to-text digit limit
+        raise SizeTooLarge("a computed number has too many digits to print") from exc
 
 
 @dataclass(frozen=True, slots=True)

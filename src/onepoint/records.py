@@ -19,7 +19,7 @@ from .connectify import (
     TypeII,
     Verdict,
 )
-from .intervals import fmt_value, is_closed_in
+from .intervals import fmt_value, is_closed_in, is_finite
 from .space import LocalConnectednessCertificate, Space, components
 
 
@@ -45,7 +45,11 @@ def fmt_witness_pair(u, v) -> list[str]:
 
 
 def fmt_filter(f: EscapeFilter) -> str:
-    return f"filter C#{f.component.index}={f.component.piece} dir={f.direction} anchor={f.anchor}"
+    if is_finite(f.end):
+        way = f"{'open_right' if f.side > 0 else 'open_left'}({fmt_value(f.end)})"
+    else:
+        way = "pos_inf" if f.side > 0 else "neg_inf"
+    return f"filter C#{f.component.index}={f.component.piece} dir={way} anchor={fmt_value(f.anchor)}"
 
 
 def fmt_verdict(v: Verdict) -> list[str]:

@@ -13,9 +13,6 @@ from .connectify import (
     EscapeFilter,
     ExtClosedSet,
     Extension,
-    TowardNegInf,
-    TowardOpenRight,
-    TowardPosInf,
     TypeI,
     TypeII,
     intersect_open,
@@ -128,18 +125,9 @@ def random_point_in(s: IntervalSet, rng: random.Random) -> Fraction:
 def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> IntervalSet:
     """A component-open neighborhood of the escape end containing element(n)."""
     jitter = Fraction(rng.randint(1, 8), 8)
-    d = flt.direction
-    if isinstance(d, TowardPosInf):
-        block = Interval(flt.anchor + n - jitter, POS_INF, False, False)
-    elif isinstance(d, TowardNegInf):
-        block = Interval(NEG_INF, flt.anchor - n + jitter, False, False)
-    elif isinstance(d, TowardOpenRight):
-        start = d.bound - (d.bound - flt.anchor) / 2**n
-        block = Interval(start - jitter, d.bound, False, False)
-    else:
-        end = d.bound + (flt.anchor - d.bound) / 2**n
-        block = Interval(d.bound, end + jitter, False, False)
-    return intersect(only(block), flt.component.as_set())
+    start = flt.start(n)
+    near = start - jitter if flt.side > 0 else start + jitter
+    return intersect(only(flt.toward_end(near, False)), flt.component.as_set())
 
 
 def random_p_neighborhood(ext: Extension, rng: random.Random, max_tail: int = 32) -> TypeII:

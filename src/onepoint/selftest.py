@@ -277,7 +277,7 @@ _CHECKS = (
 )
 
 
-def run(fmt: str = "text", emit=print) -> int:
+def run(emit=print) -> int:
     """Run every invariant check; returns 0 when all pass, 1 otherwise."""
     failing = 0
     for name, fn in _CHECKS:

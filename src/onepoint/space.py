@@ -60,10 +60,14 @@ def components(space: Space) -> tuple[Component, ...]:
     return tuple(Component(piece, i) for i, piece in enumerate(space.ambient.pieces))
 
 
-def is_compact(comp: Component) -> bool:
+def closed_and_bounded(p: Interval) -> bool:
     """Heine-Borel on one interval: compact iff closed and bounded."""
-    p = comp.piece
     return is_finite(p.lo) and is_finite(p.hi) and p.lo_closed and p.hi_closed
+
+
+def is_compact(comp: Component) -> bool:
+    """A component is compact iff its interval is closed and bounded."""
+    return closed_and_bounded(comp.piece)
 
 
 def has_compact_component(space: Space) -> Component | None:

@@ -106,6 +106,14 @@ def test_oversized_point_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: point too long")
 
 
+def test_oversized_computed_endpoint_exits_2(capsys):
+    # Both numbers parse, but the witness trace endpoint outgrows the digit limit.
+    z = f"{'9' * 3000}/1{'0' * 3000}"
+    code, lines = run_cli("witness", "hausdorff", "(0,1)", "p", z)
+    assert code == 2 and lines == []
+    assert capsys.readouterr().err == "error: a computed number has too many digits to print\n"
+
+
 def test_huge_topology_literal_tokens_exit_2(capsys):
     run_cli("finite", "search", "{},{7}", "T0")
     small_err = capsys.readouterr().err

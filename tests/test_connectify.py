@@ -5,6 +5,8 @@ import pytest
 
 from onepoint import (
     EMPTY,
+    NEG_INF,
+    POS_INF,
     CompactComponent,
     Connectifiable,
     EqualPoints,
@@ -18,10 +20,6 @@ from onepoint import (
     PointOutsideComponent,
     Refused,
     Space,
-    TowardNegInf,
-    TowardOpenLeft,
-    TowardOpenRight,
-    TowardPosInf,
     TypeI,
     TypeII,
     check_connectifiable,
@@ -39,6 +37,7 @@ from onepoint import (
     is_closed_in,
     is_open_in,
     is_open_in_extension,
+    least_valid_tails,
     normality_witness,
     parse_set,
     subspace_fidelity,
@@ -49,6 +48,8 @@ from onepoint import (
     verify_hausdorff,
     verify_normality,
 )
+from onepoint.connectify import ConnectednessCertificate, ConnectednessStep
+from onepoint.intervals import is_finite, only
 from onepoint.sampling import (
     clopen_candidates,
     random_disjoint_closed_pair,
@@ -72,25 +73,25 @@ def ext_of(text):
 def test_choose_escape_examples():
     (c,) = components(Space(S("(0,1)")))
     f = choose_escape(c)
-    assert isinstance(f.direction, TowardOpenRight) and f.direction.bound == 1
+    assert f.side == 1 and f.end == 1 and is_finite(f.end)
     assert f.anchor == Fraction(1, 2)
 
     (c,) = components(Space(S("[5,inf)")))
     f = choose_escape(c)
-    assert isinstance(f.direction, TowardPosInf) and f.anchor == 6
+    assert f.side == 1 and f.end == POS_INF and f.anchor == 6
 
     (c,) = components(Space(S("(-inf,0)")))
     f = choose_escape(c)
-    assert isinstance(f.direction, TowardOpenRight) and f.direction.bound == 0
+    assert f.side == 1 and f.end == 0 and is_finite(f.end)
     assert f.anchor == -1
 
     (c,) = components(Space(S("(-inf,0]")))
     f = choose_escape(c)
-    assert isinstance(f.direction, TowardNegInf) and f.anchor == -1
+    assert f.side == -1 and f.end == NEG_INF and f.anchor == -1
 
     (c,) = components(Space(S("(0,2]")))
     f = choose_escape(c)
-    assert isinstance(f.direction, TowardOpenLeft) and f.direction.bound == 0
+    assert f.side == -1 and f.end == 0 and is_finite(f.end)
 
     with pytest.raises(CompactComponent):
         choose_escape(components(Space(S("[2,3]")))[0])
@@ -138,6 +139,51 @@ def test_avoid_index_examples_and_scan_oracle():
 
     with pytest.raises(PointOutsideComponent):
         ext_of("(0,1)").filters[0].avoid_index(5)
+
+
+# One space per end kind and side: open right, open right below -inf, open
+# left, +inf, -inf; the bounded ones put the end at a non-dyadic point too.
+END_KINDS = [
+    "(0,1)", "(1/3,7/5)", "(-inf,0)", "(0,2]", "(-3/7,5/3]", "[5,inf)", "(-inf,0]", "(-inf,inf)",
+]
+EXPONENTS = list(range(1, 70)) + [127, 128, 129, 1000, 2047, 2048, 2049, 4095, 4096]
+
+
+def near_end_points(flt):
+    """Points 2^-k (and 3/4 of that) inside the escape end, or far out toward an infinite end."""
+    for k in EXPONENTS:
+        eps = Fraction(1, 2**k)
+        for gap in (eps, 3 * eps / 4):
+            if is_finite(flt.end):
+                q = flt.end - gap if flt.side > 0 else flt.end + gap
+            else:
+                q = flt.anchor + k + gap - 1 if flt.side > 0 else flt.anchor - k - gap + 1
+            if flt.component.piece.contains(q):
+                yield q
+
+
+def test_avoid_index_minimal_near_every_end_kind():
+    for text in END_KINDS:
+        flt = ext_of(text).filters[0]
+        for z in near_end_points(flt):
+            n = flt.avoid_index(z)
+            assert z not in flt.element(n)
+            assert n == 0 or z in flt.element(n - 1)
+            assert flt.avoid_index(flt.start(n)) == n + 1  # the block's own first point
+
+
+def test_least_valid_tails_minimal_near_every_end_kind():
+    for text in END_KINDS:
+        ext = ext_of(text)
+        flt = ext.filters[0]
+        c = flt.component.as_set()
+        for q in near_end_points(flt):
+            for closed in (True, False):
+                piece = intersect(only(flt.toward_end(q, closed)), c)
+                (n,) = least_valid_tails(ext, piece)
+                assert flt.element(n).issubset(piece)
+                assert n == 0 or not flt.element(n - 1).issubset(piece)
+        assert least_valid_tails(ext, c) == (0,)
 
 
 def test_filter_laws_nested_and_escaping():
@@ -275,6 +321,20 @@ def test_connectedness_certificate():
     cert3 = connectedness_certificate(ext3)
     assert len(cert3.steps) == 3
     assert verify_connectedness(ext3, cert3)
+
+
+def test_connectedness_rejects_steps_off_the_filter():
+    ext = ext_of("(0,1) U [5,inf)")
+    c0, c1 = (flt.component for flt in ext.filters)
+    forged = ConnectednessCertificate(
+        (ConnectednessStep(c0, S("[1/4,1/3]")), ConnectednessStep(c1, S("[7,8]")))
+    )
+    assert not verify_connectedness(ext, forged)
+    honest = connectedness_certificate(ext)
+    assert not verify_connectedness(ext, ConnectednessCertificate(honest.steps[::-1]))
+    assert not verify_connectedness(ext, ConnectednessCertificate(honest.steps[:1]))
+    swapped = (ConnectednessStep(c0, honest.steps[1].tail), honest.steps[1])
+    assert not verify_connectedness(ext, ConnectednessCertificate(swapped))
 
 
 def test_clopen_falsifier_examples():
