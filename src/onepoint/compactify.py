@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EqualPoints, NotACover, PointOutsideComponent
-from .connectify import OPEN_OK, NamedPoint, OpenCheck, TypeI
+from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .intervals import (
     EMPTY,
     Interval,
@@ -17,7 +17,6 @@ from .intervals import (
     interior_in,
     intersect,
     is_finite,
-    is_open_in,
     only,
     union,
 )
@@ -74,13 +73,11 @@ def comp_contains(u: CompOpenSet, pt: CompPoint) -> bool:
 
 def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenCheck:
     x = ce.space.ambient
-    if not u.trace.issubset(x) or not is_open_in(u.trace, x):
-        return OpenCheck(False, "TraceNotOpen")
-    if isinstance(u, TypeI):
-        return OPEN_OK
-    if not all(map(closed_and_bounded, difference(x, u.trace).pieces)):
-        return OpenCheck(False, "RemainderNotCompact")
-    return OPEN_OK
+    chk = trace_open_check(u.trace, x)
+    if chk and isinstance(u, TypeInf):
+        if not all(map(closed_and_bounded, difference(x, u.trace).pieces)):
+            return OpenCheck(False, "RemainderNotCompact")
+    return chk
 
 
 def _witness_from_infinity(ce: CompactExtension, z: Fraction) -> tuple[TypeInf, TypeI]:

@@ -28,6 +28,7 @@ from .errors import (
     EqualPoints,
     FidelityFailure,
     InvalidExtension,
+    NotASubset,
     NotClosedInY,
     NotDisjoint,
     PInBoth,
@@ -45,6 +46,7 @@ from .intervals import (
     is_finite,
     is_open_in,
     midpoint,
+    not_interior_in,
     only,
     pick_point,
     union,
@@ -247,14 +249,25 @@ def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
 @dataclass(frozen=True, slots=True)
 class OpenCheck:
     ok: bool
-    reason: str | None = None  # "TraceNotOpen" or "MissingTail"
+    reason: str | None = None  # "TraceNotOpen", "MissingTail" or "RemainderNotCompact"
     component: int | None = None
+    boundary: Fraction | None = None  # a point of the trace where TraceNotOpen fails
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 OPEN_OK = OpenCheck(True)
+
+
+def trace_open_check(trace: IntervalSet, x: IntervalSet) -> OpenCheck:
+    """Openness of a trace in x; a failure carries a trace point outside x or
+    not interior in it as its boundary."""
+    try:
+        bad = not_interior_in(trace, x)
+    except NotASubset:
+        return OpenCheck(False, "TraceNotOpen", boundary=pick_point(difference(trace, x)))
+    return OpenCheck(False, "TraceNotOpen", boundary=pick_point(bad)) if bad else OPEN_OK
 
 
 def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None:
@@ -281,11 +294,9 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
     all the way to the escape end of every component: that is exactly the
     existence of a contained filter tail.
     """
-    x = ext.space.ambient
-    if not u.trace.issubset(x) or not is_open_in(u.trace, x):
-        return OpenCheck(False, "TraceNotOpen")
-    if isinstance(u, TypeI):
-        return OPEN_OK
+    chk = trace_open_check(u.trace, ext.space.ambient)
+    if not chk or isinstance(u, TypeI):
+        return chk
     if len(u.tails) != len(ext.filters) or any(t < 0 for t in u.tails):
         raise InvalidExtension("type-II set needs one natural tail index per component")
     for i, flt in enumerate(ext.filters):
@@ -296,7 +307,11 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
 
 def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
     """The stored indices really witness tail containment (the type invariant)."""
-    return all(flt.element(u.tails[i]).issubset(u.trace) for i, flt in enumerate(ext.filters))
+    if len(u.tails) != len(ext.filters):
+        return False
+    # The elements lie in distinct components in line order: one canonical set.
+    pieces = (iv for flt, n in zip(ext.filters, u.tails) for iv in flt.element(n).pieces)
+    return IntervalSet(tuple(pieces)).issubset(u.trace)
 
 
 def least_valid_tails(ext: Extension, trace: IntervalSet) -> tuple[int, ...] | None:
@@ -332,6 +347,19 @@ def union_open(ext: Extension, opens) -> ExtOpenSet:
     if tail_rows:
         return TypeII(trace, tuple(min(col) for col in zip(*tail_rows)))
     return TypeI(trace)
+
+
+def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpenSet:
+    """Complement of a set with this trace: type I if the set holds p, else type II."""
+    rest = difference(ext.space.ambient, trace)
+    return TypeI(rest) if has_p else TypeII(rest, (0,) * len(ext.filters))
+
+
+def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
+    """Open in the extension, and for type II the stored tails really fit."""
+    if not is_open_in_extension(ext, u):
+        return False
+    return isinstance(u, TypeI) or declared_tails_hold(ext, u)
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +403,7 @@ def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityC
 
 def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
     for nb in cert.neighborhoods:
-        if not nb.trace or not is_open_in_extension(ext, nb):
-            return False
-        if not declared_tails_hold(ext, nb):
+        if not nb.trace or not _open_as_declared(ext, nb):
             return False
     for v in cert.plain_opens:
         if v and not intersect(v, ext.space.ambient):
@@ -481,13 +507,6 @@ class NotClopenEvidence:
     boundary: Fraction | None = None
 
 
-def _openness_boundary(x: IntervalSet, trace: IntervalSet) -> Fraction | None:
-    if not trace.issubset(x):
-        return pick_point(difference(trace, x))
-    bad = difference(trace, interior_in(trace, x))
-    return pick_point(bad) if bad else None
-
-
 def clopen_falsifier(ext: Extension, s: ExtOpenSet):
     """Concrete evidence that a candidate is not a proper nonempty clopen set.
 
@@ -495,25 +514,16 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
     failing condition on the set or on its complement.  Finding neither would
     contradict connectedness of the extension and raises the bug signal.
     """
-    x = ext.space.ambient
     if isinstance(s, TypeI) and not s.trace:
         return IsTrivial("empty")
-    if isinstance(s, TypeII) and s.trace == x:
+    if isinstance(s, TypeII) and s.trace == ext.space.ambient:
         return IsTrivial("whole")
     chk = is_open_in_extension(ext, s)
     if not chk:
-        boundary = _openness_boundary(x, s.trace) if chk.reason == "TraceNotOpen" else None
-        return NotClopenEvidence("set", chk.reason, chk.component, boundary)
-    comp_trace = difference(x, s.trace)
-    complement_set: ExtOpenSet
-    if isinstance(s, TypeII):
-        complement_set = TypeI(comp_trace)
-    else:
-        complement_set = TypeII(comp_trace, (0,) * len(ext.filters))
-    chk2 = is_open_in_extension(ext, complement_set)
-    if not chk2:
-        boundary = _openness_boundary(x, comp_trace) if chk2.reason == "TraceNotOpen" else None
-        return NotClopenEvidence("complement", chk2.reason, chk2.component, boundary)
+        return NotClopenEvidence("set", chk.reason, chk.component, chk.boundary)
+    chk = is_open_in_extension(ext, _complement_open(ext, isinstance(s, TypeII), s.trace))
+    if not chk:
+        return NotClopenEvidence("complement", chk.reason, chk.component, chk.boundary)
     raise InvalidExtension(f"found a proper nonempty clopen subset: {s}")
 
 
@@ -583,7 +593,7 @@ def verify_hausdorff(
     """Independent check of the four witness postconditions."""
     if not (ext_contains(u, y) and ext_contains(v, z)):
         return False
-    if not (is_open_in_extension(ext, u) and is_open_in_extension(ext, v)):
+    if not (_open_as_declared(ext, u) and _open_as_declared(ext, v)):
         return False
     if intersect(u.trace, v.trace):
         return False
@@ -597,13 +607,9 @@ def verify_hausdorff(
 
 def closed_in_extension(ext: Extension, f: ExtClosedSet) -> bool:
     """Closed means: the complement passes the extension openness check."""
-    x = ext.space.ambient
-    if not f.trace.issubset(x):
+    if not f.trace.issubset(ext.space.ambient):
         return False
-    comp_trace = difference(x, f.trace)
-    if f.has_p:
-        return bool(is_open_in_extension(ext, TypeI(comp_trace)))
-    return bool(is_open_in_extension(ext, TypeII(comp_trace, (0,) * len(ext.filters))))
+    return bool(is_open_in_extension(ext, _complement_open(ext, f.has_p, f.trace)))
 
 
 def normality_witness(
@@ -626,33 +632,28 @@ def normality_witness(
     if g.has_p:
         v, u = normality_witness(ext, g, f)
         return u, v
-    x = ext.space.ambient
     if not f.has_p:
         u0, v0 = separate_disjoint_closed(ext.space, f.trace, g.trace)
         return TypeI(u0), TypeI(v0)
-    avoid_g = difference(x, g.trace)
+    tails = least_valid_tails(ext, difference(ext.space.ambient, g.trace))
+    if tails is None:
+        raise InvalidExtension("no tail avoids G although G is closed")
     u_trace, v_trace = EMPTY, EMPTY
-    tails = []
-    for flt in ext.filters:
+    for flt, n_c in zip(ext.filters, tails):
         c_set = flt.component.as_set()
-        escape = _escape_piece(flt, intersect(avoid_g, c_set))
-        if escape is None:
-            raise InvalidExtension("no tail avoids G although G is closed")
-        n_c = _least_tail(flt, escape)
         f_c = union(intersect(f.trace, c_set), flt.element(n_c))
         g_c = intersect(g.trace, c_set)
         u_c, v_c = separate_disjoint_closed(ext.space, f_c, g_c)
         u_trace = union(u_trace, intersect(c_set, u_c))
         v_trace = union(v_trace, intersect(c_set, v_c))
-        tails.append(n_c)
-    return TypeII(u_trace, tuple(tails)), TypeI(v_trace)
+    return TypeII(u_trace, tails), TypeI(v_trace)
 
 
 def verify_normality(
     ext: Extension, f: ExtClosedSet, g: ExtClosedSet, u: ExtOpenSet, v: ExtOpenSet
 ) -> bool:
     """Independent check: containment, disjointness, openness."""
-    if not (is_open_in_extension(ext, u) and is_open_in_extension(ext, v)):
+    if not (_open_as_declared(ext, u) and _open_as_declared(ext, v)):
         return False
     if intersect(u.trace, v.trace):
         return False

@@ -67,4 +67,5 @@ class FidelityFailure(OnePointError):
 
 
 class InvalidExtension(OnePointError):
-    """Bug signal: the extension violated one of its own structural theorems."""
+    """Bug signal: the extension violated one of its own structural theorems,
+    or an engine-built witness or certificate failed its own verification."""

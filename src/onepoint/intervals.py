@@ -304,19 +304,20 @@ def closure_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
     return intersect(s.closure(), x)
 
 
-def interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
-    """Interior of ``s`` in the subspace ``x``."""
+def not_interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
+    """The points of ``s`` not interior in the subspace ``x``: s ∩ cl(x∖s)."""
     if not s.issubset(x):
         raise NotASubset(f"{s} is not a subset of {x}")
-    return difference(x, closure_in(difference(x, s), x))
+    return intersect(s, difference(x, s).closure())
+
+
+def interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
+    """Interior of ``s`` in the subspace ``x``."""
+    return difference(s, not_interior_in(s, x))
 
 
 def is_open_in(s: IntervalSet, x: IntervalSet) -> bool:
-    # Equivalent to interior_in(s, x) == s: no point of s may lie in the
-    # line closure of its relative complement.
-    if not s.issubset(x):
-        raise NotASubset(f"{s} is not a subset of {x}")
-    return not intersect(difference(x, s).closure(), s)
+    return not not_interior_in(s, x)
 
 
 def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:

@@ -49,11 +49,13 @@ from onepoint import (
     verify_normality,
 )
 from onepoint.connectify import ConnectednessCertificate, ConnectednessStep
-from onepoint.intervals import is_finite, only
+from onepoint.intervals import closure_in, difference, is_finite, only, pick_point, union
 from onepoint.sampling import (
     clopen_candidates,
     random_disjoint_closed_pair,
+    random_open_in,
     random_point_in,
+    random_real_open,
 )
 
 S = parse_set
@@ -362,6 +364,32 @@ def test_clopen_falsifier_generated(extensions):
             assert isinstance(out, (IsTrivial, NotClopenEvidence))
 
 
+def reference_openness_boundary(x, trace):
+    """A point where trace openness fails, found by rebuilding the interior."""
+    if not trace.issubset(x):
+        return pick_point(difference(trace, x))
+    bad = difference(trace, difference(x, closure_in(difference(x, trace), x)))
+    return pick_point(bad) if bad else None
+
+
+def test_open_check_boundary_matches_reference(extensions):
+    rng = random.Random(6060)
+    for ext in extensions:
+        x = ext.space.ambient
+        for _ in range(6):
+            trace = union(random_open_in(x, rng), random_real_open(rng).closure())
+            if rng.random() < 0.5:
+                trace = intersect(trace, x)
+            chk = is_open_in_extension(ext, TypeI(trace))
+            assert chk.boundary == reference_openness_boundary(x, trace)
+            assert chk.ok == (chk.boundary is None)
+        for cand in clopen_candidates(ext, rng, 10):
+            out = clopen_falsifier(ext, cand)
+            if isinstance(out, NotClopenEvidence) and out.reason == "TraceNotOpen":
+                trace = cand.trace if out.side == "set" else difference(x, cand.trace)
+                assert out.boundary == reference_openness_boundary(x, trace)
+
+
 # --------------------------------------------------------------------------
 # Hausdorff witnesses
 # --------------------------------------------------------------------------
@@ -410,6 +438,27 @@ def test_hausdorff_random_pairs(extensions):
                 continue
             u, v = hausdorff_witness(ext, y, z)
             assert verify_hausdorff(ext, y, z, u, v)
+
+
+def test_verifiers_reject_forged_tails():
+    ext = ext_of("(0,1) U [5,inf)")
+    u, v = hausdorff_witness(ext, P, Fraction(20))
+    assert u.tails == (0, 16) and verify_hausdorff(ext, P, Fraction(20), u, v)
+    forged = TypeII(u.trace, (0, 0))
+    assert is_open_in_extension(ext, forged)
+    assert not verify_hausdorff(ext, P, Fraction(20), forged, v)
+    assert not verify_hausdorff(ext, Fraction(20), P, v, forged)
+
+    f, g = ExtClosedSet(True, EMPTY), ExtClosedSet(False, S("[6,7]"))
+    u, v = normality_witness(ext, f, g)
+    assert verify_normality(ext, f, g, u, v)
+    forged = TypeII(u.trace, (0, 0))
+    assert is_open_in_extension(ext, forged)
+    assert not verify_normality(ext, f, g, forged, v)
+    assert not verify_normality(ext, g, f, v, forged)
+
+    assert declared_tails_hold(ext, u)
+    assert not declared_tails_hold(ext, TypeII(u.trace, u.tails + (0,)))
 
 
 # --------------------------------------------------------------------------

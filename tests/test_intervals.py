@@ -22,12 +22,15 @@ from onepoint import (
     is_closed_in,
     is_open_in,
     normalize,
+    not_interior_in,
     parse_point,
     parse_set,
     pick_point,
     point,
     union,
 )
+
+from onepoint.sampling import random_closed_in, random_open_in, random_real_open
 
 S = parse_set
 
@@ -153,6 +156,26 @@ def test_subset_precondition():
         closure_in(S("(0,2)"), S("(0,1)"))
     with pytest.raises(NotASubset):
         interior_in(S("[0,1]"), S("(0,1)"))
+
+
+def reference_interior_in(s, x):
+    """The interior as x minus the relative closure of the relative complement."""
+    return difference(x, closure_in(difference(x, s), x))
+
+
+def test_interior_and_openness_match_reference_on_corpus(corpus200):
+    rng = random.Random(4242)
+    for space in corpus200:
+        x = space.ambient
+        for _ in range(12):
+            s = rng.choice((random_open_in, random_closed_in))(x, rng)
+            s = union(s, intersect(random_real_open(rng).closure(), x))
+            ref = reference_interior_in(s, x)
+            assert interior_in(s, x) == ref
+            assert not_interior_in(s, x) == difference(s, ref)
+            assert is_open_in(s, x) == (ref == s)
+    with pytest.raises(NotASubset):
+        not_interior_in(S("[0,1]"), S("(0,1)"))
 
 
 # --------------------------------------------------------------------------

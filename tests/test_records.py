@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from onepoint import (
     EMPTY,
     Connectifiable,
+    InvalidExtension,
     P,
     Space,
     TypeI,
@@ -14,6 +17,7 @@ from onepoint import (
     parse_set,
     subspace_fidelity,
 )
+from onepoint.connectify import ConnectednessCertificate, ConnectednessStep
 from onepoint.records import (
     fmt_check,
     fmt_connectedness,
@@ -89,3 +93,96 @@ def test_check_records_shape():
     assert lines[0] == "space=(0,1) U [2,3]"
     assert "space_compact=false" in lines
     assert lines[-1] == "step 2 C#1=[2,3] window=(1,4) trace_matches=true"
+
+
+CHECK_GOLDEN = {
+    "(-inf,-2] U (-1,0) U [1,2)": [
+        "space=(-inf,-2] U (-1,0) U [1,2)",
+        "space_compact=false",
+        "C#0=(-inf,-2] compact=false",
+        "C#1=(-1,0) compact=false",
+        "C#2=[1,2) compact=false",
+        "locally_connected=true",
+        "step 1 C#0=(-inf,-2] window=(-inf,-1) trace_matches=true",
+        "step 2 C#1=(-1,0) window=(-2,1) trace_matches=true",
+        "step 3 C#2=[1,2) window=(0,2) trace_matches=true",
+    ],
+    "(0,1) U (1,2] U [3,inf)": [
+        "space=(0,1) U (1,2] U [3,inf)",
+        "space_compact=false",
+        "C#0=(0,1) compact=false",
+        "C#1=(1,2] compact=false",
+        "C#2=[3,inf) compact=false",
+        "locally_connected=true",
+        "step 1 C#0=(0,1) window=(0,1) trace_matches=true",
+        "step 2 C#1=(1,2] window=(1,3) trace_matches=true",
+        "step 3 C#2=[3,inf) window=(2,inf) trace_matches=true",
+    ],
+    "(-inf,0) U (0,1/2) U [3/4,inf)": [
+        "space=(-inf,0) U (0,1/2) U [3/4,inf)",
+        "space_compact=false",
+        "C#0=(-inf,0) compact=false",
+        "C#1=(0,1/2) compact=false",
+        "C#2=[3/4,inf) compact=false",
+        "locally_connected=true",
+        "step 1 C#0=(-inf,0) window=(-inf,0) trace_matches=true",
+        "step 2 C#1=(0,1/2) window=(0,3/4) trace_matches=true",
+        "step 3 C#2=[3/4,inf) window=(1/2,inf) trace_matches=true",
+    ],
+    "[0,1] U [2,3]": [
+        "space=[0,1] U [2,3]",
+        "space_compact=true",
+        "C#0=[0,1] compact=true",
+        "C#1=[2,3] compact=true",
+        "locally_connected=true",
+        "step 1 C#0=[0,1] window=(-1,2) trace_matches=true",
+        "step 2 C#1=[2,3] window=(1,4) trace_matches=true",
+    ],
+}
+
+FLAGS = "nonempty=true subset=true closed_in_component=true single_interval=true"
+
+CONNECTEDNESS_GOLDEN = {
+    "(-inf,-2] U (-1,0) U [1,2)": [
+        "certificate connectedness components=3",
+        f"step 1 C#0=(-inf,-2] tail=(-inf,-3] {FLAGS}",
+        f"step 2 C#1=(-1,0) tail=[-1/2,0) {FLAGS}",
+        f"step 3 C#2=[1,2) tail=[3/2,2) {FLAGS}",
+        "conclusion clopen-with-p=whole-extension",
+    ],
+    "(0,1) U (1,2] U [3,inf)": [
+        "certificate connectedness components=3",
+        f"step 1 C#0=(0,1) tail=[1/2,1) {FLAGS}",
+        f"step 2 C#1=(1,2] tail=(1,3/2] {FLAGS}",
+        f"step 3 C#2=[3,inf) tail=[4,inf) {FLAGS}",
+        "conclusion clopen-with-p=whole-extension",
+    ],
+    "(-inf,0) U (0,1/2) U [3/4,inf)": [
+        "certificate connectedness components=3",
+        f"step 1 C#0=(-inf,0) tail=[-1,0) {FLAGS}",
+        f"step 2 C#1=(0,1/2) tail=[1/4,1/2) {FLAGS}",
+        f"step 3 C#2=[3/4,inf) tail=[7/4,inf) {FLAGS}",
+        "conclusion clopen-with-p=whole-extension",
+    ],
+}
+
+
+def test_check_records_golden():
+    for text, lines in CHECK_GOLDEN.items():
+        assert fmt_check(Space(parse_set(text))) == lines
+
+
+def test_connectedness_records_golden():
+    for text, lines in CONNECTEDNESS_GOLDEN.items():
+        ext = ext_of(text)
+        assert fmt_connectedness(ext, connectedness_certificate(ext)) == lines
+
+
+def test_connectedness_record_refuses_forged_certificate():
+    ext = ext_of("(0,1) U [5,inf)")
+    c0, c1 = (f.component for f in ext.filters)
+    forged = ConnectednessCertificate(
+        (ConnectednessStep(c0, parse_set("[1/4,1/3]")), ConnectednessStep(c1, parse_set("[7,8]")))
+    )
+    with pytest.raises(InvalidExtension):
+        fmt_connectedness(ext, forged)
