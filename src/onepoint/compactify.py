@@ -7,20 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EqualPoints, NotACover, PointOutsideComponent
+from .errors import NotACover
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
-from .intervals import (
-    EMPTY,
-    Interval,
-    IntervalSet,
-    difference,
-    interior_in,
-    intersect,
-    is_finite,
-    only,
-    union,
-)
-from .space import Space, closed_and_bounded, split_points
+from .connectify import separate_points, verify_separated
+from .intervals import EMPTY, Interval, IntervalSet, difference, interior_in, is_finite, only, union
+from .space import Space, closed_and_bounded, component_index
 
 
 #: The added point at infinity.
@@ -83,9 +74,7 @@ def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenChe
 def _witness_from_infinity(ce: CompactExtension, z: Fraction) -> tuple[TypeInf, TypeI]:
     """Shrink a compact closed box around z; infinity gets the complement."""
     x = ce.space.ambient
-    piece = next((p for p in x.pieces if p.contains(z)), None)
-    if piece is None:
-        raise PointOutsideComponent(f"{z} is not a point of {x}")
+    piece = x.pieces[component_index(ce.space, z)]
     if not is_finite(piece.lo):
         k_lo = z - 1
     elif piece.lo_closed:
@@ -106,34 +95,13 @@ def compactification_hausdorff_witness(
     ce: CompactExtension, y: CompPoint, z: CompPoint
 ) -> tuple[CompOpenSet, CompOpenSet]:
     """Disjoint open neighborhoods of two distinct compactification points."""
-    if y is INFINITY and z is INFINITY:
-        raise EqualPoints("both points are infinity")
-    if y is INFINITY:
-        return _witness_from_infinity(ce, Fraction(z))
-    if z is INFINITY:
-        u_inf, v_y = _witness_from_infinity(ce, Fraction(y))
-        return v_y, u_inf
-    y, z = Fraction(y), Fraction(z)
-    if y == z:
-        raise EqualPoints(f"{y} given twice")
-    x = ce.space.ambient
-    for q in (y, z):
-        if q not in x:
-            raise PointOutsideComponent(f"{q} is not a point of {x}")
-    u, v = split_points(ce.space, y, z)
-    return TypeI(u), TypeI(v)
+    return separate_points(ce.space, INFINITY, lambda q: _witness_from_infinity(ce, q), y, z)
 
 
 def verify_compact_hausdorff(
     ce: CompactExtension, y: CompPoint, z: CompPoint, u: CompOpenSet, v: CompOpenSet
 ) -> bool:
-    if not (comp_contains(u, y) and comp_contains(v, z)):
-        return False
-    if not (is_open_in_compactification(ce, u) and is_open_in_compactification(ce, v)):
-        return False
-    if intersect(u.trace, v.trace):
-        return False
-    return not (isinstance(u, TypeInf) and isinstance(v, TypeInf))
+    return verify_separated(comp_contains, lambda w: is_open_in_compactification(ce, w), y, z, u, v)
 
 
 def _frontier(s: IntervalSet) -> tuple:

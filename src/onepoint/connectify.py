@@ -46,13 +46,14 @@ from .intervals import (
     is_finite,
     is_open_in,
     midpoint,
+    normalize,
     not_interior_in,
     only,
     pick_point,
     union,
 )
 from .space import Component, Space, components, has_compact_component, is_compact
-from .space import separate_disjoint_closed, split_points
+from .space import component_index, component_slices, separate_disjoint_closed, split_points
 
 
 # --------------------------------------------------------------------------
@@ -297,17 +298,22 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
     chk = trace_open_check(u.trace, ext.space.ambient)
     if not chk or isinstance(u, TypeI):
         return chk
-    if len(u.tails) != len(ext.filters) or any(t < 0 for t in u.tails):
+    if not _well_shaped(ext, u):
         raise InvalidExtension("type-II set needs one natural tail index per component")
-    for i, flt in enumerate(ext.filters):
-        if _escape_piece(flt, intersect(u.trace, flt.component.as_set())) is None:
+    for i, (flt, trace_in_c) in enumerate(zip(ext.filters, component_slices(ext.space, u.trace))):
+        if _escape_piece(flt, trace_in_c) is None:
             return OpenCheck(False, "MissingTail", i)
     return OPEN_OK
 
 
+def _well_shaped(ext: Extension, u: TypeII) -> bool:
+    """One natural tail index per component."""
+    return len(u.tails) == len(ext.filters) and all(t >= 0 for t in u.tails)
+
+
 def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
     """The stored indices really witness tail containment (the type invariant)."""
-    if len(u.tails) != len(ext.filters):
+    if not _well_shaped(ext, u):
         return False
     # The elements lie in distinct components in line order: one canonical set.
     pieces = (iv for flt, n in zip(ext.filters, u.tails) for iv in flt.element(n).pieces)
@@ -317,8 +323,8 @@ def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
 def least_valid_tails(ext: Extension, trace: IntervalSet) -> tuple[int, ...] | None:
     """Smallest witnessing tail indices for a trace, or None if one is missing."""
     tails = []
-    for flt in ext.filters:
-        piece = _escape_piece(flt, intersect(trace, flt.component.as_set()))
+    for flt, trace_in_c in zip(ext.filters, component_slices(ext.space, trace)):
+        piece = _escape_piece(flt, trace_in_c)
         if piece is None:
             return None
         tails.append(_least_tail(flt, piece))
@@ -357,9 +363,9 @@ def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpen
 
 def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
     """Open in the extension, and for type II the stored tails really fit."""
-    if not is_open_in_extension(ext, u):
+    if isinstance(u, TypeII) and not declared_tails_hold(ext, u):
         return False
-    return isinstance(u, TypeI) or declared_tails_hold(ext, u)
+    return bool(is_open_in_extension(ext, u))
 
 
 # --------------------------------------------------------------------------
@@ -532,13 +538,6 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
 # --------------------------------------------------------------------------
 
 
-def _component_index_of(ext: Extension, z: Fraction) -> int:
-    for i, flt in enumerate(ext.filters):
-        if flt.component.piece.contains(z):
-            return i
-    raise PointOutsideComponent(f"{z} is not a point of {ext.space.ambient}")
-
-
 def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     """Open U around the extra point and V around z, disjoint.
 
@@ -547,7 +546,7 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     beyond the box toward the escape end plus all other components.
     """
     x = ext.space.ambient
-    i = _component_index_of(ext, z)
+    i = component_index(ext.space, z)
     flt = ext.filters[i]
     c_set = flt.component.as_set()
     start = flt.start(flt.avoid_index(z))  # first point of the escape block, past z
@@ -567,37 +566,42 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     return TypeII(u_trace, tails), TypeI(v_trace)
 
 
+def separate_points(space: Space, added: NamedPoint, from_added, y, z):
+    """Disjoint opens around two distinct points of a space plus one added point;
+    ``from_added(q)`` gives the pair (open around the added point, open around q)."""
+    if y is added and z is added:
+        raise EqualPoints(f"both points are {added}")
+    if y is added:
+        return from_added(Fraction(z))
+    if z is added:
+        u_added, v_y = from_added(Fraction(y))
+        return v_y, u_added
+    u, v = split_points(space, Fraction(y), Fraction(z))
+    return TypeI(u), TypeI(v)
+
+
+def verify_separated(contains, is_open, y, z, u, v) -> bool:
+    """The four postconditions of a point separation: each open holds its point,
+    both are open, the traces are disjoint, at most one holds the added point."""
+    if not (contains(u, y) and contains(v, z)):
+        return False
+    if not (is_open(u) and is_open(v)):
+        return False
+    if intersect(u.trace, v.trace):
+        return False
+    return isinstance(u, TypeI) or isinstance(v, TypeI)
+
+
 def hausdorff_witness(ext: Extension, y: ExtPoint, z: ExtPoint) -> tuple[ExtOpenSet, ExtOpenSet]:
     """Disjoint open neighborhoods of two distinct extension points."""
-    if y is P and z is P:
-        raise EqualPoints("both points are the extra point")
-    if y is P:
-        return _hausdorff_from_p(ext, Fraction(z))
-    if z is P:
-        u_p, v_y = _hausdorff_from_p(ext, Fraction(y))
-        return v_y, u_p
-    y, z = Fraction(y), Fraction(z)
-    if y == z:
-        raise EqualPoints(f"{y} given twice")
-    x = ext.space.ambient
-    for q in (y, z):
-        if q not in x:
-            raise PointOutsideComponent(f"{q} is not a point of {x}")
-    u, v = split_points(ext.space, y, z)
-    return TypeI(u), TypeI(v)
+    return separate_points(ext.space, P, lambda q: _hausdorff_from_p(ext, q), y, z)
 
 
 def verify_hausdorff(
     ext: Extension, y: ExtPoint, z: ExtPoint, u: ExtOpenSet, v: ExtOpenSet
 ) -> bool:
     """Independent check of the four witness postconditions."""
-    if not (ext_contains(u, y) and ext_contains(v, z)):
-        return False
-    if not (_open_as_declared(ext, u) and _open_as_declared(ext, v)):
-        return False
-    if intersect(u.trace, v.trace):
-        return False
-    return not (isinstance(u, TypeII) and isinstance(v, TypeII))
+    return verify_separated(ext_contains, lambda w: _open_as_declared(ext, w), y, z, u, v)
 
 
 # --------------------------------------------------------------------------
@@ -638,15 +642,14 @@ def normality_witness(
     tails = least_valid_tails(ext, difference(ext.space.ambient, g.trace))
     if tails is None:
         raise InvalidExtension("no tail avoids G although G is closed")
-    u_trace, v_trace = EMPTY, EMPTY
-    for flt, n_c in zip(ext.filters, tails):
-        c_set = flt.component.as_set()
-        f_c = union(intersect(f.trace, c_set), flt.element(n_c))
-        g_c = intersect(g.trace, c_set)
-        u_c, v_c = separate_disjoint_closed(ext.space, f_c, g_c)
-        u_trace = union(u_trace, intersect(c_set, u_c))
-        v_trace = union(v_trace, intersect(c_set, v_c))
-    return TypeII(u_trace, tails), TypeI(v_trace)
+    u_pieces, v_pieces = [], []
+    slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
+    for flt, n_c, (f_c, g_c) in zip(ext.filters, tails, slices):
+        c = Space(flt.component.as_set())
+        u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
+        u_pieces.extend(u_c.pieces)
+        v_pieces.extend(v_c.pieces)
+    return TypeII(normalize(u_pieces), tails), TypeI(normalize(v_pieces))
 
 
 def verify_normality(

@@ -19,7 +19,6 @@ from .connectify import (
     union_open,
 )
 from .intervals import (
-    EMPTY,
     Interval,
     IntervalSet,
     NEG_INF,
@@ -133,9 +132,9 @@ def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> IntervalSet:
 def random_p_neighborhood(ext: Extension, rng: random.Random, max_tail: int = 32) -> TypeII:
     """A valid type-II neighborhood of the extra point with random tails."""
     tails = tuple(rng.randint(0, max_tail) for _ in ext.filters)
-    trace = EMPTY
-    for flt, n in zip(ext.filters, tails):
-        trace = union(trace, _escape_hull(flt, n, rng))
+    trace = normalize(
+        iv for flt, n in zip(ext.filters, tails) for iv in _escape_hull(flt, n, rng).pieces
+    )
     if rng.random() < 0.5:
         trace = union(trace, random_open_in(ext.space.ambient, rng))
     return TypeII(trace, tails)
@@ -162,15 +161,12 @@ def random_ext_open(ext: Extension, rng: random.Random):
 def clopen_candidates(ext: Extension, rng: random.Random, count: int):
     """Candidates for the clopen falsifier, biased toward near-clopen sets."""
     x = ext.space.ambient
-    comps = [f.component.as_set() for f in ext.filters]
+    comps = [f.component.piece for f in ext.filters]
     out = []
     for j in range(count):
         roll = rng.random()
         if roll < 0.25 and comps:
-            chosen = EMPTY
-            for c in comps:
-                if rng.random() < 0.5:
-                    chosen = union(chosen, c)
+            chosen = normalize(c for c in comps if rng.random() < 0.5)
             if rng.random() < 0.5:
                 out.append(TypeI(chosen))
             else:
@@ -191,9 +187,8 @@ def random_closed_in_extension(ext: Extension, rng: random.Random, include_p: bo
     trace = random_closed_in(ext.space.ambient, rng)
     if include_p:
         return ExtClosedSet(True, trace)
-    for flt in ext.filters:
-        trace = difference(trace, _escape_hull(flt, rng.randint(0, 6), rng))
-    return ExtClosedSet(False, trace)
+    hulls = (_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters)
+    return ExtClosedSet(False, difference(trace, normalize(iv for h in hulls for iv in h.pieces)))
 
 
 def _open_expansion(s: IntervalSet, eps: Fraction) -> IntervalSet:

@@ -7,10 +7,11 @@ connected components, each simultaneously closed and open in the space.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptySpace, NotClosed, NotDisjoint
+from .errors import EmptySpace, EqualPoints, NotClosed, NotDisjoint, PointOutsideComponent
 from .intervals import (
     EMPTY,
     Interval,
@@ -18,6 +19,7 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     _lo_key,
+    _mk_set,
     intersect,
     is_closed_in,
     is_finite,
@@ -58,6 +60,28 @@ class Space:
 def components(space: Space) -> tuple[Component, ...]:
     """The components of the space, in line order."""
     return tuple(Component(piece, i) for i, piece in enumerate(space.ambient.pieces))
+
+
+def component_index(space: Space, z: Fraction) -> int:
+    """The index of the component holding the point z."""
+    pieces = space.ambient.pieces
+    i = bisect_right(pieces, z, key=lambda p: p.lo) - 1
+    if i < 0 or not pieces[i].contains(z):
+        raise PointOutsideComponent(f"{z} is not a point of {space.ambient}")
+    return i
+
+
+def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
+    """s ∩ C for every component C, in line order, from one sweep: each piece
+    of s ∩ X lies inside exactly one component."""
+    p = space.ambient.pieces
+    slices: list[list[Interval]] = [[] for _ in p]
+    i = 0
+    for iv in intersect(s, space.ambient).pieces:
+        while p[i].hi < iv.hi or (p[i].hi == iv.hi and iv.hi_closed and not p[i].hi_closed):
+            i += 1
+        slices[i].append(iv)
+    return tuple(_mk_set(tuple(sl)) for sl in slices)
 
 
 def closed_and_bounded(p: Interval) -> bool:
@@ -117,13 +141,17 @@ def local_connectedness_certificate(space: Space) -> LocalConnectednessCertifica
 
 
 def verify_local_connectedness(space: Space, cert: LocalConnectednessCertificate) -> bool:
-    """Replay the certificate with the set algebra alone."""
+    """Replay the certificate with the set algebra alone.  A window is an
+    interval, so one that holds its component and misses both neighbours
+    misses every other piece too."""
     if tuple(c for c, _ in cert.entries) != components(space):
         return False
+    pieces = space.ambient.pieces
     for comp, w in cert.entries:
         if w.lo_closed or w.hi_closed:
             return False
-        if intersect(only(w), space.ambient) != comp.as_set():
+        near = _mk_set(pieces[max(0, comp.index - 1) : comp.index + 2])
+        if intersect(only(w), near) != comp.as_set():
             return False
     return True
 
@@ -173,7 +201,10 @@ def separate_disjoint_closed(
 
 def split_points(space: Space, y: Fraction, z: Fraction) -> tuple[IntervalSet, IntervalSet]:
     """Disjoint opens around two distinct points of the space, y side first."""
-    u, v = separate_disjoint_closed(
+    if y == z:
+        raise EqualPoints(f"{y} given twice")
+    for q in (y, z):
+        component_index(space, q)
+    return separate_disjoint_closed(
         space, only(Interval(y, y, True, True)), only(Interval(z, z, True, True))
     )
-    return u, v

@@ -1,0 +1,184 @@
+"""Point location and per-component slices, against the per-component
+formulas they replaced, plus sweep counts that show every per-component
+loop stays linear in the number of components."""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from onepoint import (
+    EqualPoints,
+    Interval,
+    IntervalSet,
+    P,
+    PointOutsideComponent,
+    Space,
+    check_connectifiable,
+    cli,
+    components,
+    density_check,
+    intersect,
+    local_connectedness_certificate,
+    only,
+    parse_set,
+    split_points,
+    verify_local_connectedness,
+)
+from onepoint import intervals
+from onepoint.connectify import hausdorff_witness
+from onepoint.sampling import random_open_in, random_point_in, random_real_open
+from onepoint.space import LocalConnectednessCertificate, component_index, component_slices
+
+S = parse_set
+
+
+def reference_slices(space, s):
+    """One intersection with each whole component, as the loops used to do."""
+    return tuple(intersect(s, c.as_set()) for c in components(space))
+
+
+def reference_index(space, z):
+    """A linear scan over the components."""
+    for c in components(space):
+        if c.piece.contains(z):
+            return c.index
+    return None
+
+
+def reference_window_check(space, cert):
+    """The old replay: every window against the whole ambient set."""
+    if tuple(c for c, _ in cert.entries) != components(space):
+        return False
+    return all(
+        not (w.lo_closed or w.hi_closed) and intersect(only(w), space.ambient) == c.as_set()
+        for c, w in cert.entries
+    )
+
+
+def test_slices_match_reference(corpus200):
+    rng = random.Random(61)
+    for sp in corpus200:
+        for s in (sp.ambient, random_real_open(rng), random_open_in(sp.ambient, rng)):
+            assert component_slices(sp, s) == reference_slices(sp, s)
+
+
+def test_index_matches_reference(corpus200):
+    rng = random.Random(62)
+    for sp in corpus200:
+        x = sp.ambient
+        ends = [e for iv in x.pieces for e in (iv.lo, iv.hi) if isinstance(e, Fraction)]
+        probes = [random_point_in(x, rng) for _ in range(5)] + ends
+        probes += [e + d for e in ends for d in (Fraction(-1, 7), Fraction(1, 7))]
+        for z in probes:
+            want = reference_index(sp, z)
+            if want is None:
+                with pytest.raises(PointOutsideComponent, match=re.escape(f"{z} is not a point of {x}")):
+                    component_index(sp, z)
+            else:
+                assert component_index(sp, z) == want
+
+
+def test_split_points_checks_its_points():
+    sp = Space(S("(0,1) U [5,inf)"))
+    with pytest.raises(EqualPoints, match="given twice"):
+        split_points(sp, Fraction(6), Fraction(6))
+    with pytest.raises(PointOutsideComponent, match=r"^3 is not a point of \(0,1\) U \[5,inf\)$"):
+        split_points(sp, Fraction(1, 2), Fraction(3))
+    with pytest.raises(PointOutsideComponent, match="^1 is not a point"):
+        split_points(sp, Fraction(1), Fraction(6))
+
+
+def test_both_points_added_names_the_point():
+    ext = check_connectifiable(Space(S("[5,inf)"))).extension
+    with pytest.raises(EqualPoints, match="^both points are p$"):
+        hausdorff_witness(ext, P, P)
+
+
+def _forge(cert, index, window):
+    entries = list(cert.entries)
+    entries[index] = (entries[index][0], window)
+    return LocalConnectednessCertificate(tuple(entries))
+
+
+def test_forged_windows_rejected():
+    sp = Space(S("(0,1) U [2,3] U (4,5) U [6,7]"))
+    cert = local_connectedness_certificate(sp)
+    assert verify_local_connectedness(sp, cert)
+    q = Fraction
+    forged = [
+        _forge(cert, 1, Interval(q(1), q(11, 2), False, False)),  # covers the next neighbour
+        _forge(cert, 1, Interval(q(1, 2), q(4), False, False)),  # reaches into the previous neighbour
+        _forge(cert, 0, Interval(q(-1), q(13, 2), False, False)),  # reaches over C#1 and C#2
+        _forge(cert, 2, Interval(q(4), q(9, 2), False, False)),  # misses part of C#2
+        _forge(cert, 3, Interval(q(11, 2), q(7), False, False)),  # misses the end of C#3
+    ]
+    for bad in forged:
+        assert not verify_local_connectedness(sp, bad)
+        assert not reference_window_check(sp, bad)
+
+
+def test_window_check_matches_reference(corpus200):
+    rng = random.Random(63)
+    for sp in corpus200[:80]:
+        cert = local_connectedness_certificate(sp)
+        for _ in range(10):
+            i = rng.randrange(len(cert.entries))
+            real = random_real_open(rng)
+            if not real or len(real.pieces) != 1:
+                continue
+            bad = _forge(cert, i, real.pieces[0])
+            assert verify_local_connectedness(sp, bad) == reference_window_check(sp, bad)
+
+
+# --------------------------------------------------------------------------
+# linear scaling in the number of components
+# --------------------------------------------------------------------------
+
+
+def spread(k):
+    return " U ".join(f"({3 * i},{3 * i + 1})" for i in range(k))
+
+
+def pieces_swept(monkeypatch, run):
+    """Piece pairs met by intersect sweeps plus pieces handed to issubset."""
+    count = 0
+    meet, subset = intervals._intersect_pieces, IntervalSet.issubset
+
+    def counting_meet(a, b):
+        nonlocal count
+        count += 1
+        return meet(a, b)
+
+    def counting_subset(self, other):
+        nonlocal count
+        count += len(self.pieces) + len(other.pieces)
+        return subset(self, other)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(intervals, "_intersect_pieces", counting_meet)
+        mp.setattr(IntervalSet, "issubset", counting_subset)
+        run()
+    return count
+
+
+def run_cli(*argv):
+    assert cli.main(list(argv), emit=[].append) == 0
+
+
+OPS = {
+    "check": lambda k: run_cli("check", spread(k)),
+    "witness normal": lambda k: run_cli("witness", "normal", "--", spread(k), "p", "[1/4,1/2]"),
+    "witness hausdorff": lambda k: run_cli("witness", "hausdorff", "--", spread(k), "p", "1/2"),
+    "density": lambda k: density_check(check_connectifiable(Space(S(spread(k)))).extension, 8, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_per_component_work_is_linear(monkeypatch, name):
+    op = OPS[name]
+    small = pieces_swept(monkeypatch, lambda: op(64))
+    large = pieces_swept(monkeypatch, lambda: op(256))
+    assert small > 0
+    assert large <= 4.5 * small, (name, small, large)

@@ -546,3 +546,22 @@ def test_normality_displayed_shape(extensions):
             assert flt.element(u.tails[i]).issubset(u_c)
             assert intersect(f.trace, c).issubset(u_c)
             assert intersect(g.trace, c).issubset(v_c)
+
+
+def test_verifiers_are_total_on_malformed_tails():
+    ext = ext_of("(0,1) U [5,inf)")
+    u, v = hausdorff_witness(ext, P, Fraction(20))
+    f, g = ExtClosedSet(True, EMPTY), ExtClosedSet(False, S("[6,7]"))
+    nu, nv = normality_witness(ext, f, g)
+    for tails in ((0, -1), (0, 16, 0), (0,), (-1, 16)):
+        forged = TypeII(u.trace, tails)
+        assert not declared_tails_hold(ext, forged)
+        assert not verify_hausdorff(ext, P, Fraction(20), forged, v)
+        assert not verify_hausdorff(ext, Fraction(20), P, v, forged)
+        forged = TypeII(nu.trace, tails)
+        assert not declared_tails_hold(ext, forged)
+        assert not verify_normality(ext, f, g, forged, nv)
+        assert not verify_normality(ext, g, f, nv, forged)
+        cert = density_check(ext, 2, 0)
+        forged_cert = type(cert)(2, (cert.neighborhoods[0], TypeII(u.trace, tails)), cert.plain_opens)
+        assert not verify_density(ext, forged_cert)

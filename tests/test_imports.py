@@ -1,0 +1,37 @@
+"""Every name a module imports is used in that module.
+
+The package's ``__init__`` re-exports names on purpose and is left out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(
+    p for p in (Path(__file__).resolve().parents[1] / "src" / "onepoint").glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_check_sees_an_unused_name():
+    assert unused_imports("from x import a, b\nimport c.d\nb()\n") == ["a (line 1)", "c (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
