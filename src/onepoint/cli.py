@@ -2,8 +2,9 @@
 
 Thin by design: every verb parses its arguments, calls one library operation,
 and prints the stable record lines.  Exit codes: 0 success, 1 internal
-invariant violation (a bug), 2 parse or argument error, 3 mathematical
-refusal (the requested extension does not exist).
+invariant violation or any other unexpected exception (a bug), 2 parse or
+argument error, 3 mathematical refusal (the requested extension does not
+exist).
 """
 
 from __future__ import annotations
@@ -185,6 +186,10 @@ def main(argv=None, emit=print) -> int:
     except OnePointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other exception is a bug too, reported on one line
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

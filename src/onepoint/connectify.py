@@ -28,6 +28,7 @@ from .errors import (
     EqualPoints,
     FidelityFailure,
     InvalidExtension,
+    MalformedInterval,
     NotASubset,
     NotClosedInY,
     NotDisjoint,
@@ -39,6 +40,9 @@ from .intervals import (
     Interval,
     IntervalSet,
     Value,
+    _eq,
+    _mk_interval,
+    _mk_set,
     difference,
     interior_in,
     intersect,
@@ -94,7 +98,12 @@ class EscapeFilter:
     def element(self, n: int) -> IntervalSet:
         if n < 0:
             raise ValueError("filter indices are naturals")
-        return intersect(only(self.toward_end(self.start(n), True)), self.component.as_set())
+        # start(n) lies inside the component, which runs open to the escape
+        # end, so the block from start(n) to the end is already inside it.
+        near = self.start(n)
+        if self.side > 0:
+            return _mk_set((_mk_interval(near, self.end, True, False),))
+        return _mk_set((_mk_interval(self.end, near, False, True),))
 
     def _index_past(self, q: Fraction, included: bool) -> int:
         """Least n whose start(n) lies past q toward the end, or at q if included.
@@ -277,9 +286,9 @@ def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None
         return None
     if flt.side > 0:
         piece = trace_in_c.pieces[-1]
-        return piece if piece.hi == flt.end else None
+        return piece if _eq(piece.hi, flt.end) else None
     piece = trace_in_c.pieces[0]
-    return piece if piece.lo == flt.end else None
+    return piece if _eq(piece.lo, flt.end) else None
 
 
 def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
@@ -518,8 +527,14 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
 
     Returns IsTrivial for the empty set and the whole extension; otherwise a
     failing condition on the set or on its complement.  Finding neither would
-    contradict connectedness of the extension and raises the bug signal.
+    contradict connectedness of the extension and raises the bug signal.  A
+    type-II candidate without one natural tail index per component is an
+    input error.
     """
+    if isinstance(s, TypeII) and not _well_shaped(ext, s):
+        raise MalformedInterval(
+            f"type-II candidate needs one natural tail index per component, got {s.tails}"
+        )
     if isinstance(s, TypeI) and not s.trace:
         return IsTrivial("empty")
     if isinstance(s, TypeII) and s.trace == ext.space.ambient:

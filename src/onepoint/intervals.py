@@ -31,15 +31,44 @@ Value = Fraction | float
 
 
 def _coerce_value(v: object) -> Value:
-    if isinstance(v, Fraction):
+    # Endpoints are stored as plain `Fraction`s or the two sentinels, which
+    # is what the comparison kernel below reads them as.
+    if type(v) is Fraction:
         return v
+    if isinstance(v, Fraction):
+        return Fraction(v)
     if isinstance(v, bool):
         raise MalformedInterval(f"not a rational endpoint: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float) and (v == NEG_INF or v == POS_INF):
-        return v
+        return POS_INF if v > 0 else NEG_INF
     raise MalformedInterval(f"not a rational endpoint: {v!r}")
+
+
+def _lt(a: Value, b: Value) -> bool:
+    """a < b on the extended line, exactly.
+
+    Two rationals compare by integer cross-multiplication (denominators are
+    positive).  An infinity takes its own branch: encoding it as a fraction
+    with denominator 0 would make -inf equal to +inf.
+    """
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        return b > 0
+    if type(b) is Fraction:
+        return a < 0
+    return a < b
+
+
+def _eq(a: Value, b: Value) -> bool:
+    """a == b on the extended line, exactly (see `_lt`)."""
+    if type(a) is Fraction:
+        if type(b) is Fraction:
+            return a._numerator * b._denominator == b._numerator * a._denominator
+        return False
+    return type(b) is not Fraction and a == b
 
 
 def is_finite(v: Value) -> bool:
@@ -76,21 +105,22 @@ class Interval:
             isinstance(self.hi, float) and self.hi_closed
         ):
             raise MalformedInterval("infinite endpoints are never included")
-        if self.lo > self.hi:
+        if _lt(self.hi, self.lo):
             raise MalformedInterval(
                 f"empty interval: {fmt_value(self.lo)} above {fmt_value(self.hi)}"
             )
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if _eq(self.lo, self.hi) and not (self.lo_closed and self.hi_closed):
             raise MalformedInterval("degenerate interval must include both endpoints")
 
     @property
     def degenerate(self) -> bool:
-        return self.lo == self.hi
+        return _eq(self.lo, self.hi)
 
     def contains(self, q: Fraction) -> bool:
-        above = q > self.lo or (q == self.lo and self.lo_closed)
-        below = q < self.hi or (q == self.hi and self.hi_closed)
-        return above and below
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        above = _lt(self.lo, q) or (self.lo_closed and _eq(q, self.lo))
+        return above and (_lt(q, self.hi) or (self.hi_closed and _eq(q, self.hi)))
 
     def closure(self) -> Interval:
         return _mk_interval(self.lo, self.hi, is_finite(self.lo), is_finite(self.hi))
@@ -115,11 +145,16 @@ def _lo_key(iv: Interval) -> tuple[Value, int]:
     return (iv.lo, 0 if iv.lo_closed else 1)
 
 
+def _starts_before(x: Interval, y: Interval) -> bool:
+    # Strict line order of lower ends, an included end first: _lo_key(x) < _lo_key(y).
+    return _lt(x.lo, y.lo) or (x.lo_closed and not y.lo_closed and _eq(x.lo, y.lo))
+
+
 def _gap_between(left: Interval, right: Interval) -> bool:
     # True when the pair neither overlaps nor touches mergeably.
-    if left.hi < right.lo:
+    if _lt(left.hi, right.lo):
         return True
-    return left.hi == right.lo and not left.hi_closed and not right.lo_closed
+    return not left.hi_closed and not right.lo_closed and _eq(left.hi, right.lo)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,14 +195,11 @@ class IntervalSet:
         oi = 0
         for s in self.pieces:
             while oi < n and (
-                po[oi].hi < s.hi
-                or (po[oi].hi == s.hi and not po[oi].hi_closed and s.hi_closed)
+                _lt(po[oi].hi, s.hi)
+                or (s.hi_closed and not po[oi].hi_closed and _eq(po[oi].hi, s.hi))
             ):
                 oi += 1
-            if oi == n:
-                return False
-            o = po[oi]
-            if s.lo < o.lo or (s.lo == o.lo and s.lo_closed and not o.lo_closed):
+            if oi == n or _starts_before(s, po[oi]):
                 return False
         return True
 
@@ -213,14 +245,22 @@ def normalize(intervals) -> IntervalSet:
 
     Merges overlapping and touching pieces ((0,1] with (1,2) gives (0,2)) but
     never across a missing point ((0,1) with (1,2) stays two pieces).
-    Idempotent and insensitive to input order.
+    Idempotent and insensitive to input order; input already in line order
+    is not sorted again.
     """
-    items = sorted(intervals, key=_lo_key)
+    items = list(intervals)
+    if any(_starts_before(y, x) for x, y in zip(items, items[1:])):
+        items.sort(key=_lo_key)
+    return _merge_ordered(items)
+
+
+def _merge_ordered(items) -> IntervalSet:
+    # Canonical form of intervals given in line order of their lower ends.
     merged: list[Interval] = []
     for iv in items:
         if merged and not _gap_between(merged[-1], iv):
             prev = merged.pop()
-            if prev.hi > iv.hi or (prev.hi == iv.hi and prev.hi_closed):
+            if _lt(iv.hi, prev.hi) or (prev.hi_closed and _eq(prev.hi, iv.hi)):
                 hi, hi_closed = prev.hi, prev.hi_closed
             else:
                 hi, hi_closed = iv.hi, iv.hi_closed
@@ -231,31 +271,44 @@ def normalize(intervals) -> IntervalSet:
 
 
 def _intersect_pieces(x: Interval, y: Interval) -> Interval | None:
-    if x.lo > y.lo:
+    if _lt(y.lo, x.lo):
         lo, lo_closed = x.lo, x.lo_closed
-    elif x.lo < y.lo:
+    elif _lt(x.lo, y.lo):
         lo, lo_closed = y.lo, y.lo_closed
     else:
         lo, lo_closed = x.lo, x.lo_closed and y.lo_closed
-    if x.hi < y.hi:
+    if _lt(x.hi, y.hi):
         hi, hi_closed = x.hi, x.hi_closed
-    elif x.hi > y.hi:
+    elif _lt(y.hi, x.hi):
         hi, hi_closed = y.hi, y.hi_closed
     else:
         hi, hi_closed = x.hi, x.hi_closed and y.hi_closed
-    if lo > hi:
+    if _lt(hi, lo):
         return None
-    if lo == hi and not (lo_closed and hi_closed):
+    if not (lo_closed and hi_closed) and _eq(lo, hi):
         return None
     return _mk_interval(lo, hi, lo_closed, hi_closed)
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    if not a.pieces:
+    # Both inputs are canonical, hence in line order: merge them in one pass.
+    pa, pb = a.pieces, b.pieces
+    if not pa:
         return b
-    if not b.pieces:
+    if not pb:
         return a
-    return normalize(a.pieces + b.pieces)
+    items = []
+    ai = bi = 0
+    while ai < len(pa) and bi < len(pb):
+        if _starts_before(pb[bi], pa[ai]):
+            items.append(pb[bi])
+            bi += 1
+        else:
+            items.append(pa[ai])
+            ai += 1
+    items += pa[ai:]
+    items += pb[bi:]
+    return _merge_ordered(items)
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -271,7 +324,7 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         r = _intersect_pieces(x, y)
         if r is not None:
             out.append(r)
-        if x.hi < y.hi or (x.hi == y.hi and (not x.hi_closed or y.hi_closed)):
+        if _lt(x.hi, y.hi) or ((not x.hi_closed or y.hi_closed) and _eq(x.hi, y.hi)):
             ai += 1
         else:
             bi += 1

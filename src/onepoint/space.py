@@ -18,7 +18,9 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _eq,
     _lo_key,
+    _lt,
     _mk_set,
     intersect,
     is_closed_in,
@@ -78,7 +80,7 @@ def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
     slices: list[list[Interval]] = [[] for _ in p]
     i = 0
     for iv in intersect(s, space.ambient).pieces:
-        while p[i].hi < iv.hi or (p[i].hi == iv.hi and iv.hi_closed and not p[i].hi_closed):
+        while _lt(p[i].hi, iv.hi) or (iv.hi_closed and not p[i].hi_closed and _eq(p[i].hi, iv.hi)):
             i += 1
         slices[i].append(iv)
     return tuple(_mk_set(tuple(sl)) for sl in slices)

@@ -144,3 +144,13 @@ def test_selftest_runs_and_is_deterministic():
     code2, lines2 = run_cli("--format", "records", "selftest")
     assert code1 == code2 == 0
     assert lines1 == lines2
+
+
+def test_unexpected_exception_is_one_line_and_exit_1(monkeypatch, capsys):
+    def broken(args, emit):
+        raise RuntimeError("lost\ntrack")
+
+    monkeypatch.setattr(cli, "_cmd_components", broken)
+    code, lines = run_cli("components", "(0,1)")
+    assert code == 1 and lines == []
+    assert capsys.readouterr().err == "internal error: RuntimeError: lost track\n"

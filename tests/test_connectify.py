@@ -11,6 +11,7 @@ from onepoint import (
     Connectifiable,
     EqualPoints,
     ExtClosedSet,
+    MalformedInterval,
     IsTrivial,
     NotClopenEvidence,
     NotClosedInY,
@@ -565,3 +566,19 @@ def test_verifiers_are_total_on_malformed_tails():
         cert = density_check(ext, 2, 0)
         forged_cert = type(cert)(2, (cert.neighborhoods[0], TypeII(u.trace, tails)), cert.plain_opens)
         assert not verify_density(ext, forged_cert)
+
+
+def test_clopen_falsifier_rejects_malformed_tails():
+    ext = ext_of("(0,1) U [5,inf)")
+    for tails in ((0,), (0, -1)):
+        with pytest.raises(MalformedInterval):
+            clopen_falsifier(ext, TypeII(S("(0,1) U (6,inf)"), tails))
+
+
+def test_filter_elements_are_blocks_cut_from_the_component(extensions):
+    for ext in extensions[:40]:
+        for flt in ext.filters:
+            c = flt.component.as_set()
+            for n in (0, 1, 2, 7, 64):
+                block = only(flt.toward_end(flt.start(n), True))
+                assert flt.element(n) == intersect(block, c)

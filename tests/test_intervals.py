@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from onepoint import (
     EMPTY,
     Interval,
+    IntervalSet,
     MalformedInterval,
     NEG_INF,
     NotASubset,
@@ -30,6 +31,7 @@ from onepoint import (
     union,
 )
 
+from onepoint.intervals import _eq, _lt
 from onepoint.sampling import random_closed_in, random_open_in, random_real_open
 
 S = parse_set
@@ -292,3 +294,62 @@ def test_parse_point():
     for bad in ["p", "inf", "0.5", "1/0"]:
         with pytest.raises(ParseError):
             parse_point(bad)
+
+
+# --------------------------------------------------------------------------
+# the exact comparison kernel
+# --------------------------------------------------------------------------
+
+TINY = Fraction(1, 2**4096)
+KERNEL_POOL = [
+    NEG_INF,
+    POS_INF,
+    Fraction(0),
+    Fraction(-3),
+    Fraction(-1, 2),
+    Fraction(2, 4),
+    Fraction("1/2"),
+    Fraction(1),
+    1 - TINY,
+    1 + TINY,
+    -TINY,
+    TINY,
+]
+kernel_values = st.one_of(st.sampled_from(KERNEL_POOL), st.fractions())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(kernel_values, kernel_values)
+def test_comparison_kernel_agrees_with_python(a, b):
+    assert _lt(a, b) == (a < b)
+    assert _eq(a, b) == (a == b)
+
+
+def test_infinity_sentinels_stay_apart():
+    whole = S("(-inf,inf)")
+    assert not whole.pieces[0].degenerate
+    assert intersect(whole, whole) == REALS
+    assert union(S("(-inf,0]"), S("[0,inf)")) == REALS
+    assert normalize([interval(NEG_INF, 1), interval(0, POS_INF)]) == REALS
+    assert normalize([interval(0, POS_INF), interval(NEG_INF, 1)]) == REALS
+    assert complement(REALS) == EMPTY
+    assert S("(-inf,0)").issubset(REALS)
+    assert not REALS.issubset(S("(-inf,0)"))
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass, as a caller might hand in."""
+
+
+def test_fraction_subclass_endpoints_are_stored_plain():
+    sub = Interval(SubFraction(0), SubFraction(1, 2), True, False)
+    plain = Interval(Fraction(0), Fraction(1, 2), True, False)
+    assert type(sub.lo) is Fraction and type(sub.hi) is Fraction
+    a, b = IntervalSet((sub,)), IntervalSet((plain,))
+    for other in (S("[1/4,1] U [2,3]"), S("(-inf,0]"), S("(1/2,inf)"), REALS):
+        assert intersect(a, other) == intersect(b, other)
+        assert a.issubset(other) == b.issubset(other)
+        assert other.issubset(a) == other.issubset(b)
+    points = [SubFraction(n, 4) for n in (0, 1, 2, -4)] + [0, Fraction(1, 3)]
+    for q in points:
+        assert sub.contains(q) == plain.contains(q) == (q in b)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onepoint import (
+    IntervalSet,
     NotASubset,
     PointOutsideComponent,
     Space,
@@ -26,6 +27,7 @@ from onepoint import (
     intersect,
     is_closed_in,
     is_open_in,
+    normalize,
     not_interior_in,
     parse_set,
     union,
@@ -110,3 +112,12 @@ def test_component_views(x, s, z):
     else:
         with pytest.raises(PointOutsideComponent):
             component_index(space, z)
+
+
+@SETTINGS
+@given(sets, sets)
+def test_union_is_the_canonical_form_of_both_piece_lists(a, b):
+    sa, sb = parse_set(rs.fmt_set(a)), parse_set(rs.fmt_set(b))
+    joined = union(sa, sb)
+    assert joined == normalize(sa.pieces + sb.pieces) == normalize(sb.pieces + sa.pieces)
+    assert IntervalSet(joined.pieces) == joined  # rechecks canonical form
