@@ -106,7 +106,7 @@ def _require_extension(space: Space, emit) -> cn.Extension | None:
 def _cmd_components(args, emit) -> int:
     space = Space(parse_set(args.set))
     for c in components(space):
-        emit(f"C#{c.index}={c.piece}")
+        emit(str(c))
     return 0
 
 

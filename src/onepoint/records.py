@@ -51,7 +51,7 @@ def fmt_filter(f: EscapeFilter) -> str:
         way = f"{'open_right' if f.side > 0 else 'open_left'}({fmt_value(f.end)})"
     else:
         way = "pos_inf" if f.side > 0 else "neg_inf"
-    return f"filter C#{f.component.index}={f.component.piece} dir={way} anchor={fmt_value(f.anchor)}"
+    return f"filter {f.component} dir={way} anchor={fmt_value(f.anchor)}"
 
 
 def fmt_verdict(v: Verdict) -> list[str]:
@@ -76,10 +76,10 @@ def fmt_check(space: Space) -> list[str]:
     compact = [is_compact(c) for c, _ in cert.entries]
     lines = [f"space={space.ambient}", f"space_compact={_flag(all(compact))}"]
     for (c, _), ok in zip(cert.entries, compact):
-        lines.append(f"C#{c.index}={c.piece} compact={_flag(ok)}")
+        lines.append(f"{c} compact={_flag(ok)}")
     lines.append("locally_connected=true")
     for k, (c, w) in enumerate(cert.entries, 1):
-        lines.append(f"step {k} C#{c.index}={c.piece} window={w} trace_matches=true")
+        lines.append(f"step {k} {c} window={w} trace_matches=true")
     return lines
 
 
@@ -91,7 +91,7 @@ def fmt_connectedness(ext: Extension, cert: ConnectednessCertificate) -> list[st
     lines = [f"certificate connectedness components={len(cert.steps)}"]
     for k, step in enumerate(cert.steps, 1):
         lines.append(
-            f"step {k} C#{step.component.index}={step.component.piece} tail={step.tail}"
+            f"step {k} {step.component} tail={step.tail}"
             " nonempty=true subset=true closed_in_component=true single_interval=true"
         )
     lines.append("conclusion clopen-with-p=whole-extension")

@@ -9,8 +9,14 @@ from onepoint import (
     POS_INF,
     CompactComponent,
     Connectifiable,
+    DensityCertificate,
+    DensityFailure,
     EqualPoints,
+    EscapeFilter,
     ExtClosedSet,
+    FidelityFailure,
+    Interval,
+    IntervalSet,
     MalformedInterval,
     IsTrivial,
     NotClopenEvidence,
@@ -33,6 +39,7 @@ from onepoint import (
     density_check,
     ext_contains,
     hausdorff_witness,
+    interior_in,
     intersect,
     intersect_open,
     is_closed_in,
@@ -41,6 +48,7 @@ from onepoint import (
     least_valid_tails,
     normality_witness,
     parse_set,
+    sampling,
     subspace_fidelity,
     union_open,
     verify_connectedness,
@@ -49,7 +57,12 @@ from onepoint import (
     verify_hausdorff,
     verify_normality,
 )
-from onepoint.connectify import ConnectednessCertificate, ConnectednessStep
+from onepoint.connectify import (
+    ConnectednessCertificate,
+    ConnectednessStep,
+    _escape_piece,
+    _least_tail,
+)
 from onepoint.intervals import closure_in, difference, is_finite, only, pick_point, union
 from onepoint.sampling import (
     clopen_candidates,
@@ -58,6 +71,7 @@ from onepoint.sampling import (
     random_point_in,
     random_real_open,
 )
+from onepoint.space import component_index
 
 S = parse_set
 
@@ -582,3 +596,138 @@ def test_filter_elements_are_blocks_cut_from_the_component(extensions):
             for n in (0, 1, 2, 7, 64):
                 block = only(flt.toward_end(flt.start(n), True))
                 assert flt.element(n) == intersect(block, c)
+
+
+# --------------------------------------------------------------------------
+# one tail rule: references for the index arithmetic
+# --------------------------------------------------------------------------
+
+
+def materialising_tails_hold(ext, u):
+    """Reference: build every declared element and test containment with one
+    issubset (the elements lie in distinct components, in line order)."""
+    if len(u.tails) != len(ext.filters) or any(t < 0 for t in u.tails):
+        return False
+    pieces = (iv for flt, n in zip(ext.filters, u.tails) for iv in flt.element(n).pieces)
+    return IntervalSet(tuple(pieces)).issubset(u.trace)
+
+
+def tails_near_least(ext, trace):
+    """Every tail at least-1, least and least+1, one component at a time and
+    all at once, plus three malformed shapes."""
+    least = least_valid_tails(ext, trace) or (0,) * len(ext.filters)
+    for d in (-1, 0, 1):
+        yield tuple(m + d for m in least)
+        for i in range(len(least)):
+            yield least[:i] + (least[i] + d,) + least[i + 1 :]
+    yield from ((0, -1), (0, 16, 0), (0,))
+
+
+def test_declared_tails_match_materialising_reference(extensions):
+    rng = random.Random(808)
+    verdicts = []
+    for ext in extensions:
+        x = ext.space.ambient
+        traces = [nb.trace for nb in density_check(ext, 4, rng.randrange(1000)).neighborhoods]
+        for _ in range(3):
+            u, _v = hausdorff_witness(ext, P, random_point_in(x, rng))
+            traces.append(u.trace)
+            f, g = random_disjoint_closed_pair(ext, rng)
+            traces.extend(w.trace for w in normality_witness(ext, f, g) if isinstance(w, TypeII))
+        for trace in traces:
+            for tails in tails_near_least(ext, trace):
+                u = TypeII(trace, tails)
+                assert max(tails) < 200
+                got = declared_tails_hold(ext, u)
+                assert got == materialising_tails_hold(ext, u), (ext.space, trace, tails)
+                verdicts.append(got)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_verifiers_never_build_a_declared_tail(monkeypatch):
+    ext = ext_of("(0,1) U [5,inf)")
+    u, v = hausdorff_witness(ext, P, Fraction(20))
+    assert u.tails == (0, 16) and u.trace == S("(0,1) U (21,inf)")
+    f, g = ExtClosedSet(True, EMPTY), ExtClosedSet(False, S("[6,7]"))
+    around_g = TypeI(S("[5,21)"))
+
+    def refuse(self, n):
+        raise AssertionError(f"element({n}) was built")
+
+    monkeypatch.setattr(EscapeFilter, "element", refuse)
+    for tails, ok in (((0, 10**10), True), ((0, 2**4096), True), ((0, 15), False)):
+        w = TypeII(u.trace, tails)
+        assert declared_tails_hold(ext, w) == ok
+        assert verify_hausdorff(ext, P, Fraction(20), w, v) == ok
+        assert verify_hausdorff(ext, Fraction(20), P, v, w) == ok
+        assert verify_normality(ext, f, g, w, around_g) == ok
+        assert verify_density(ext, DensityCertificate(1, (w,), ())) == ok
+    # tails that fit do not make a trace open: 21 is not interior to [21,inf)
+    w = TypeII(S("(0,1) U [21,inf)"), (0, 10**10))
+    assert declared_tails_hold(ext, w)
+    assert not verify_hausdorff(ext, P, Fraction(20), w, v)
+    assert not verify_normality(ext, f, g, w, around_g)
+    assert not verify_density(ext, DensityCertificate(1, (w,), ()))
+
+
+def reference_hausdorff_from_p(ext, z):
+    """Reference: the open block toward the escape end, cut to the component,
+    its interior in the whole ambient, and the least tail of its escape piece."""
+    x = ext.space.ambient
+    i = component_index(ext.space, z)
+    flt = ext.filters[i]
+    c_set = flt.component.as_set()
+    start = flt.start(flt.avoid_index(z))
+    if flt.side > 0:
+        delta = min(Fraction(1), start - z)
+        block = flt.toward_end(z + delta, True)
+    else:
+        delta = min(Fraction(1), z - start)
+        block = flt.toward_end(z - delta, True)
+    v_trace = intersect(only(Interval(z - delta, z + delta)), c_set)
+    near = interior_in(intersect(only(block), c_set), x)
+    escape = _escape_piece(flt, near)
+    assert escape is not None
+    tails = tuple(_least_tail(flt, escape) if j == i else 0 for j in range(len(ext.filters)))
+    return TypeII(union(difference(x, c_set), near), tails), TypeI(v_trace)
+
+
+def points_near_open_ends(ext):
+    """Points 2^-k inside every excluded finite endpoint of every component."""
+    for flt in ext.filters:
+        piece = flt.component.piece
+        for k in (1, 64, 4096):
+            eps = Fraction(1, 2**k)
+            for end, closed, inward in ((piece.lo, piece.lo_closed, 1), (piece.hi, piece.hi_closed, -1)):
+                if is_finite(end) and not closed and piece.contains(end + inward * eps):
+                    yield end + inward * eps
+
+
+def test_hausdorff_from_p_matches_interior_reference(extensions):
+    rng = random.Random(4096)
+    count = 0
+    for ext in extensions:
+        x = ext.space.ambient
+        points = [random_point_in(x, rng) for _ in range(6)] + list(points_near_open_ends(ext))
+        for z in points:
+            u, v = reference_hausdorff_from_p(ext, z)
+            assert hausdorff_witness(ext, P, z) == (u, v)
+            assert hausdorff_witness(ext, z, P) == (v, u)
+            count += 1
+    assert count > 1000
+
+
+def test_density_check_returns_only_verified_certificates(monkeypatch):
+    ext = ext_of("[5,inf)")
+    short = TypeII(S("(21,inf)"), (15,))
+    assert least_valid_tails(ext, short.trace) == (16,) and is_open_in_extension(ext, short)
+    monkeypatch.setattr(sampling, "random_p_neighborhood", lambda ext, rng, max_tail=32: short)
+    with pytest.raises(DensityFailure):
+        density_check(ext, samples=3)
+
+
+def test_subspace_fidelity_returns_only_verified_certificates(monkeypatch):
+    ext = ext_of("[5,inf)")
+    monkeypatch.setattr(sampling, "random_ext_open", lambda ext, rng: TypeI(S("[6,7]")))
+    with pytest.raises(FidelityFailure):
+        subspace_fidelity(ext, samples=3)
