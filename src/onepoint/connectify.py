@@ -47,7 +47,6 @@ from .intervals import (
     intersect,
     is_closed_in,
     is_finite,
-    is_open_in,
     midpoint,
     normalize,
     not_interior_in,
@@ -455,9 +454,8 @@ def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> Fide
 
 
 def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
-    x = ext.space.ambient
     for u in cert.extension_opens:
-        if not is_open_in(u.trace, x):
+        if not _open_as_declared(ext, u):
             return False
     for w in cert.base_opens:
         if not is_open_in_extension(ext, TypeI(w)):

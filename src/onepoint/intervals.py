@@ -188,20 +188,7 @@ class IntervalSet:
         return difference(self, other)
 
     def issubset(self, other: IntervalSet) -> bool:
-        # A connected piece fits inside a canonical union iff it fits inside
-        # a single piece, so one merge sweep decides containment.
-        po = other.pieces
-        n = len(po)
-        oi = 0
-        for s in self.pieces:
-            while oi < n and (
-                _lt(po[oi].hi, s.hi)
-                or (s.hi_closed and not po[oi].hi_closed and _eq(po[oi].hi, s.hi))
-            ):
-                oi += 1
-            if oi == n or _starts_before(s, po[oi]):
-                return False
-        return True
+        return _hosts(self, other) is not None
 
     def closure(self) -> IntervalSet:
         return normalize(iv.closure() for iv in self.pieces)
@@ -217,6 +204,35 @@ class IntervalSet:
 
 EMPTY = IntervalSet(())
 REALS = IntervalSet((Interval(NEG_INF, POS_INF),))
+
+
+def _hosts(s: IntervalSet, x: IntervalSet) -> list[Interval] | None:
+    """The piece of ``x`` holding each piece of ``s``, in order, or None when
+    ``s`` is not a subset of ``x``.
+
+    A connected piece fits inside a canonical union iff it fits inside a
+    single piece, so one merge sweep finds every host.
+    """
+    po = x.pieces
+    n = len(po)
+    oi = 0
+    hosts = []
+    for p in s.pieces:
+        while oi < n and (
+            _lt(po[oi].hi, p.hi) or (p.hi_closed and not po[oi].hi_closed and _eq(po[oi].hi, p.hi))
+        ):
+            oi += 1
+        if oi == n or _starts_before(p, po[oi]):
+            return None
+        hosts.append(po[oi])
+    return hosts
+
+
+def _hosts_or_raise(s: IntervalSet, x: IntervalSet) -> list[Interval]:
+    hosts = _hosts(s, x)
+    if hosts is None:
+        raise NotASubset(f"{s} is not a subset of {x}")
+    return hosts
 
 
 def _mk_set(pieces: tuple[Interval, ...]) -> IntervalSet:
@@ -352,16 +368,28 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 def closure_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
     """Closure of ``s`` in the subspace ``x``: the line closure traced on x."""
-    if not s.issubset(x):
-        raise NotASubset(f"{s} is not a subset of {x}")
+    _hosts_or_raise(s, x)
     return intersect(s.closure(), x)
 
 
 def not_interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
-    """The points of ``s`` not interior in the subspace ``x``: s ∩ cl(x∖s)."""
-    if not s.issubset(x):
-        raise NotASubset(f"{s} is not a subset of {x}")
-    return intersect(s, difference(x, s).closure())
+    """The points of ``s`` not interior in the subspace ``x``: s ∩ cl(x∖s).
+
+    Decided per piece P of s and its host H in x: no other piece of s touches
+    P, so a point of P fails to be interior exactly when H reaches past it.
+    The points come out in line order, hence canonical.
+    """
+    out = []
+    for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
+        if p.lo_closed and p.hi_closed and _eq(p.lo, p.hi):
+            if _lt(h.lo, p.lo) or _lt(p.hi, h.hi):
+                out.append(p)
+            continue
+        if p.lo_closed and _lt(h.lo, p.lo):
+            out.append(_mk_interval(p.lo, p.lo, True, True))
+        if p.hi_closed and _lt(p.hi, h.hi):
+            out.append(_mk_interval(p.hi, p.hi, True, True))
+    return _mk_set(tuple(out))
 
 
 def interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
@@ -374,10 +402,14 @@ def is_open_in(s: IntervalSet, x: IntervalSet) -> bool:
 
 
 def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:
-    # Equivalent to closure_in(s, x) == s.
-    if not s.issubset(x):
-        raise NotASubset(f"{s} is not a subset of {x}")
-    return not intersect(s.closure(), difference(x, s))
+    """closure_in(s, x) == s: no excluded finite end of a piece of s lies in
+    its host piece of x (no other piece of x can hold it)."""
+    for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
+        if not p.lo_closed and (_lt(h.lo, p.lo) or (h.lo_closed and _eq(h.lo, p.lo))):
+            return False
+        if not p.hi_closed and (_lt(p.hi, h.hi) or (h.hi_closed and _eq(h.hi, p.hi))):
+            return False
+    return True
 
 
 def midpoint(a: Fraction, b: Fraction) -> Fraction:

@@ -19,9 +19,9 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     _eq,
-    _lo_key,
     _lt,
     _mk_set,
+    _starts_before,
     intersect,
     is_closed_in,
     is_finite,
@@ -178,10 +178,18 @@ def separate_disjoint_closed(
     if not g:
         return x, EMPTY
 
-    tagged = sorted(
-        [(piece, 0) for piece in f.pieces] + [(piece, 1) for piece in g.pieces],
-        key=lambda t: _lo_key(t[0]),
-    )
+    # Both are canonical, hence in line order: merge them as `union` does.
+    pf, pg = f.pieces, g.pieces
+    tagged: list[tuple[Interval, int]] = []
+    fi = gi = 0
+    while fi < len(pf) and gi < len(pg):
+        if _starts_before(pg[gi], pf[fi]):
+            tagged.append((pg[gi], 1))
+            gi += 1
+        else:
+            tagged.append((pf[fi], 0))
+            fi += 1
+    tagged += [(piece, 0) for piece in pf[fi:]] + [(piece, 1) for piece in pg[gi:]]
     zones: tuple[list[Interval], list[Interval]] = ([], [])
     run_start: object = NEG_INF
     for idx, (piece, owner) in enumerate(tagged):
@@ -193,7 +201,7 @@ def separate_disjoint_closed(
         else:
             a, b = piece.hi, nxt[0].lo
             # Both are finite here: a has a successor, b a predecessor.
-            run_end = a if a == b else midpoint(a, b)
+            run_end = a if _eq(a, b) else midpoint(a, b)
         zones[owner].append(Interval(run_start, run_end, False, False))
         run_start = run_end
     u = intersect(normalize(zones[0]), x)

@@ -14,6 +14,7 @@ from onepoint import (
     EqualPoints,
     EscapeFilter,
     ExtClosedSet,
+    FidelityCertificate,
     FidelityFailure,
     Interval,
     IntervalSet,
@@ -325,6 +326,14 @@ def test_fidelity_examples():
         cert = subspace_fidelity(ext, samples=100)
         assert verify_fidelity(ext, cert)
         assert is_open_in_extension(ext, TypeI(S("(0,1/2)")))
+
+
+def test_fidelity_rejects_declared_tails_that_do_not_fit():
+    ext = ext_of("[5,inf)")
+    forged = TypeII(S("(21,inf)"), (0,))
+    assert is_open_in(forged.trace, ext.space.ambient)
+    assert not declared_tails_hold(ext, forged)
+    assert not verify_fidelity(ext, FidelityCertificate(1, (forged,), ()))
 
 
 def test_connectedness_certificate():

@@ -31,6 +31,7 @@ from onepoint import (
     union,
 )
 
+from onepoint import intervals
 from onepoint.intervals import _eq, _lt
 from onepoint.sampling import random_closed_in, random_open_in, random_real_open
 
@@ -178,6 +179,133 @@ def test_interior_and_openness_match_reference_on_corpus(corpus200):
             assert is_open_in(s, x) == (ref == s)
     with pytest.raises(NotASubset):
         not_interior_in(S("[0,1]"), S("(0,1)"))
+
+
+# The formulas the host sweeps replaced, kept as references.
+def reference_not_interior_in(s, x):
+    if not s.issubset(x):
+        raise NotASubset(f"{s} is not a subset of {x}")
+    return intersect(s, difference(x, s).closure())
+
+
+def reference_is_closed_in(s, x):
+    if not s.issubset(x):
+        raise NotASubset(f"{s} is not a subset of {x}")
+    return not intersect(s.closure(), difference(x, s))
+
+
+def outcome(op, s, x):
+    try:
+        return op(s, x)
+    except NotASubset:
+        return NotASubset
+
+
+def assert_sweeps_match_references(s, x):
+    assert outcome(not_interior_in, s, x) == outcome(reference_not_interior_in, s, x), (s, x)
+    assert outcome(is_closed_in, s, x) == outcome(reference_is_closed_in, s, x), (s, x)
+
+
+def corpus_pairs(corpus200, seed):
+    """Subsets of every corpus space, and as many sets that leave it."""
+    rng = random.Random(seed)
+    for space in corpus200:
+        x = space.ambient
+        for _ in range(6):
+            s = rng.choice((random_open_in, random_closed_in))(x, rng)
+            line = random_real_open(rng)
+            yield union(s, intersect(line.closure(), x)), x
+            yield union(s, line), x
+
+
+def test_sweeps_match_references_on_corpus(corpus200):
+    for s, x in corpus_pairs(corpus200, 515):
+        assert_sweeps_match_references(s, x)
+
+
+# The endpoint pool of tests/test_oracle.py, and both infinities.
+POOL = [Fraction(n, d) for n, d in ((-2, 1), (-1, 1), (-1, 2), (0, 1), (1, 3), (1, 1), (2, 1))]
+
+
+def random_pool_set(rng):
+    ends = [NEG_INF] + POOL + [POS_INF]
+    pieces = []
+    for _ in range(rng.randint(0, 3)):
+        i, j = sorted(rng.sample(range(len(ends)), 2))
+        if 0 < i and rng.random() < 0.2:
+            pieces.append(point(ends[i]))
+        else:
+            lo_closed = 0 < i and rng.random() < 0.5
+            hi_closed = j < len(ends) - 1 and rng.random() < 0.5
+            pieces.append(Interval(ends[i], ends[j], lo_closed, hi_closed))
+    return normalize(pieces)
+
+
+def test_sweeps_match_references_on_endpoint_pool():
+    rng = random.Random(616)
+    for _ in range(20000):
+        x, s = random_pool_set(rng), random_pool_set(rng)
+        if rng.random() < 0.6:
+            s = intersect(s, x)
+        assert_sweeps_match_references(s, x)
+
+
+@pytest.mark.parametrize(
+    "s, x, not_interior, closed",
+    [
+        # degenerate pieces: interior only as an isolated point of x
+        ("[1,1]", "[1,1] U [2,3]", "empty", True),
+        ("[1,1]", "[0,1]", "[1,1]", True),
+        ("[1,1]", "[1,2)", "[1,1]", True),
+        ("[0,0] U [1,1]", "[0,1]", "[0,0] U [1,1]", True),
+        # pieces sharing an endpoint with their host
+        ("[0,1/2)", "[0,1]", "empty", False),
+        ("(0,1/2]", "[0,1]", "[1/2,1/2]", False),
+        ("(0,1/2]", "(0,1)", "[1/2,1/2]", True),
+        ("(0,1)", "(0,1)", "empty", True),
+        ("[0,1] U [2,3)", "[0,1] U [2,3]", "empty", False),
+        # both infinities
+        ("(-inf,0)", "(-inf,inf)", "empty", False),
+        ("(-inf,inf)", "(-inf,inf)", "empty", True),
+        ("(-inf,0] U [1,inf)", "(-inf,inf)", "[0,0] U [1,1]", True),
+        ("(-inf,0] U (4,inf)", "(-inf,0] U [1,2] U [3,inf)", "empty", False),
+        ("empty", "(-inf,inf)", "empty", True),
+    ],
+)
+def test_sweep_examples(s, x, not_interior, closed):
+    assert not_interior_in(S(s), S(x)) == S(not_interior)
+    assert is_closed_in(S(s), S(x)) == closed
+    assert_sweeps_match_references(S(s), S(x))
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [
+        # an earlier piece already decides the answer; a later one leaves x
+        ("[0,1] U [5,6]", "(-1,2)"),
+        ("(0,1) U [5,6]", "[0,2]"),
+        ("[1,1] U (2,3]", "[0,3)"),
+        ("(-inf,0] U [1,inf)", "(-inf,1) U (1,inf)"),
+    ],
+)
+def test_sweeps_check_every_piece_before_answering(s, x):
+    for op in (not_interior_in, is_closed_in, is_open_in):
+        with pytest.raises(NotASubset):
+            op(S(s), S(x))
+
+
+def test_sweeps_build_no_complement_or_closure(corpus200, monkeypatch):
+    pairs = [(s, x) for s, x in corpus_pairs(corpus200, 717) if s.issubset(x)]
+    expected = [(not_interior_in(s, x), is_closed_in(s, x), is_open_in(s, x)) for s, x in pairs]
+
+    def boom(*args):
+        raise AssertionError("the sweeps build no intermediate set")
+
+    monkeypatch.setattr(intervals, "complement", boom)
+    monkeypatch.setattr(intervals, "_intersect_pieces", boom)
+    monkeypatch.setattr(IntervalSet, "closure", boom)
+    got = [(not_interior_in(s, x), is_closed_in(s, x), is_open_in(s, x)) for s, x in pairs]
+    assert got == expected
 
 
 # --------------------------------------------------------------------------
