@@ -17,7 +17,6 @@ witness or certificate that re-verifies under the exact set algebra alone.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,20 +40,21 @@ from .intervals import (
     IntervalSet,
     Value,
     _eq,
+    _frac,
     _mk_interval,
     _mk_set,
     difference,
+    inner_point,
     intersect,
     is_closed_in,
     is_finite,
-    midpoint,
     normalize,
     not_interior_in,
     only,
     pick_point,
     union,
 )
-from .space import Component, Space, components, has_compact_component, is_compact
+from .space import Component, Space, components, is_compact
 from .space import component_index, component_slices, separate_disjoint_closed, split_points
 
 
@@ -83,9 +83,13 @@ class EscapeFilter:
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
-        if is_finite(self.end):
-            return self.end - (self.end - self.anchor) / 2**n
-        return self.anchor + n if self.side > 0 else self.anchor - n
+        an, ad = self.anchor._numerator, self.anchor._denominator
+        if not is_finite(self.end):
+            return _frac(an + self.side * n * ad, ad)
+        # end - s/2^n with s = end - anchor = sn/sd, over one denominator.
+        en, ed = self.end._numerator, self.end._denominator
+        sn, sd = en * ad - an * ed, ed * ad
+        return _frac((en * sd << n) - sn * ed, ed * sd << n)
 
     def toward_end(self, near: Fraction, closed: bool) -> Interval:
         """The interval from a near point to the escape end, which it excludes."""
@@ -109,17 +113,19 @@ class EscapeFilter:
         For an infinite end this is a floor or a ceiling.  For a finite
         end, start(n) is past q exactly when span/2^n < gap, with span the
         distance from anchor to end and gap the distance from q to end; the
-        least such n comes from the bit lengths of span/gap in lowest terms.
+        least such n comes from the bit lengths of num/den = span/gap, in any
+        positive integer form: they fix n up to one step, and one comparison
+        settles it.
         """
+        an, ad = self.anchor._numerator, self.anchor._denominator
+        qn, qd = q._numerator, q._denominator
         if not is_finite(self.end):
-            need = q - self.anchor if self.side > 0 else self.anchor - q
-            return max(0, math.ceil(need) if included else math.floor(need) + 1)
-        if self.side > 0:
-            span, gap = self.end - self.anchor, self.end - q
-        else:
-            span, gap = self.anchor - self.end, q - self.end
-        num = span.numerator * gap.denominator
-        den = span.denominator * gap.numerator
+            # need = (q - anchor) toward the end, as num/den with den > 0
+            num, den = self.side * (qn * ad - an * qd), qd * ad
+            return max(0, -(-num // den) if included else num // den + 1)
+        en, ed = self.end._numerator, self.end._denominator
+        num = self.side * (en * ad - an * ed) * qd
+        den = self.side * (en * qd - qn * ed) * ad
         n = max(0, num.bit_length() - den.bit_length())
         scaled = den << n
         return n + 1 if scaled < num or (scaled == num and not included) else n
@@ -139,15 +145,7 @@ def choose_escape(component: Component) -> EscapeFilter:
     p = component.piece
     # An infinite endpoint is never included, so an open right end is non-compact.
     side, end = (-1, p.lo) if p.hi_closed else (1, p.hi)
-    if is_finite(p.lo) and is_finite(p.hi):
-        anchor = midpoint(p.lo, p.hi)
-    elif is_finite(p.lo):
-        anchor = p.lo + 1
-    elif is_finite(p.hi):
-        anchor = p.hi - 1
-    else:
-        anchor = Fraction(0)
-    return EscapeFilter(component, side, end, anchor)
+    return EscapeFilter(component, side, end, inner_point(p.lo, p.hi))
 
 
 # --------------------------------------------------------------------------
@@ -237,10 +235,11 @@ def check_connectifiable(space: Space) -> Verdict:
     A compact component would stay clopen and proper in any one-point
     Hausdorff extension, so it is returned as the refusal witness.
     """
-    bad = has_compact_component(space)
-    if bad is not None:
-        return Refused(bad)
-    return Connectifiable(Extension(space, tuple(choose_escape(c) for c in components(space))))
+    comps = components(space)
+    for comp in comps:
+        if is_compact(comp):
+            return Refused(comp)
+    return Connectifiable(Extension(space, tuple(map(choose_escape, comps))))
 
 
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:

@@ -2,8 +2,9 @@
 
 Finite endpoints are `fractions.Fraction`; the two infinities are float
 sentinels used for ordering only, never for arithmetic, so every result is
-exact.  The canonical form (sorted, disjoint, unmergeable pieces) is unique,
-which turns set equality into structural comparison.
+exact.  Endpoints the engine computes are built from integers by `_frac`.
+The canonical form (sorted, disjoint, unmergeable pieces) is unique, which
+turns set equality into structural comparison.
 
 Text grammar, used by the CLI and the record formats::
 
@@ -17,6 +18,7 @@ itself has no empty production).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +46,22 @@ def _coerce_value(v: object) -> Value:
     if isinstance(v, float) and (v == NEG_INF or v == POS_INF):
         return POS_INF if v > 0 else NEG_INF
     raise MalformedInterval(f"not a rational endpoint: {v!r}")
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """The plain `Fraction` n/d in lowest terms; d must be positive.
+
+    The one place that builds an endpoint from integers: it fills the two
+    slots the kernel below reads, with no `Fraction` operator in between.
+    """
+    g = math.gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
 
 
 def _lt(a: Value, b: Value) -> bool:
@@ -413,7 +431,20 @@ def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:
 
 
 def midpoint(a: Fraction, b: Fraction) -> Fraction:
-    return (a + b) / 2
+    ad, bd = a._denominator, b._denominator
+    return _frac(a._numerator * bd + b._numerator * ad, 2 * ad * bd)
+
+
+def inner_point(lo: Value, hi: Value) -> Fraction:
+    """A deterministic rational strictly between lo < hi: the midpoint of two
+    finite ends, one unit inside a single finite end, else 0."""
+    if is_finite(lo):
+        if is_finite(hi):
+            return midpoint(lo, hi)
+        return _frac(lo._numerator + lo._denominator, lo._denominator)
+    if is_finite(hi):
+        return _frac(hi._numerator - hi._denominator, hi._denominator)
+    return Fraction(0)
 
 
 def pick_point(s: IntervalSet) -> Fraction:
@@ -421,17 +452,9 @@ def pick_point(s: IntervalSet) -> Fraction:
     if not s.pieces:
         raise ValueError("cannot pick a point from the empty set")
     iv = s.pieces[0]
-    if iv.degenerate:
+    if iv.lo_closed:
         return iv.lo
-    if is_finite(iv.lo) and iv.lo_closed:
-        return iv.lo
-    if is_finite(iv.lo) and is_finite(iv.hi):
-        return midpoint(iv.lo, iv.hi)
-    if is_finite(iv.lo):
-        return iv.lo + 1
-    if is_finite(iv.hi):
-        return iv.hi - 1
-    return Fraction(0)
+    return inner_point(iv.lo, iv.hi)
 
 
 _ENDPOINT = r"-inf|inf|-?\d+(?:/\d+)?"
@@ -439,17 +462,26 @@ _INTERVAL_RE = re.compile(rf"([\[(])({_ENDPOINT}),({_ENDPOINT})([\])])\Z")
 _POINT_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
 
 
+def _parse_rational(text: str, what: str, shown: str) -> Fraction:
+    # `text` matched INT or INT "/" POSINT; a part too long for int() is
+    # reported before a zero denominator, as Fraction(text) does.
+    num, _, den = text.partition("/")
+    try:
+        n = int(num)
+        d = int(den) if den else 1
+    except ValueError as exc:  # beyond the interpreter's text-to-integer digit limit
+        raise ParseError(f"{what} too long ({len(text)} characters)") from exc
+    if d == 0:
+        raise ParseError(f"zero denominator in {what} {shown!r}")
+    return _frac(n, d)
+
+
 def _parse_endpoint(text: str) -> Value:
     if text == "inf":
         return POS_INF
     if text == "-inf":
         return NEG_INF
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in endpoint {text!r}") from exc
-    except ValueError as exc:
-        raise ParseError(f"endpoint too long ({len(text)} characters)") from exc
+    return _parse_rational(text, "endpoint", text)
 
 
 def parse_set(text: str) -> IntervalSet:
@@ -480,9 +512,4 @@ def parse_point(text: str) -> Fraction:
     flat = "".join(text.split())
     if not _POINT_RE.match(flat):
         raise ParseError(f"bad rational point: {text!r}")
-    try:
-        return Fraction(flat)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in point {text!r}") from exc
-    except ValueError as exc:
-        raise ParseError(f"point too long ({len(flat)} characters)") from exc
+    return _parse_rational(flat, "point", text)

@@ -11,7 +11,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptySpace, EqualPoints, NotClosed, NotDisjoint, PointOutsideComponent
+from .errors import EmptySpace, EqualPoints, NotASubset, NotClosed, NotDisjoint
+from .errors import PointOutsideComponent
 from .intervals import (
     EMPTY,
     Interval,
@@ -169,7 +170,11 @@ def separate_disjoint_closed(
     """
     x = space.ambient
     for name, s in (("F", f), ("G", g)):
-        if not s.issubset(x) or not is_closed_in(s, x):
+        try:
+            closed = is_closed_in(s, x)
+        except NotASubset:
+            closed = False
+        if not closed:
             raise NotClosed(f"{name} = {s} is not closed in {x}")
     if intersect(f, g):
         raise NotDisjoint(f"{f} meets {g}")

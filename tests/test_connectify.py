@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from onepoint import (
     intersect,
     intersect_open,
     is_closed_in,
+    is_compact,
     is_open_in,
     is_open_in_extension,
     least_valid_tails,
@@ -740,3 +742,147 @@ def test_subspace_fidelity_returns_only_verified_certificates(monkeypatch):
     monkeypatch.setattr(sampling, "random_ext_open", lambda ext, rng: TypeI(S("[6,7]")))
     with pytest.raises(FidelityFailure):
         subspace_fidelity(ext, samples=3)
+
+
+def test_check_connectifiable_builds_the_components_once(corpus200, monkeypatch):
+    import onepoint.connectify as connectify_module
+    import onepoint.space as space_module
+
+    expected = [check_connectifiable(sp) for sp in corpus200[:60]]
+    calls = []
+
+    def counted(sp):
+        calls.append(sp)
+        return components(sp)
+
+    for module in (connectify_module, space_module):
+        monkeypatch.setattr(module, "components", counted)
+    for sp, verdict in zip(corpus200[:60], expected):
+        calls.clear()
+        assert check_connectifiable(sp) == verdict
+        assert calls == [sp]
+
+
+# --------------------------------------------------------------------------
+# endpoint arithmetic from integers, against Fraction's own operators
+# --------------------------------------------------------------------------
+
+
+def reference_start(flt, n):
+    if is_finite(flt.end):
+        return flt.end - (flt.end - flt.anchor) / 2**n
+    return flt.anchor + n if flt.side > 0 else flt.anchor - n
+
+
+def reference_index_past(flt, q, included):
+    """The Fraction form of the tail rule: a floor or ceiling toward an
+    infinite end, else the bit lengths of span/gap in lowest terms."""
+    if not is_finite(flt.end):
+        need = q - flt.anchor if flt.side > 0 else flt.anchor - q
+        return max(0, math.ceil(need) if included else math.floor(need) + 1)
+    if flt.side > 0:
+        span, gap = flt.end - flt.anchor, flt.end - q
+    else:
+        span, gap = flt.anchor - flt.end, q - flt.end
+    ratio = span / gap
+    num, den = ratio.numerator, ratio.denominator
+    n = max(0, num.bit_length() - den.bit_length())
+    scaled = den << n
+    return n + 1 if scaled < num or (scaled == num and not included) else n
+
+
+def assert_same_fraction(got, ref):
+    assert type(got) is Fraction and got == ref and str(got) == str(ref)
+
+
+def test_start_matches_fraction_arithmetic(extensions):
+    filters = [ext_of(text).filters[0] for text in END_KINDS]
+    assert {(flt.side, is_finite(flt.end)) for flt in filters} == {
+        (1, True), (1, False), (-1, True), (-1, False)
+    }
+    for flt in filters:
+        for n in list(range(65)) + [4096]:
+            assert_same_fraction(flt.start(n), reference_start(flt, n))
+    for ext in extensions[:40]:
+        for flt in ext.filters:
+            for n in (0, 1, 2, 7, 64):
+                assert_same_fraction(flt.start(n), reference_start(flt, n))
+
+
+def test_index_past_matches_fraction_arithmetic(extensions):
+    rng = random.Random(77)
+    cases = [(flt, q) for text in END_KINDS for flt in ext_of(text).filters
+             for q in near_end_points(flt)]
+    for ext in extensions[:60]:
+        for flt in ext.filters:
+            c = flt.component.as_set()
+            cases += [(flt, random_point_in(c, rng)) for _ in range(4)]
+            cases += [(flt, flt.start(n)) for n in (0, 3)]
+    for flt, q in cases:
+        for included in (True, False):
+            assert flt._index_past(q, included) == reference_index_past(flt, q, included)
+
+
+def reference_anchor(p):
+    if is_finite(p.lo) and is_finite(p.hi):
+        return (p.lo + p.hi) / 2
+    if is_finite(p.lo):
+        return p.lo + 1
+    if is_finite(p.hi):
+        return p.hi - 1
+    return Fraction(0)
+
+
+def test_choose_escape_anchors_match_fraction_arithmetic(corpus200):
+    count = 0
+    for space in corpus200:
+        for comp in components(space):
+            if not is_compact(comp):
+                assert_same_fraction(choose_escape(comp).anchor, reference_anchor(comp.piece))
+                count += 1
+    assert count > 200
+
+
+FRACTION_OPERATORS = [
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+]
+
+
+def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
+    """Parsing, verdicts, filter starts and tail indices answer with every
+    Fraction arithmetic operator disabled, and answer as before."""
+    rng = random.Random(10)
+    inputs = []
+    for space in corpus200[:100]:
+        verdict = check_connectifiable(space)
+        if not isinstance(verdict, Connectifiable):
+            inputs.append((space, (), ()))
+            continue
+        ext = verdict.extension
+        points = [random_point_in(space.ambient, rng) for _ in range(3)]
+        traces = [space.ambient] + [hausdorff_witness(ext, P, z)[0].trace for z in points]
+        inputs.append((space, points, traces))
+
+    def answers():
+        out = []
+        for space, points, traces in inputs:
+            verdict = check_connectifiable(space)
+            out.append((parse_set(str(space)), verdict))
+            if isinstance(verdict, Connectifiable):
+                ext = verdict.extension
+                out.append([flt.start(n) for flt in ext.filters for n in (0, 1, 9, 64, 4096)])
+                out.append([ext.filters[component_index(space, z)].avoid_index(z) for z in points])
+                out.append([least_valid_tails(ext, trace) for trace in traces])
+        return out
+
+    expected = answers()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operator was used")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1) + 1
+    assert answers() == expected

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from onepoint import (
     interval,
     is_closed_in,
     is_open_in,
+    midpoint,
     normalize,
     not_interior_in,
     parse_point,
@@ -32,7 +34,7 @@ from onepoint import (
 )
 
 from onepoint import intervals
-from onepoint.intervals import _eq, _lt
+from onepoint.intervals import _eq, _frac, _lt, _parse_endpoint, is_finite
 from onepoint.sampling import random_closed_in, random_open_in, random_real_open
 
 S = parse_set
@@ -481,3 +483,104 @@ def test_fraction_subclass_endpoints_are_stored_plain():
     points = [SubFraction(n, 4) for n in (0, 1, 2, -4)] + [0, Fraction(1, 3)]
     for q in points:
         assert sub.contains(q) == plain.contains(q) == (q in b)
+
+
+# --------------------------------------------------------------------------
+# endpoints built from integers, against Fraction's own arithmetic
+# --------------------------------------------------------------------------
+
+big_ints = st.one_of(st.integers(), st.integers(-(2**4200), 2**4200))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(big_ints, big_ints.filter(lambda d: d > 0))
+def test_frac_is_the_plain_fraction_in_lowest_terms(n, d):
+    got, ref = _frac(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert got == ref and hash(got) == hash(ref)
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+    assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+
+
+FINITE_POOL = [v for v in KERNEL_POOL if is_finite(v)] + [Fraction(7, 3), Fraction(-22, 7)]
+
+
+def test_midpoint_matches_fraction_arithmetic():
+    rng = random.Random(2)
+    pairs = [(a, b) for a in FINITE_POOL for b in FINITE_POOL]
+    pairs += [(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+               Fraction(rng.randint(-99, 99), rng.randint(1, 99))) for _ in range(500)]
+    for a, b in pairs:
+        got, ref = midpoint(a, b), (a + b) / 2
+        assert type(got) is Fraction and got == ref and str(got) == str(ref)
+
+
+def reference_pick_point(s):
+    """pick_point as Fraction arithmetic: an included lower end, else the
+    midpoint, one unit inside a single finite end, or 0."""
+    iv = s.pieces[0]
+    if iv.lo_closed:
+        return iv.lo
+    if is_finite(iv.lo) and is_finite(iv.hi):
+        return (iv.lo + iv.hi) / 2
+    if is_finite(iv.lo):
+        return iv.lo + 1
+    if is_finite(iv.hi):
+        return iv.hi - 1
+    return Fraction(0)
+
+
+def test_pick_point_matches_fraction_arithmetic(corpus200):
+    sets = [sp.ambient for sp in corpus200] + [REALS, S("(-inf,-1/3)"), S("(2/7,inf)")]
+    for s in sets:
+        got, ref = pick_point(s), reference_pick_point(s)
+        assert type(got) is Fraction and got == ref and str(got) == str(ref)
+
+
+POINT_TEXTS = [
+    "0", "-0", "007", "-007", "0/7", "-0/7", "6/4", "-6/4", "0012/0008", "4/2", "-22/7",
+    str(2**200), f"-1/{2**200}", "9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4300,
+]
+
+
+def random_point_texts(rng, count):
+    for _ in range(count):
+        sign = rng.choice(["", "-"])
+        num = "0" * rng.randint(0, 2) + str(rng.randrange(10 ** rng.randint(1, 30)))
+        den = "0" * rng.randint(0, 2) + str(rng.randrange(1, 10 ** rng.randint(1, 30)))
+        yield sign + num if rng.random() < 0.2 else f"{sign}{num}/{den}"
+
+
+def test_parsed_rationals_match_fraction_text():
+    for t in POINT_TEXTS + list(random_point_texts(random.Random(5), 500)):
+        ref = Fraction(t)
+        for got in (_parse_endpoint(t), parse_point(t), S(f"[{t},{t}]").pieces[0].lo):
+            assert type(got) is Fraction and got == ref and str(got) == str(ref)
+
+
+def reference_parse_error(text, what, shown):
+    """The message the Fraction(text) parser led to: a part too long for
+    int() is reported before a zero denominator."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        return f"zero denominator in {what} {shown!r}"
+    except ValueError:
+        return f"{what} too long ({len(text)} characters)"
+    raise AssertionError(f"{text} parses")
+
+
+def test_parse_errors_match_fraction_text_parser():
+    big = "7" * 4301
+    texts = ["1/0", "-1/0", "0/0", "5/000", big, "-" + big, f"1/{big}", f"{big}/0",
+             f"3/{'0' * 4301}", f"-{'0' * 4301}/0", f"0/{big}"]
+    for t in texts:
+        want = reference_parse_error(t, "endpoint", t)
+        for parse in (_parse_endpoint, lambda t: S(f"(-inf,{t})"), lambda t: S(f"[{t},inf)")):
+            with pytest.raises(ParseError) as exc:
+                parse(t)
+            assert str(exc.value) == want
+        shown = f" {t} "
+        with pytest.raises(ParseError) as exc:
+            parse_point(shown)
+        assert str(exc.value) == reference_parse_error(t, "point", shown)

@@ -245,3 +245,13 @@ def test_compactness_agrees_with_cover_oracle():
                 prefix = union(prefix, intersect(only(interval(a, b)), cset))
         # ascending chain: no finite prefix (hence no finite subfamily) covers c
         assert prefix != cset, f"escape cover reached the end of {text}"
+
+
+def test_separate_refuses_a_non_subset_as_not_closed():
+    sp = space("(0,1) U [2,3]")
+    with pytest.raises(NotClosed) as exc:
+        separate_disjoint_closed(sp, S("[5,6]"), S("[2,3]"))
+    assert str(exc.value) == "F = [5,6] is not closed in (0,1) U [2,3]"
+    with pytest.raises(NotClosed) as exc:
+        separate_disjoint_closed(sp, S("[2,3]"), S("[1/2,2]"))
+    assert str(exc.value) == "G = [1/2,2] is not closed in (0,1) U [2,3]"
