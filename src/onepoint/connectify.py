@@ -223,7 +223,6 @@ class Connectifiable:
 @dataclass(frozen=True, slots=True)
 class Refused:
     witness: Component
-    reason: str = "clopen-obstruction"
 
 
 Verdict = Connectifiable | Refused
@@ -304,34 +303,39 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
 
     Type I needs an open trace.  Type II additionally needs the trace to run
     all the way to the escape end of every component: that is exactly the
-    existence of a contained filter tail.
+    existence of a contained filter tail.  A type-II set without one natural
+    tail index per component is an input error.
     """
+    if isinstance(u, TypeII):
+        _check_tails_shape(ext, u)
     chk = trace_open_check(u.trace, ext.space.ambient)
     if not chk or isinstance(u, TypeI):
         return chk
-    if not _well_shaped(ext, u):
-        raise InvalidExtension("type-II set needs one natural tail index per component")
     for i, piece in enumerate(_escape_pieces(ext, u.trace)):
         if piece is None:
             return OpenCheck(False, "MissingTail", i)
     return OPEN_OK
 
 
-def _well_shaped(ext: Extension, u: TypeII) -> bool:
-    """One natural tail index per component."""
-    return len(u.tails) == len(ext.filters) and all(t >= 0 for t in u.tails)
+def _check_tails_shape(ext: Extension, u: TypeII) -> None:
+    """One natural tail index per component; else an input error (exit 2), not an engine bug."""
+    if len(u.tails) != len(ext.filters) or any(t < 0 for t in u.tails):
+        raise MalformedInterval(
+            f"type-II set needs one natural tail index per component, got {u.tails}"
+        )
 
 
 def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
     """The stored indices really witness tail containment (the type invariant).
 
     The chain descends, so a declared tail fits exactly when it is at least
-    the least one that fits; no element is built, however large the index.
+    the least one that fits (so a negative index never does, nor a tuple of
+    the wrong length); no element is built, however large the index.
     """
-    if not _well_shaped(ext, u):
-        return False
     least = least_valid_tails(ext, u.trace)
-    return least is not None and all(n >= m for n, m in zip(u.tails, least))
+    if least is None or len(u.tails) != len(least):
+        return False
+    return all(n >= m for n, m in zip(u.tails, least))
 
 
 def least_valid_tails(ext: Extension, trace: IntervalSet) -> tuple[int, ...] | None:
@@ -391,27 +395,27 @@ def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class DensityCertificate:
-    """Sampled neighborhoods of the extra point, all with nonempty traces."""
+    """Sampled neighborhoods of the extra point, all with nonempty traces.
+
+    Every point of the base lies in the base, so density is a claim about
+    the neighborhoods of the extra point alone."""
 
     samples: int
     neighborhoods: tuple[TypeII, ...]
-    plain_opens: tuple[IntervalSet, ...]
 
 
 def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityCertificate:
     """Certify that the base space is dense in the extension.
 
     Every sampled neighborhood of the extra point must trace to a nonempty
-    open set (tails are nonempty), and every nonempty base open trivially
-    meets the base.  The certificate is returned only once verify_density
-    accepts it; a failure here is a bug, not a refusal.
+    open set (tails are nonempty).  The certificate is returned only once
+    verify_density accepts it; a failure here is a bug, not a refusal.
     """
-    from .sampling import random_open_in, random_p_neighborhood
+    from .sampling import random_p_neighborhood
 
     rng = random.Random(seed)
     neighborhoods = tuple(random_p_neighborhood(ext, rng) for _ in range(samples))
-    plain = tuple(random_open_in(ext.space.ambient, rng) for _ in range(samples))
-    cert = DensityCertificate(samples, neighborhoods, plain)
+    cert = DensityCertificate(samples, neighborhoods)
     if not verify_density(ext, cert):
         raise DensityFailure("density certificate failed its own verification")
     return cert
@@ -420,9 +424,6 @@ def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityC
 def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
     for nb in cert.neighborhoods:
         if not nb.trace or not _open_as_declared(ext, nb):
-            return False
-    for v in cert.plain_opens:
-        if v and not intersect(v, ext.space.ambient):
             return False
     return True
 
@@ -526,10 +527,8 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
     type-II candidate without one natural tail index per component is an
     input error.
     """
-    if isinstance(s, TypeII) and not _well_shaped(ext, s):
-        raise MalformedInterval(
-            f"type-II candidate needs one natural tail index per component, got {s.tails}"
-        )
+    if isinstance(s, TypeII):
+        _check_tails_shape(ext, s)
     if isinstance(s, TypeI) and not s.trace:
         return IsTrivial("empty")
     if isinstance(s, TypeII) and s.trace == ext.space.ambient:

@@ -196,15 +196,6 @@ class IntervalSet:
         q = Fraction(q)
         return any(iv.contains(q) for iv in self.pieces)
 
-    def __or__(self, other: IntervalSet) -> IntervalSet:
-        return union(self, other)
-
-    def __and__(self, other: IntervalSet) -> IntervalSet:
-        return intersect(self, other)
-
-    def __sub__(self, other: IntervalSet) -> IntervalSet:
-        return difference(self, other)
-
     def issubset(self, other: IntervalSet) -> bool:
         return _hosts(self, other) is not None
 
@@ -258,10 +249,6 @@ def _mk_set(pieces: tuple[Interval, ...]) -> IntervalSet:
     s = object.__new__(IntervalSet)
     object.__setattr__(s, "pieces", pieces)
     return s
-
-
-def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> Interval:
-    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 def point(a) -> Interval:

@@ -26,7 +26,6 @@ from onepoint import (
     choose_escape,
     clopen_falsifier,
     compactification_hausdorff_witness,
-    compactify,
     components,
     connectedness_certificate,
     count_topologies,
@@ -51,6 +50,7 @@ from onepoint import (
     verify_hausdorff,
     verify_normality,
 )
+from onepoint.compactify import compactify
 from onepoint.sampling import (
     _open_expansion,
     clopen_candidates,

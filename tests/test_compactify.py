@@ -16,7 +16,6 @@ from onepoint import (
     TypeInf,
     check_connectifiable,
     compactification_hausdorff_witness,
-    compactify,
     comp_contains,
     difference,
     finite_subcover,
@@ -27,6 +26,7 @@ from onepoint import (
     union,
     verify_compact_hausdorff,
 )
+from onepoint.compactify import compactify
 from onepoint.sampling import random_open_in, random_point_in
 
 S = parse_set

@@ -589,7 +589,7 @@ def test_verifiers_are_total_on_malformed_tails():
         assert not verify_normality(ext, f, g, forged, nv)
         assert not verify_normality(ext, g, f, nv, forged)
         cert = density_check(ext, 2, 0)
-        forged_cert = type(cert)(2, (cert.neighborhoods[0], TypeII(u.trace, tails)), cert.plain_opens)
+        forged_cert = type(cert)(2, (cert.neighborhoods[0], TypeII(u.trace, tails)))
         assert not verify_density(ext, forged_cert)
 
 
@@ -598,6 +598,19 @@ def test_clopen_falsifier_rejects_malformed_tails():
     for tails in ((0,), (0, -1)):
         with pytest.raises(MalformedInterval):
             clopen_falsifier(ext, TypeII(S("(0,1) U (6,inf)"), tails))
+
+
+def test_malformed_tails_are_input_errors():
+    ext = ext_of("(0,1) U [5,inf)")
+    trace = S("(0,1) U (6,inf)")
+    for tails in ((0,), (0, -1), (0, 0, 0)):
+        with pytest.raises(MalformedInterval) as opened:
+            is_open_in_extension(ext, TypeII(trace, tails))
+        with pytest.raises(MalformedInterval) as falsified:
+            clopen_falsifier(ext, TypeII(trace, tails))
+        assert str(opened.value) == str(falsified.value)
+        with pytest.raises(MalformedInterval):  # whether or not the trace is open
+            is_open_in_extension(ext, TypeII(S("(0,1) U [6,inf)"), tails))
 
 
 def test_filter_elements_are_blocks_cut_from_the_component(extensions):
@@ -672,13 +685,13 @@ def test_verifiers_never_build_a_declared_tail(monkeypatch):
         assert verify_hausdorff(ext, P, Fraction(20), w, v) == ok
         assert verify_hausdorff(ext, Fraction(20), P, v, w) == ok
         assert verify_normality(ext, f, g, w, around_g) == ok
-        assert verify_density(ext, DensityCertificate(1, (w,), ())) == ok
+        assert verify_density(ext, DensityCertificate(1, (w,))) == ok
     # tails that fit do not make a trace open: 21 is not interior to [21,inf)
     w = TypeII(S("(0,1) U [21,inf)"), (0, 10**10))
     assert declared_tails_hold(ext, w)
     assert not verify_hausdorff(ext, P, Fraction(20), w, v)
     assert not verify_normality(ext, f, g, w, around_g)
-    assert not verify_density(ext, DensityCertificate(1, (w,), ()))
+    assert not verify_density(ext, DensityCertificate(1, (w,)))
 
 
 def reference_hausdorff_from_p(ext, z):

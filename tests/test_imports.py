@@ -1,12 +1,17 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every module is
+reachable as an attribute of the package.
 
-The package's ``__init__`` re-exports names on purpose and is left out.
+The package's ``__init__`` re-exports names on purpose and is left out of
+the unused-import check.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import onepoint
 
 MODULES = sorted(
     p for p in (Path(__file__).resolve().parents[1] / "src" / "onepoint").glob("*.py")
@@ -35,3 +40,17 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name)
+def test_package_attributes_are_its_modules(path):
+    """No name the package exports shadows one of its own submodules."""
+    module = importlib.import_module(f"onepoint.{path.stem}")
+    assert getattr(onepoint, path.stem) is module
+
+
+def test_import_as_binds_the_compactify_module():
+    import onepoint.compactify as cp
+
+    assert cp.CompactExtension is onepoint.CompactExtension
+    assert callable(cp.compactify)

@@ -20,7 +20,6 @@ from onepoint import (
     difference,
     interior_in,
     intersect,
-    interval,
     is_closed_in,
     is_open_in,
     midpoint,
@@ -95,7 +94,7 @@ def test_membership_oracle_agreement():
 
 
 def test_normalize_keeps_missing_point():
-    assert S("(0,1) U (1,2)").pieces == (interval(0, 1), interval(1, 2))
+    assert S("(0,1) U (1,2)").pieces == (Interval(0, 1), Interval(1, 2))
 
 
 def test_normalize_merges_touching():
@@ -119,9 +118,9 @@ def test_normalize_idempotent_and_order_insensitive():
 
 def test_malformed_intervals_rejected():
     with pytest.raises(MalformedInterval):
-        interval(1, 0)
+        Interval(1, 0)
     with pytest.raises(MalformedInterval):
-        interval(0, 0)  # empty degenerate form
+        Interval(0, 0)  # empty degenerate form
     with pytest.raises(MalformedInterval):
         Interval(NEG_INF, 0, True, True)
     with pytest.raises(MalformedInterval):
@@ -460,8 +459,8 @@ def test_infinity_sentinels_stay_apart():
     assert not whole.pieces[0].degenerate
     assert intersect(whole, whole) == REALS
     assert union(S("(-inf,0]"), S("[0,inf)")) == REALS
-    assert normalize([interval(NEG_INF, 1), interval(0, POS_INF)]) == REALS
-    assert normalize([interval(0, POS_INF), interval(NEG_INF, 1)]) == REALS
+    assert normalize([Interval(NEG_INF, 1), Interval(0, POS_INF)]) == REALS
+    assert normalize([Interval(0, POS_INF), Interval(NEG_INF, 1)]) == REALS
     assert complement(REALS) == EMPTY
     assert S("(-inf,0)").issubset(REALS)
     assert not REALS.issubset(S("(-inf,0)"))

@@ -178,6 +178,16 @@ def test_connectedness_records_golden():
         assert fmt_connectedness(ext, connectedness_certificate(ext)) == lines
 
 
+def test_density_record_golden():
+    assert fmt_density(density_check(ext_of("(0,1) U [5,inf)"), 4, 0)) == [
+        "certificate density samples=4",
+        "step 1 tails=C#0:24,C#1:26 trace=(29360127/33554432,1) U (251/8,inf) nonempty=true",
+        "step 2 tails=C#0:31,C#1:25 trace=(1610612735/4294967296,1) U (30,inf) nonempty=true",
+        "step 3 tails=C#0:9,C#1:19 trace=(767/1024,1) U (99/4,inf) nonempty=true",
+        "step 4 tails=C#0:21,C#1:30 trace=(3145727/4194304,1) U (6,35/3) U (141/4,inf) nonempty=true",
+    ]
+
+
 def test_connectedness_record_refuses_forged_certificate():
     ext = ext_of("(0,1) U [5,inf)")
     c0, c1 = (f.component for f in ext.filters)

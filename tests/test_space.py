@@ -6,6 +6,7 @@ import pytest
 from onepoint import (
     EMPTY,
     EmptySpace,
+    Interval,
     NEG_INF,
     NotClosed,
     NotDisjoint,
@@ -15,7 +16,6 @@ from onepoint import (
     difference,
     has_compact_component,
     intersect,
-    interval,
     is_closed_in,
     is_compact,
     is_open_in,
@@ -204,8 +204,8 @@ def relative_open_family(c, rng):
     for i in range(k):
         a = lo + width * Fraction(i, k) - width / rng.randint(2, 4) - 1
         b = lo + width * Fraction(i + 1, k) + width / rng.randint(2, 4)
-        members.append(intersect(only(interval(a, b)), c))
-    members.append(intersect(only(interval(lo - 1, lo + width / 3)), c))
+        members.append(intersect(only(Interval(a, b)), c))
+    members.append(intersect(only(Interval(lo - 1, lo + width / 3)), c))
     return members
 
 
@@ -242,7 +242,7 @@ def test_compactness_agrees_with_cover_oracle():
                 gap = (piece.hi - piece.lo) if piece.lo != NEG_INF else Fraction(1)
                 b = piece.hi - gap / 2**n
             if a < b:
-                prefix = union(prefix, intersect(only(interval(a, b)), cset))
+                prefix = union(prefix, intersect(only(Interval(a, b)), cset))
         # ascending chain: no finite prefix (hence no finite subfamily) covers c
         assert prefix != cset, f"escape cover reached the end of {text}"
 
