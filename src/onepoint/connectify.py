@@ -41,6 +41,7 @@ from .intervals import (
     Value,
     _eq,
     _frac,
+    _intersect_pieces,
     _mk_interval,
     _mk_set,
     difference,
@@ -50,7 +51,6 @@ from .intervals import (
     is_finite,
     normalize,
     not_interior_in,
-    only,
     pick_point,
     union,
 )
@@ -92,10 +92,11 @@ class EscapeFilter:
         return _frac((en * sd << n) - sn * ed, ed * sd << n)
 
     def toward_end(self, near: Fraction, closed: bool) -> Interval:
-        """The interval from a near point to the escape end, which it excludes."""
+        """The interval from a near point to the escape end, which it excludes;
+        ``near`` must lie strictly before the end on the filter's side."""
         if self.side > 0:
-            return Interval(near, self.end, closed, False)
-        return Interval(self.end, near, False, closed)
+            return _mk_interval(near, self.end, closed, False)
+        return _mk_interval(self.end, near, False, closed)
 
     def element(self, n: int) -> IntervalSet:
         if n < 0:
@@ -244,7 +245,7 @@ def check_connectifiable(space: Space) -> Verdict:
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
     if pt is P:
         return isinstance(u, TypeII)
-    return Fraction(pt) in u.trace
+    return (pt if type(pt) is Fraction else Fraction(pt)) in u.trace
 
 
 # --------------------------------------------------------------------------
@@ -352,8 +353,12 @@ def intersect_open(ext: Extension, u: ExtOpenSet, v: ExtOpenSet) -> ExtOpenSet:
     """Intersection in the extension topology.
 
     Two type-II sets meet in a type-II set: the tails are nested chains, so
-    the larger index witnesses the intersection.
+    the larger index witnesses the intersection.  A type-II argument without
+    one natural tail index per component is an input error.
     """
+    for w in (u, v):
+        if isinstance(w, TypeII):
+            _check_tails_shape(ext, w)
     trace = intersect(u.trace, v.trace)
     if isinstance(u, TypeII) and isinstance(v, TypeII):
         return TypeII(trace, tuple(max(a, b) for a, b in zip(u.tails, v.tails)))
@@ -361,12 +366,19 @@ def intersect_open(ext: Extension, u: ExtOpenSet, v: ExtOpenSet) -> ExtOpenSet:
 
 
 def union_open(ext: Extension, opens) -> ExtOpenSet:
-    """Union in the extension topology; type II wins with the smaller tails."""
+    """Union in the extension topology; type II wins with the smaller tails.
+
+    A type-II argument without one natural tail index per component is an
+    input error.
+    """
     opens = list(opens)
     trace = EMPTY
+    tail_rows = []
     for o in opens:
         trace = union(trace, o.trace)
-    tail_rows = [o.tails for o in opens if isinstance(o, TypeII)]
+        if isinstance(o, TypeII):
+            _check_tails_shape(ext, o)
+            tail_rows.append(o.tails)
     if tail_rows:
         return TypeII(trace, tuple(min(col) for col in zip(*tail_rows)))
     return TypeI(trace)
@@ -559,12 +571,17 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     flt = ext.filters[i]
     c_set = flt.component.as_set()
     start = flt.start(flt.avoid_index(z))  # first point of the escape block, past z
-    delta = min(Fraction(1), (start - z) * flt.side)
+    zn, zd = z._numerator, z._denominator
+    # The radius min(1, distance from z to start) as dn/dd, with dd > 0.
+    dn, dd = flt.side * (start._numerator * zd - zn * start._denominator), start._denominator * zd
+    if dn >= dd:
+        dn = dd = 1
+    lo, hi = _frac(zn * dd - dn * zd, zd * dd), _frac(zn * dd + dn * zd, zd * dd)
     # z < edge <= start < end along the side, so (edge, end) lies in the component.
-    edge = z + flt.side * delta
-    v_trace = intersect(only(Interval(z - delta, z + delta)), c_set)
+    edge = hi if flt.side > 0 else lo
+    v_trace = _mk_set((_intersect_pieces(_mk_interval(lo, hi, False, False), flt.component.piece),))
     tails = tuple(flt._index_past(edge, False) if j == i else 0 for j in range(len(ext.filters)))
-    u_trace = union(difference(x, c_set), only(flt.toward_end(edge, False)))
+    u_trace = union(difference(x, c_set), _mk_set((flt.toward_end(edge, False),)))
     return TypeII(u_trace, tails), TypeI(v_trace)
 
 

@@ -191,9 +191,10 @@ class IntervalSet:
         return bool(self.pieces)
 
     def __contains__(self, q: object) -> bool:
-        if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
-            raise TypeError(f"membership is decided for rationals, not {q!r}")
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+                raise TypeError(f"membership is decided for rationals, not {q!r}")
+            q = Fraction(q)
         return any(iv.contains(q) for iv in self.pieces)
 
     def issubset(self, other: IntervalSet) -> bool:
@@ -368,7 +369,43 @@ def complement(a: IntervalSet) -> IntervalSet:
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return intersect(a, complement(b))
+    """The points of ``a`` outside ``b``, in one merge sweep.
+
+    Each piece of ``a`` is cut, in line order, by the pieces of ``b`` that
+    overlap it; a piece of ``b`` reaching past its end may cut the next one
+    too.  No complement or other intermediate set is built, and the cuts
+    come out in line order, hence canonical.
+    """
+    pa, pb = a.pieces, b.pieces
+    if not pa or not pb:
+        return a
+    out = []
+    nb = len(pb)
+    bi = 0
+    for x in pa:
+        # Pieces of b ending before x starts cut no later piece of a either.
+        while bi < nb and (
+            _lt(pb[bi].hi, x.lo)
+            or (not (pb[bi].hi_closed and x.lo_closed) and _eq(pb[bi].hi, x.lo))
+        ):
+            bi += 1
+        first = bi
+        lo, lo_closed = x.lo, x.lo_closed  # start of what is left of x
+        rest = True
+        while bi < nb:
+            y = pb[bi]
+            if _lt(x.hi, y.lo) or (not (x.hi_closed and y.lo_closed) and _eq(x.hi, y.lo)):
+                break  # y starts after x
+            if _lt(lo, y.lo) or (lo_closed and not y.lo_closed and _eq(lo, y.lo)):
+                out.append(_mk_interval(lo, y.lo, lo_closed, not y.lo_closed))
+            if _lt(x.hi, y.hi) or ((y.hi_closed or not x.hi_closed) and _eq(x.hi, y.hi)):
+                rest = False  # y covers the rest of x
+                break
+            lo, lo_closed = y.hi, not y.hi_closed
+            bi += 1
+        if rest:
+            out.append(x if bi == first else _mk_interval(lo, x.hi, lo_closed, x.hi_closed))
+    return _mk_set(tuple(out))
 
 
 def closure_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:

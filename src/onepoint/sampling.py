@@ -23,31 +23,39 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _frac,
+    _intersect_pieces,
+    _mk_interval,
     difference,
     intersect,
     is_finite,
     normalize,
-    only,
     parse_set,
     union,
 )
 from .space import Space
 
 
+def _plus(q: Fraction, n: int, d: int) -> Fraction:
+    """q + n/d from integers; d must be positive."""
+    qn, qd = q._numerator, q._denominator
+    return _frac(qn * d + n * qd, qd * d)
+
+
 def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 6) -> Fraction:
     den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+    return _frac(rng.randint(lo * den, hi * den), den)
 
 
 def random_space(rng: random.Random, max_components: int = 5, allow_compact: bool = True) -> Space:
     """A space with 1..max_components pieces of mixed endpoint kinds."""
     k = rng.randint(1, max_components)
     pieces: list[Interval] = []
-    cursor = Fraction(rng.randint(-12, -6))
+    cursor = _frac(rng.randint(-12, -6), 1)
     for i in range(k):
         last = i == k - 1
         if i == 0 and rng.random() < 0.2:
-            pieces.append(Interval(NEG_INF, cursor, False, rng.random() < 0.5))
+            pieces.append(_mk_interval(NEG_INF, cursor, False, rng.random() < 0.5))
         else:
             if (
                 pieces
@@ -57,18 +65,18 @@ def random_space(rng: random.Random, max_components: int = 5, allow_compact: boo
             ):
                 lo, lo_closed = pieces[-1].hi, False  # single missing point between pieces
             else:
-                lo = cursor + Fraction(rng.randint(1, 8), rng.randint(1, 3))
+                lo = _plus(cursor, rng.randint(1, 8), rng.randint(1, 3))
                 lo_closed = rng.random() < 0.5
             if last and rng.random() < 0.2:
-                pieces.append(Interval(lo, POS_INF, lo_closed, False))
+                pieces.append(_mk_interval(lo, POS_INF, lo_closed, False))
             elif allow_compact and lo_closed and rng.random() < 0.12:
-                pieces.append(Interval(lo, lo, True, True))
+                pieces.append(_mk_interval(lo, lo, True, True))
             else:
-                hi = lo + Fraction(rng.randint(1, 10), rng.randint(1, 3))
+                hi = _plus(lo, rng.randint(1, 10), rng.randint(1, 3))
                 hi_closed = rng.random() < 0.5
                 if not allow_compact and lo_closed and hi_closed:
                     hi_closed = False
-                pieces.append(Interval(lo, hi, lo_closed, hi_closed))
+                pieces.append(_mk_interval(lo, hi, lo_closed, hi_closed))
         if not is_finite(pieces[-1].hi):
             break
         cursor = pieces[-1].hi
@@ -83,13 +91,13 @@ def random_real_open(rng: random.Random) -> IntervalSet:
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         if roll < 0.12:
-            parts.append(Interval(NEG_INF, rand_fraction(rng), False, False))
+            parts.append(_mk_interval(NEG_INF, rand_fraction(rng), False, False))
         elif roll < 0.24:
-            parts.append(Interval(rand_fraction(rng), POS_INF, False, False))
+            parts.append(_mk_interval(rand_fraction(rng), POS_INF, False, False))
         else:
             a = rand_fraction(rng)
-            b = a + Fraction(rng.randint(1, 20), rng.randint(1, 4))
-            parts.append(Interval(a, b, False, False))
+            b = _plus(a, rng.randint(1, 20), rng.randint(1, 4))
+            parts.append(_mk_interval(a, b, False, False))
     return normalize(parts)
 
 
@@ -113,28 +121,33 @@ def random_point_in(s: IntervalSet, rng: random.Random) -> Fraction:
     if rng.random() < 0.15 and is_finite(iv.hi) and iv.hi_closed:
         return iv.hi
     if is_finite(iv.lo) and is_finite(iv.hi):
-        return iv.lo + (iv.hi - iv.lo) * Fraction(rng.randint(1, 15), 16)
+        # lo + (hi - lo) * k/16, over one denominator
+        k = rng.randint(1, 15)
+        ln, ld, hn, hd = iv.lo._numerator, iv.lo._denominator, iv.hi._numerator, iv.hi._denominator
+        return _frac(ln * hd * (16 - k) + hn * ld * k, 16 * ld * hd)
     if is_finite(iv.lo):
-        return iv.lo + Fraction(rng.randint(1, 24), rng.randint(1, 4))
+        return _plus(iv.lo, rng.randint(1, 24), rng.randint(1, 4))
     if is_finite(iv.hi):
-        return iv.hi - Fraction(rng.randint(1, 24), rng.randint(1, 4))
+        return _plus(iv.hi, -rng.randint(1, 24), rng.randint(1, 4))
     return rand_fraction(rng)
 
 
-def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> IntervalSet:
-    """A component-open neighborhood of the escape end containing element(n)."""
-    jitter = Fraction(rng.randint(1, 8), 8)
+def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> Interval:
+    """A component-open neighborhood of the escape end containing element(n):
+    the open block from start(n) moved j/8 away from the end (j drawn from
+    1..8) to the end, cut to the component piece."""
+    j = rng.randint(1, 8)
     start = flt.start(n)
-    near = start - jitter if flt.side > 0 else start + jitter
-    return intersect(only(flt.toward_end(near, False)), flt.component.as_set())
+    sn, sd = start._numerator, start._denominator
+    near = _frac(8 * sn - flt.side * j * sd, 8 * sd)
+    # start(n) lies in the component and in the block, so the cut is nonempty.
+    return _intersect_pieces(flt.toward_end(near, False), flt.component.piece)
 
 
 def random_p_neighborhood(ext: Extension, rng: random.Random, max_tail: int = 32) -> TypeII:
     """A valid type-II neighborhood of the extra point with random tails."""
     tails = tuple(rng.randint(0, max_tail) for _ in ext.filters)
-    trace = normalize(
-        iv for flt, n in zip(ext.filters, tails) for iv in _escape_hull(flt, n, rng).pieces
-    )
+    trace = normalize(_escape_hull(flt, n, rng) for flt, n in zip(ext.filters, tails))
     if rng.random() < 0.5:
         trace = union(trace, random_open_in(ext.space.ambient, rng))
     return TypeII(trace, tails)
@@ -187,15 +200,16 @@ def random_closed_in_extension(ext: Extension, rng: random.Random, include_p: bo
     trace = random_closed_in(ext.space.ambient, rng)
     if include_p:
         return ExtClosedSet(True, trace)
-    hulls = (_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters)
-    return ExtClosedSet(False, difference(trace, normalize(iv for h in hulls for iv in h.pieces)))
+    hulls = normalize(_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters)
+    return ExtClosedSet(False, difference(trace, hulls))
 
 
 def _open_expansion(s: IntervalSet, eps: Fraction) -> IntervalSet:
+    en, ed = eps._numerator, eps._denominator
     parts = [
-        Interval(
-            p.lo - eps if is_finite(p.lo) else NEG_INF,
-            p.hi + eps if is_finite(p.hi) else POS_INF,
+        _mk_interval(
+            _plus(p.lo, -en, ed) if is_finite(p.lo) else NEG_INF,
+            _plus(p.hi, en, ed) if is_finite(p.hi) else POS_INF,
             False,
             False,
         )
@@ -213,7 +227,7 @@ def random_disjoint_closed_pair(
     f = random_closed_in_extension(ext, rng, mode == "pF")
     g = random_closed_in_extension(ext, rng, mode == "pG")
     if f.trace:
-        margin = Fraction(1, rng.randint(2, 4))
+        margin = _frac(1, rng.randint(2, 4))
         g = ExtClosedSet(g.has_p, difference(g.trace, _open_expansion(f.trace, margin)))
     return f, g
 

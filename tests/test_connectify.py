@@ -600,6 +600,43 @@ def test_clopen_falsifier_rejects_malformed_tails():
             clopen_falsifier(ext, TypeII(S("(0,1) U (6,inf)"), tails))
 
 
+def test_open_algebra_rejects_malformed_tails():
+    ext = ext_of("(0,1) U [5,inf)")
+    t = S("(0,1) U [5,inf)")
+    with pytest.raises(MalformedInterval):  # no longer cut short to tails (0,)
+        union_open(ext, [TypeII(t, (0,)), TypeII(t, (0, -3))])
+    good = TypeII(t, (0, 0))
+    for tails in ((0,), (0, -3), (0, 0, 0)):
+        bad = TypeII(t, tails)
+        for call in (
+            lambda: union_open(ext, [good, bad]),
+            lambda: union_open(ext, [bad, TypeI(t)]),
+            lambda: intersect_open(ext, good, bad),
+            lambda: intersect_open(ext, bad, good),
+            lambda: intersect_open(ext, bad, TypeI(t)),
+        ):
+            with pytest.raises(MalformedInterval):
+                call()
+
+
+def test_membership_coerces_only_non_fractions(monkeypatch):
+    ext = ext_of("(0,1) U [5,inf)")
+    u, v = hausdorff_witness(ext, P, Fraction(20))
+    assert ext_contains(v, 20) and ext_contains(u, Fraction(43, 2))
+    for bad in (True, 0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            bad in v.trace
+    with pytest.raises(TypeError):
+        ext_contains(v, None)
+
+    def no_copies(*args, **kwargs):
+        raise AssertionError("a Fraction was copied")
+
+    q = Fraction(20)
+    monkeypatch.setattr(Fraction, "__new__", no_copies)
+    assert q in v.trace and ext_contains(v, q) and not ext_contains(u, q)
+
+
 def test_malformed_tails_are_input_errors():
     ext = ext_of("(0,1) U [5,inf)")
     trace = S("(0,1) U (6,inf)")
@@ -863,11 +900,13 @@ FRACTION_OPERATORS = [
 
 
 def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
-    """Parsing, verdicts, filter starts and tail indices answer with every
-    Fraction arithmetic operator disabled, and answer as before."""
+    """Parsing, verdicts, filter starts, tail indices, the sampled
+    certificates and their samplers, Hausdorff witnesses and set difference
+    answer with every Fraction arithmetic operator disabled, and answer as
+    before."""
     rng = random.Random(10)
     inputs = []
-    for space in corpus200[:100]:
+    for space in corpus200:
         verdict = check_connectifiable(space)
         if not isinstance(verdict, Connectifiable):
             inputs.append((space, (), ()))
@@ -879,7 +918,7 @@ def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
 
     def answers():
         out = []
-        for space, points, traces in inputs:
+        for seed, (space, points, traces) in enumerate(inputs):
             verdict = check_connectifiable(space)
             out.append((parse_set(str(space)), verdict))
             if isinstance(verdict, Connectifiable):
@@ -887,6 +926,15 @@ def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
                 out.append([flt.start(n) for flt in ext.filters for n in (0, 1, 9, 64, 4096)])
                 out.append([ext.filters[component_index(space, z)].avoid_index(z) for z in points])
                 out.append([least_valid_tails(ext, trace) for trace in traces])
+                out.append(density_check(ext, 4, seed))
+                out.append(subspace_fidelity(ext, 4, seed))
+                rng = random.Random(seed)
+                out.append(clopen_candidates(ext, rng, 4))
+                out.append([random_disjoint_closed_pair(ext, rng) for _ in range(2)])
+                out.append([hausdorff_witness(ext, P, z) for z in points])
+                out.append([hausdorff_witness(ext, z, P) for z in points])
+                out.append([difference(space.ambient, t) for t in traces])
+                out.append([difference(t, random_real_open(rng)) for t in traces])
         return out
 
     expected = answers()

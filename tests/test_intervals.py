@@ -142,6 +142,79 @@ def test_set_operation_examples():
     assert complement(S("[0,0]")) == S("(-inf,0) U (0,inf)")
 
 
+def difference_reference(a, b):
+    """Set difference as the intersection with the complement."""
+    return intersect(a, complement(b))
+
+
+# The oracle's endpoint pool (tests/test_oracle.py) plus both infinities.
+POOL_ENDS = (
+    [NEG_INF]
+    + [Fraction(n, d) for n, d in ((-2, 1), (-1, 1), (-1, 2), (0, 1), (1, 3), (1, 1), (2, 1))]
+    + [POS_INF]
+)
+
+
+def random_pool_set(rng):
+    ivs = []
+    for _ in range(rng.randint(0, 4)):
+        i, j = sorted(rng.sample(range(len(POOL_ENDS)), 2))
+        lo, hi = POOL_ENDS[i], POOL_ENDS[j]
+        if rng.random() < 0.2 and is_finite(lo):
+            ivs.append(point(lo))
+        else:
+            lo_closed = is_finite(lo) and rng.random() < 0.5
+            ivs.append(Interval(lo, hi, lo_closed, is_finite(hi) and rng.random() < 0.5))
+    return normalize(ivs)
+
+
+def test_difference_sweep_matches_reference_on_pool():
+    rng = random.Random(12)
+    for _ in range(20000):
+        a, b = random_pool_set(rng), random_pool_set(rng)
+        got = difference(a, b)
+        assert got == difference_reference(a, b)
+        assert IntervalSet(got.pieces) == got  # canonical
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ("[0,1]", "[1,2]", "[0,1)"),  # touching closed ends
+        ("[0,1)", "[1,2]", "[0,1)"),
+        ("[0,1]", "(1,2]", "[0,1]"),
+        ("(1,2]", "[0,1]", "(1,2]"),
+        ("[1,2]", "[0,1]", "(1,2]"),
+        ("(0,1) U (1,2)", "[1,1]", "(0,1) U (1,2)"),
+        ("[0,2]", "[1,1]", "[0,1) U (1,2]"),  # a degenerate piece of b
+        ("[0,0] U [1,1] U [2,2]", "[1,1]", "[0,0] U [2,2]"),  # degenerate pieces of a
+        ("[0,1]", "[0,0] U [1,1]", "(0,1)"),
+        ("[0,3]", "(0,1) U (1,2) U (2,3)", "[0,0] U [1,1] U [2,2] U [3,3]"),
+        ("[0,1] U [2,3] U [4,5]", "(1/2,9/2)", "[0,1/2] U [9/2,5]"),  # b spans several pieces
+        ("(0,1) U (2,3) U (4,5)", "[1/2,5/2] U [3,4]", "(0,1/2) U (5/2,3) U (4,5)"),
+        ("(-inf,0) U (0,inf)", "(-inf,inf)", "empty"),
+        ("(-inf,inf)", "(0,1) U [2,3]", "(-inf,0] U [1,2) U (3,inf)"),
+        ("(-inf,inf)", "(-inf,0] U [1,inf)", "(0,1)"),
+        ("(-inf,inf)", "empty", "(-inf,inf)"),  # an empty b
+        ("empty", "[0,1]", "empty"),
+    ],
+)
+def test_difference_pinned_cases(a, b, want):
+    assert difference(S(a), S(b)) == S(want) == difference_reference(S(a), S(b))
+
+
+def test_difference_builds_no_complement(corpus200, monkeypatch):
+    pairs = list(corpus_pairs(corpus200, 718))
+    expected = [(difference(s, x), difference(x, s)) for s, x in pairs]
+
+    def boom(*args):
+        raise AssertionError("difference builds no intermediate set")
+
+    monkeypatch.setattr(intervals, "complement", boom)
+    monkeypatch.setattr(intervals, "intersect", boom)
+    assert [(difference(s, x), difference(x, s)) for s, x in pairs] == expected
+
+
 def test_relative_topology_examples():
     assert closure_in(S("(0,1/2)"), S("(0,1)")) == S("(0,1/2]")
     assert closure_in(S("[1/2,1)"), S("(0,1)")) == S("[1/2,1)")

@@ -188,6 +188,21 @@ def test_density_record_golden():
     ]
 
 
+def test_fidelity_record_golden():
+    # Pins the draw order of random_ext_open and random_open_in.
+    assert fmt_fidelity(subspace_fidelity(ext_of("(0,1) U [5,inf)"), 4, 0)) == [
+        "certificate fidelity samples=4",
+        "step 1 down I trace=(7167/8192,1)",
+        "step 2 down II trace=(0,1) U (7,inf) tails=C#0:10,C#1:5",
+        "step 3 down I trace=(0,1) U [5,inf)",
+        "step 4 down I trace=empty",
+        "step 5 up I trace=(2/5,1) U [5,37/3)",
+        "step 6 up I trace=(0,1)",
+        "step 7 up I trace=(0,1) U [5,inf)",
+        "step 8 up I trace=[5,55/6)",
+    ]
+
+
 def test_connectedness_record_refuses_forged_certificate():
     ext = ext_of("(0,1) U [5,inf)")
     c0, c1 = (f.component for f in ext.filters)
