@@ -10,7 +10,8 @@ from fractions import Fraction
 from .errors import NotACover
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
-from .intervals import EMPTY, Interval, IntervalSet, difference, interior_in, is_finite, only, union
+from .intervals import EMPTY, IntervalSet, _frac, _lt, _mk_interval, _mk_set, difference
+from .intervals import interior_in, is_finite, midpoint, union
 from .space import Space, closed_and_bounded, component_index
 
 
@@ -72,22 +73,28 @@ def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenChe
 
 
 def _witness_from_infinity(ce: CompactExtension, z: Fraction) -> tuple[TypeInf, TypeI]:
-    """Shrink a compact closed box around z; infinity gets the complement."""
+    """Shrink a compact closed box around z; infinity gets the complement.
+
+    The box reaches 1 from z on each side, stopped at an included end of the
+    piece, and halfway to an excluded end nearer than 2.
+    """
     x = ce.space.ambient
     piece = x.pieces[component_index(ce.space, z)]
-    if not is_finite(piece.lo):
-        k_lo = z - 1
-    elif piece.lo_closed:
-        k_lo = max(piece.lo, z - 1)
-    else:
-        k_lo = z - min(Fraction(1), (z - piece.lo) / 2)
-    if not is_finite(piece.hi):
-        k_hi = z + 1
-    elif piece.hi_closed:
-        k_hi = min(piece.hi, z + 1)
-    else:
-        k_hi = z + min(Fraction(1), (piece.hi - z) / 2)
-    box = only(Interval(k_lo, k_hi, True, True))
+    zn, zd = z._numerator, z._denominator
+    k_lo, k_hi = _frac(zn - zd, zd), _frac(zn + zd, zd)
+    if is_finite(piece.lo):
+        if piece.lo_closed:
+            if _lt(k_lo, piece.lo):
+                k_lo = piece.lo
+        elif _lt(_frac(zn - 2 * zd, zd), piece.lo):
+            k_lo = midpoint(piece.lo, z)
+    if is_finite(piece.hi):
+        if piece.hi_closed:
+            if _lt(piece.hi, k_hi):
+                k_hi = piece.hi
+        elif _lt(piece.hi, _frac(zn + 2 * zd, zd)):
+            k_hi = midpoint(z, piece.hi)
+    box = _mk_set((_mk_interval(k_lo, k_hi, True, True),))
     return TypeInf(difference(x, box)), TypeI(interior_in(box, x))
 
 

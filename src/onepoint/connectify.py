@@ -42,6 +42,7 @@ from .intervals import (
     _eq,
     _frac,
     _intersect_pieces,
+    _lt,
     _mk_interval,
     _mk_set,
     difference,
@@ -295,8 +296,29 @@ def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
 
 
 def _escape_pieces(ext: Extension, trace: IntervalSet):
-    """Per component, in line order, the piece of a trace reaching its escape end."""
-    return map(_escape_piece, ext.filters, component_slices(ext.space, trace))
+    """Per component, in line order, the piece of a trace reaching its escape end.
+
+    One merge sweep of the trace against the filters.  Past the pieces that
+    end before the escape end (or at it, for a left end), the next piece
+    alone can reach the end inside the component, and does when it starts
+    before the end (or at it, for a left end); it is clipped to the
+    component.  A skipped piece ends before every later component, so the
+    sweep never steps back.
+    """
+    pieces = trace.pieces
+    n = len(pieces)
+    i = 0
+    for flt in ext.filters:
+        end = flt.end
+        if flt.side > 0:
+            while i < n and _lt(pieces[i].hi, end):
+                i += 1
+            hit = i < n and _lt(pieces[i].lo, end)
+        else:
+            while i < n and not _lt(end, pieces[i].hi):
+                i += 1
+            hit = i < n and not _lt(end, pieces[i].lo)
+        yield _intersect_pieces(pieces[i], flt.component.piece) if hit else None
 
 
 def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:

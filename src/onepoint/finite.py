@@ -3,9 +3,11 @@
 Subsets of {0..n-1} are n-bit masks.  Every finite topology is Alexandrov and
 corresponds to a preorder through specialization; the module carries both
 views plus two independent enumerators so they can cross-check each other.
-The connectification search builds each one-point extension of a base from
-an (up-set, down-set) pair of its preorder rather than scanning every
-topology on one more point.
+The preorder walk fills the rows in order and bounds row i by the AND of the
+earlier rows that hold i (transitivity), so it visits only the submasks of
+that bound.  The connectification search builds each one-point extension of
+a base from an (up-set, down-set) pair of its preorder rather than scanning
+every topology on one more point.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class FiniteSpace:
         full = (1 << self.size) - 1
         if 0 not in self.opens or full not in self.opens:
             raise ParseError("a topology contains the empty set and the full set")
-        if any(m < 0 or m > full for m in self.opens):
+        if min(self.opens) < 0 or max(self.opens) > full:
             raise ParseError("open masks must fit the point set")
 
     @property
@@ -93,15 +95,20 @@ def to_preorder(space: FiniteSpace) -> Preorder:
 
 
 def from_preorder(p: Preorder) -> FiniteSpace:
-    """Opens are the up-closed sets of the preorder."""
-    opens = []
-    for mask in range(1 << p.size):
-        ok = True
-        for x in range(p.size):
-            if (mask >> x) & 1 and (p.up[x] | mask) != mask:
-                ok = False
-                break
-        if ok:
+    """Opens are the up-closed sets of the preorder.
+
+    One table holds, per mask, the union of the up-sets of its points, built
+    from the mask without its lowest point; a mask is open when that union
+    stays inside it.
+    """
+    up = p.up
+    reach = [0] * (1 << p.size)
+    opens = [0]
+    for mask in range(1, 1 << p.size):
+        low = mask & -mask
+        r = reach[mask ^ low] | up[low.bit_length() - 1]
+        reach[mask] = r
+        if r == mask:
             opens.append(mask)
     return FiniteSpace(p.size, frozenset(opens))
 
@@ -119,31 +126,41 @@ def _family_enumeration(n: int):
 
 
 def _preorder_enumeration(n: int):
+    """Every preorder on n points, rows in lexicographic order.
+
+    Row i must lie inside every earlier row holding i, so only the submasks
+    of that bound (with bit i set) are walked, in ascending order; each one
+    is kept when every earlier point in it brings its whole row.
+    """
     if n == 0:
         yield Preorder(0, ())
         return
     rows: list[int] = []
+    full = (1 << n) - 1
 
     def extend(i: int):
         if i == n:
             yield Preorder(n, tuple(rows))
             return
-        for m in range(1 << n):
-            if not (m >> i) & 1:
-                continue
-            ok = True
+        bit = 1 << i
+        cap = full
+        for ur in rows:
+            if ur & bit:
+                cap &= ur
+        free = cap & ~bit
+        sub = 0
+        while True:
+            m = sub | bit
             for r in range(i):
-                ur = rows[r]
-                if (m >> r) & 1 and (ur | m) != m:
-                    ok = False
+                if (m >> r) & 1 and (rows[r] | m) != m:
                     break
-                if (ur >> i) & 1 and (m | ur) != ur:
-                    ok = False
-                    break
-            if ok:
+            else:
                 rows.append(m)
                 yield from extend(i + 1)
                 rows.pop()
+            if sub == free:
+                break
+            sub = (sub - free) & free  # the next submask of free, ascending
 
     yield from extend(0)
 
@@ -170,7 +187,8 @@ def enumerate_topologies(n: int, method: str = "preorder"):
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
-    """Count topologies; the preorder method counts preorders unbuilt."""
+    """Count topologies; the preorder method counts the preorders the walk
+    builds and validates, without turning each into its family of opens."""
     if method == "preorder" and 0 <= n <= MAX_POINTS:
         return sum(1 for _ in _preorder_enumeration(n))
     return sum(1 for _ in enumerate_topologies(n, method))

@@ -20,7 +20,9 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     _eq,
+    _intersect_pieces,
     _lt,
+    _mk_interval,
     _mk_set,
     _starts_before,
     intersect,
@@ -75,15 +77,21 @@ def component_index(space: Space, z: Fraction) -> int:
 
 
 def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
-    """s ∩ C for every component C, in line order, from one sweep: each piece
-    of s ∩ X lies inside exactly one component."""
-    p = space.ambient.pieces
-    slices: list[list[Interval]] = [[] for _ in p]
-    i = 0
-    for iv in intersect(s, space.ambient).pieces:
-        while _lt(p[i].hi, iv.hi) or (iv.hi_closed and not p[i].hi_closed and _eq(p[i].hi, iv.hi)):
-            i += 1
-        slices[i].append(iv)
+    """s ∩ C for every component C, in line order, from one merge sweep of s
+    against the components: each meeting of a piece of s with a component
+    is filed under that component."""
+    pa, pc = s.pieces, space.ambient.pieces
+    slices: list[list[Interval]] = [[] for _ in pc]
+    ai = ci = 0
+    while ai < len(pa) and ci < len(pc):
+        x, y = pa[ai], pc[ci]
+        r = _intersect_pieces(x, y)
+        if r is not None:
+            slices[ci].append(r)
+        if _lt(x.hi, y.hi) or ((not x.hi_closed or y.hi_closed) and _eq(x.hi, y.hi)):
+            ai += 1
+        else:
+            ci += 1
     return tuple(_mk_set(tuple(sl)) for sl in slices)
 
 
@@ -207,7 +215,7 @@ def separate_disjoint_closed(
             a, b = piece.hi, nxt[0].lo
             # Both are finite here: a has a successor, b a predecessor.
             run_end = a if _eq(a, b) else midpoint(a, b)
-        zones[owner].append(Interval(run_start, run_end, False, False))
+        zones[owner].append(_mk_interval(run_start, run_end, False, False))
         run_start = run_end
     u = intersect(normalize(zones[0]), x)
     v = intersect(normalize(zones[1]), x)
@@ -215,11 +223,11 @@ def separate_disjoint_closed(
 
 
 def split_points(space: Space, y: Fraction, z: Fraction) -> tuple[IntervalSet, IntervalSet]:
-    """Disjoint opens around two distinct points of the space, y side first."""
+    """Disjoint opens around two distinct points of the space, y side first;
+    both points are plain `Fraction`s."""
     if y == z:
         raise EqualPoints(f"{y} given twice")
     for q in (y, z):
         component_index(space, q)
-    return separate_disjoint_closed(
-        space, only(Interval(y, y, True, True)), only(Interval(z, z, True, True))
-    )
+    f, g = (_mk_set((_mk_interval(q, q, True, True),)) for q in (y, z))
+    return separate_disjoint_closed(space, f, g)

@@ -27,7 +27,7 @@ from onepoint import (
     verify_local_connectedness,
 )
 from onepoint import intervals
-from onepoint.connectify import hausdorff_witness
+from onepoint.connectify import _escape_piece, _escape_pieces, hausdorff_witness
 from onepoint.sampling import random_open_in, random_point_in, random_real_open
 from onepoint.space import LocalConnectednessCertificate, component_index, component_slices
 
@@ -62,6 +62,53 @@ def test_slices_match_reference(corpus200):
     for sp in corpus200:
         for s in (sp.ambient, random_real_open(rng), random_open_in(sp.ambient, rng)):
             assert component_slices(sp, s) == reference_slices(sp, s)
+
+
+def reference_escape_pieces(ext, trace):
+    """The per-component formula the sweep replaced: slice, then look at the end."""
+    return list(map(_escape_piece, ext.filters, reference_slices(ext.space, trace)))
+
+
+def pool_set(rng, pool, count):
+    """A canonical set of up to `count` random intervals with ends from `pool`."""
+    ivs = []
+    for _ in range(count):
+        lo, hi = sorted(rng.sample(pool, 2))
+        if lo == hi:
+            continue
+        lo_c = isinstance(lo, Fraction) and rng.random() < 0.5
+        hi_c = isinstance(hi, Fraction) and rng.random() < 0.5
+        ivs.append(Interval(lo, hi, lo_c, hi_c))
+    if len(pool) > 2 and rng.random() < 0.3:
+        q = rng.choice(pool[1:-1])
+        ivs.append(Interval(q, q, True, True))
+    return intervals.normalize(ivs)
+
+
+def test_escape_pieces_match_reference(extensions):
+    rng = random.Random(64)
+    texts = [
+        "(0,1) U (1,2) U [3,4) U (5,inf)",
+        "(-inf,-5] U (-4,-3] U (-3,0) U (2,3] U (3,4]",
+        "(-inf,0) U (0,inf)",
+        spread(48),
+    ]
+    exts = list(extensions) + [check_connectifiable(Space(S(t))).extension for t in texts]
+    checked = outside = 0
+    for ext in exts:
+        x = ext.space.ambient
+        ends = sorted({e for iv in x.pieces for e in (iv.lo, iv.hi) if isinstance(e, Fraction)})
+        pool = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        pool += [e + d for e in ends[:1] + ends[-1:] for d in (-1, 1)]
+        pool = [intervals.NEG_INF] + sorted(set(pool)) + [intervals.POS_INF]
+        traces = [x, random_real_open(rng), random_open_in(x, rng)]
+        traces += [pool_set(rng, pool, rng.randint(1, 6)) for _ in range(30)]
+        traces += [hausdorff_witness(ext, P, random_point_in(x, rng))[0].trace]
+        for trace in traces:
+            assert list(_escape_pieces(ext, trace)) == reference_escape_pieces(ext, trace), trace
+            checked += 1
+            outside += not trace.issubset(x)
+    assert checked > 5000 and 500 < outside < checked - 500  # both subset and non-subset traces
 
 
 def test_index_matches_reference(corpus200):

@@ -60,6 +60,12 @@ from onepoint import (
     verify_hausdorff,
     verify_normality,
 )
+from onepoint.compactify import (
+    INFINITY,
+    CompactExtension,
+    compactification_hausdorff_witness,
+    compactify,
+)
 from onepoint.connectify import (
     ConnectednessCertificate,
     ConnectednessStep,
@@ -901,26 +907,32 @@ FRACTION_OPERATORS = [
 
 def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
     """Parsing, verdicts, filter starts, tail indices, the sampled
-    certificates and their samplers, Hausdorff witnesses and set difference
-    answer with every Fraction arithmetic operator disabled, and answer as
-    before."""
+    certificates and their samplers, Hausdorff witnesses in the extension and
+    in the compactification, and set difference answer with every Fraction
+    arithmetic operator disabled, and answer as before."""
     rng = random.Random(10)
+    comp_rng = random.Random(11)
     inputs = []
     for space in corpus200:
+        comp_points = [random_point_in(space.ambient, comp_rng) for _ in range(3)]
         verdict = check_connectifiable(space)
         if not isinstance(verdict, Connectifiable):
-            inputs.append((space, (), ()))
+            inputs.append((space, (), (), comp_points))
             continue
         ext = verdict.extension
         points = [random_point_in(space.ambient, rng) for _ in range(3)]
         traces = [space.ambient] + [hausdorff_witness(ext, P, z)[0].trace for z in points]
-        inputs.append((space, points, traces))
+        inputs.append((space, points, traces, comp_points))
 
     def answers():
         out = []
-        for seed, (space, points, traces) in enumerate(inputs):
+        for seed, (space, points, traces, comp_points) in enumerate(inputs):
             verdict = check_connectifiable(space)
             out.append((parse_set(str(space)), verdict))
+            ce = compactify(space)
+            if isinstance(ce, CompactExtension):
+                out.append([compactification_hausdorff_witness(ce, INFINITY, z) for z in comp_points])
+                out.append([compactification_hausdorff_witness(ce, z, INFINITY) for z in comp_points])
             if isinstance(verdict, Connectifiable):
                 ext = verdict.extension
                 out.append([flt.start(n) for flt in ext.filters for n in (0, 1, 9, 64, 4096)])

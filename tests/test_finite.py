@@ -21,6 +21,7 @@ from onepoint import (
     topology_literal,
     validate_topology,
 )
+from onepoint.finite import _preorder_enumeration
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -71,7 +72,7 @@ def test_round_trip_everything_up_to_4():
 
 
 def test_enumerator_counts_agree():
-    expected = [1, 1, 4, 29, 355, 6942]  # OEIS A000798
+    expected = [1, 1, 4, 29, 355, 6942, 209527]  # OEIS A000798
     for n, want in enumerate(expected):
         assert count_topologies(n, "preorder") == want
         if n <= 4:
@@ -83,6 +84,65 @@ def test_enumerator_sets_agree():
         fam = set(enumerate_topologies(n, "family"))
         pre = set(enumerate_topologies(n, "preorder"))
         assert fam == pre
+
+
+def reference_preorder_rows(n):
+    """The walk as it was: every mask for row i, tested against every earlier row."""
+    if n == 0:
+        yield ()
+        return
+    rows = []
+
+    def extend(i):
+        if i == n:
+            yield tuple(rows)
+            return
+        for m in range(1 << n):
+            if not (m >> i) & 1:
+                continue
+            ok = True
+            for r in range(i):
+                ur = rows[r]
+                if (m >> r) & 1 and (ur | m) != m:
+                    ok = False
+                    break
+                if (ur >> i) & 1 and (m | ur) != ur:
+                    ok = False
+                    break
+            if ok:
+                rows.append(m)
+                yield from extend(i + 1)
+                rows.pop()
+
+    yield from extend(0)
+
+
+def reference_opens(p):
+    """The open scan as it was: every mask against every point's row."""
+    return frozenset(
+        mask
+        for mask in range(1 << p.size)
+        if all(not (mask >> x) & 1 or (p.up[x] | mask) == mask for x in range(p.size))
+    )
+
+
+def test_preorder_walk_matches_reference():
+    for n in range(6):
+        got = [p.up for p in _preorder_enumeration(n)]
+        assert got == list(reference_preorder_rows(n)), n
+
+
+def test_open_table_matches_reference():
+    for n in range(6):
+        for p in _preorder_enumeration(n):
+            assert from_preorder(p).opens == reference_opens(p), p
+
+
+def test_range_check_runs_on_every_space():
+    with pytest.raises(ParseError, match="^open masks must fit the point set$"):
+        FiniteSpace(2, frozenset({0, 3, 4}))
+    with pytest.raises(ParseError, match="^open masks must fit the point set$"):
+        FiniteSpace(2, frozenset({-1, 0, 3}))
 
 
 def test_size_limits():
