@@ -30,7 +30,7 @@ class CompactExtension:
 
 @dataclass(frozen=True, slots=True)
 class CompactRefused:
-    reason: str = "space-already-compact"
+    """The space is already compact, so no point at infinity is added."""
 
 
 CompactVerdict = CompactExtension | CompactRefused
@@ -68,7 +68,7 @@ def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenChe
     chk = trace_open_check(u.trace, x)
     if chk and isinstance(u, TypeInf):
         if not all(map(closed_and_bounded, difference(x, u.trace).pieces)):
-            return OpenCheck(False, "RemainderNotCompact")
+            return OpenCheck("RemainderNotCompact")
     return chk
 
 

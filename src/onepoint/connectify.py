@@ -18,7 +18,7 @@ witness or certificate that re-verifies under the exact set algebra alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -79,8 +79,12 @@ class EscapeFilter:
 
     component: Component
     side: int
-    end: Value
     anchor: Fraction
+    end: Value = field(init=False)  # read in every sweep, so worked out once
+
+    def __post_init__(self) -> None:
+        piece = self.component.piece
+        object.__setattr__(self, "end", piece.hi if self.side > 0 else piece.lo)
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
@@ -104,10 +108,7 @@ class EscapeFilter:
             raise ValueError("filter indices are naturals")
         # start(n) lies inside the component, which runs open to the escape
         # end, so the block from start(n) to the end is already inside it.
-        near = self.start(n)
-        if self.side > 0:
-            return _mk_set((_mk_interval(near, self.end, True, False),))
-        return _mk_set((_mk_interval(self.end, near, False, True),))
+        return _mk_set((self.toward_end(self.start(n), True),))
 
     def _index_past(self, q: Fraction, included: bool) -> int:
         """Least n whose start(n) lies past q toward the end, or at q if included.
@@ -146,8 +147,7 @@ def choose_escape(component: Component) -> EscapeFilter:
         raise CompactComponent(f"{component.piece} has no non-compact end")
     p = component.piece
     # An infinite endpoint is never included, so an open right end is non-compact.
-    side, end = (-1, p.lo) if p.hi_closed else (1, p.hi)
-    return EscapeFilter(component, side, end, inner_point(p.lo, p.hi))
+    return EscapeFilter(component, -1 if p.hi_closed else 1, inner_point(p.lo, p.hi))
 
 
 # --------------------------------------------------------------------------
@@ -256,16 +256,17 @@ def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class OpenCheck:
-    ok: bool
+    """Outcome of an openness check: open exactly when no reason is given."""
+
     reason: str | None = None  # "TraceNotOpen", "MissingTail" or "RemainderNotCompact"
     component: int | None = None
     boundary: Fraction | None = None  # a point of the trace where TraceNotOpen fails
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason is None
 
 
-OPEN_OK = OpenCheck(True)
+OPEN_OK = OpenCheck()
 
 
 def trace_open_check(trace: IntervalSet, x: IntervalSet) -> OpenCheck:
@@ -274,8 +275,8 @@ def trace_open_check(trace: IntervalSet, x: IntervalSet) -> OpenCheck:
     try:
         bad = not_interior_in(trace, x)
     except NotASubset:
-        return OpenCheck(False, "TraceNotOpen", boundary=pick_point(difference(trace, x)))
-    return OpenCheck(False, "TraceNotOpen", boundary=pick_point(bad)) if bad else OPEN_OK
+        return OpenCheck("TraceNotOpen", boundary=pick_point(difference(trace, x)))
+    return OpenCheck("TraceNotOpen", boundary=pick_point(bad)) if bad else OPEN_OK
 
 
 def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None:
@@ -336,7 +337,7 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
         return chk
     for i, piece in enumerate(_escape_pieces(ext, u.trace)):
         if piece is None:
-            return OpenCheck(False, "MissingTail", i)
+            return OpenCheck("MissingTail", i)
     return OPEN_OK
 
 
@@ -434,7 +435,6 @@ class DensityCertificate:
     Every point of the base lies in the base, so density is a claim about
     the neighborhoods of the extra point alone."""
 
-    samples: int
     neighborhoods: tuple[TypeII, ...]
 
 
@@ -449,7 +449,7 @@ def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityC
 
     rng = random.Random(seed)
     neighborhoods = tuple(random_p_neighborhood(ext, rng) for _ in range(samples))
-    cert = DensityCertificate(samples, neighborhoods)
+    cert = DensityCertificate(neighborhoods)
     if not verify_density(ext, cert):
         raise DensityFailure("density certificate failed its own verification")
     return cert
@@ -464,9 +464,9 @@ def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FidelityCertificate:
-    """Sampled opens showing the base is an honest subspace of the extension."""
+    """Sampled opens showing the base is an honest subspace of the extension:
+    one extension open and one base open per sample."""
 
-    samples: int
     extension_opens: tuple[ExtOpenSet, ...]
     base_opens: tuple[IntervalSet, ...]
 
@@ -481,13 +481,15 @@ def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> Fide
     rng = random.Random(seed)
     ups = tuple(random_ext_open(ext, rng) for _ in range(samples))
     downs = tuple(random_open_in(ext.space.ambient, rng) for _ in range(samples))
-    cert = FidelityCertificate(samples, ups, downs)
+    cert = FidelityCertificate(ups, downs)
     if not verify_fidelity(ext, cert):
         raise FidelityFailure("fidelity certificate failed its own verification")
     return cert
 
 
 def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
+    if len(cert.extension_opens) != len(cert.base_opens):
+        return False
     for u in cert.extension_opens:
         if not _open_as_declared(ext, u):
             return False

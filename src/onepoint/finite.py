@@ -66,16 +66,13 @@ def validate_topology(size: int, family) -> bool:
 class Preorder:
     """Reflexive transitive relation; up[i] is the mask of successors of i."""
 
-    size: int
     up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.up) != self.size:
-            raise ParseError("one successor mask per point")
         for i, ui in enumerate(self.up):
             if not (ui >> i) & 1:
                 raise ParseError("preorders are reflexive")
-            for j in range(self.size):
+            for j in range(len(self.up)):
                 if (ui >> j) & 1 and (self.up[j] | ui) != ui:
                     raise ParseError("preorders are transitive")
 
@@ -91,7 +88,7 @@ def minimal_open(space: FiniteSpace, x: int) -> int:
 
 def to_preorder(space: FiniteSpace) -> Preorder:
     """Specialization: x below y iff every open containing x contains y."""
-    return Preorder(space.size, tuple(minimal_open(space, x) for x in range(space.size)))
+    return Preorder(tuple(minimal_open(space, x) for x in range(space.size)))
 
 
 def from_preorder(p: Preorder) -> FiniteSpace:
@@ -102,15 +99,16 @@ def from_preorder(p: Preorder) -> FiniteSpace:
     stays inside it.
     """
     up = p.up
-    reach = [0] * (1 << p.size)
+    n = len(up)
+    reach = [0] * (1 << n)
     opens = [0]
-    for mask in range(1, 1 << p.size):
+    for mask in range(1, 1 << n):
         low = mask & -mask
         r = reach[mask ^ low] | up[low.bit_length() - 1]
         reach[mask] = r
         if r == mask:
             opens.append(mask)
-    return FiniteSpace(p.size, frozenset(opens))
+    return FiniteSpace(n, frozenset(opens))
 
 
 def _family_enumeration(n: int):
@@ -133,14 +131,14 @@ def _preorder_enumeration(n: int):
     is kept when every earlier point in it brings its whole row.
     """
     if n == 0:
-        yield Preorder(0, ())
+        yield Preorder(())
         return
     rows: list[int] = []
     full = (1 << n) - 1
 
     def extend(i: int):
         if i == n:
-            yield Preorder(n, tuple(rows))
+            yield Preorder(tuple(rows))
             return
         bit = 1 << i
         cap = full
@@ -374,8 +372,7 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     satisfy the axiom, in the lexicographic order of their preorder rows.
     The extra point always carries the last label.
     """
-    m = x.size + 1
-    if m > MAX_SEARCH_POINTS:
+    if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
     up = to_preorder(x).up
     prefix = x.full
@@ -389,7 +386,7 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
                 continue
             rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
             rows += (a | p_bit,)
-            t = from_preorder(Preorder(m, rows))
+            t = from_preorder(Preorder(rows))
             if not is_dense(t, prefix):
                 continue
             if not _is_connected(t):

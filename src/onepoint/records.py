@@ -65,7 +65,7 @@ def fmt_verdict(v: Verdict) -> list[str]:
 
 def fmt_compact_verdict(space: Space, v: CompactVerdict) -> list[str]:
     if isinstance(v, CompactRefused):
-        return [f"Refused space={space.ambient} reason={v.reason}"]
+        return [f"Refused space={space.ambient} reason=space-already-compact"]
     return [f"compact_extension base={space.ambient}"]
 
 
@@ -99,14 +99,14 @@ def fmt_connectedness(ext: Extension, cert: ConnectednessCertificate) -> list[st
 
 
 def fmt_density(cert: DensityCertificate) -> list[str]:
-    lines = [f"certificate density samples={cert.samples}"]
+    lines = [f"certificate density samples={len(cert.neighborhoods)}"]
     for k, nb in enumerate(cert.neighborhoods, 1):
         lines.append(f"step {k} tails={fmt_tails(nb)} trace={nb.trace} nonempty={_flag(bool(nb.trace))}")
     return lines
 
 
 def fmt_fidelity(cert: FidelityCertificate) -> list[str]:
-    lines = [f"certificate fidelity samples={cert.samples}"]
+    lines = [f"certificate fidelity samples={len(cert.extension_opens)}"]
     for k, u in enumerate(cert.extension_opens, 1):
         lines.append(f"step {k} down {fmt_open(u)}")
     for k, w in enumerate(cert.base_opens, 1):

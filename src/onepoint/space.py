@@ -25,6 +25,7 @@ from .intervals import (
     _mk_interval,
     _mk_set,
     _starts_before,
+    inner_point,
     intersect,
     is_closed_in,
     is_finite,
@@ -138,7 +139,7 @@ def local_connectedness_certificate(space: Space) -> LocalConnectednessCertifica
         elif not p.lo_closed:
             w_lo = p.lo
         else:
-            w_lo = p.lo - 1
+            w_lo = inner_point(NEG_INF, p.lo)  # one unit below
         if not is_finite(p.hi):
             w_hi: object = POS_INF
         elif i + 1 < len(pieces):
@@ -146,8 +147,8 @@ def local_connectedness_certificate(space: Space) -> LocalConnectednessCertifica
         elif not p.hi_closed:
             w_hi = p.hi
         else:
-            w_hi = p.hi + 1
-        entries.append((comp, Interval(w_lo, w_hi, False, False)))
+            w_hi = inner_point(p.hi, POS_INF)  # one unit above
+        entries.append((comp, _mk_interval(w_lo, w_hi, False, False)))
     return LocalConnectednessCertificate(tuple(entries))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -63,15 +64,18 @@ from onepoint import (
 from onepoint.compactify import (
     INFINITY,
     CompactExtension,
+    CompactRefused,
     compactification_hausdorff_witness,
     compactify,
 )
 from onepoint.connectify import (
     ConnectednessCertificate,
     ConnectednessStep,
+    OpenCheck,
     _escape_piece,
     _least_tail,
 )
+from onepoint.finite import Preorder
 from onepoint.intervals import closure_in, difference, is_finite, only, pick_point, union
 from onepoint.sampling import (
     clopen_candidates,
@@ -80,6 +84,7 @@ from onepoint.sampling import (
     random_point_in,
     random_real_open,
 )
+from onepoint.records import fmt_check
 from onepoint.space import component_index
 
 S = parse_set
@@ -324,7 +329,7 @@ def test_density_examples():
     for text in ["(0,1)", "[5,inf)", "(0,1) U (2,3) U [5,inf)"]:
         ext = ext_of(text)
         cert = density_check(ext, samples=100)
-        assert cert.samples == 100
+        assert len(cert.neighborhoods) == 100
         assert verify_density(ext, cert)
 
 
@@ -341,7 +346,40 @@ def test_fidelity_rejects_declared_tails_that_do_not_fit():
     forged = TypeII(S("(21,inf)"), (0,))
     assert is_open_in(forged.trace, ext.space.ambient)
     assert not declared_tails_hold(ext, forged)
-    assert not verify_fidelity(ext, FidelityCertificate(1, (forged,), ()))
+    base_open = S("(6,7)")
+    assert verify_fidelity(ext, FidelityCertificate((TypeI(base_open),), (base_open,)))
+    assert not verify_fidelity(ext, FidelityCertificate((forged,), (base_open,)))
+
+
+def test_fidelity_rejects_halves_of_unequal_length():
+    ext = ext_of("(0,1) U [5,inf)")
+    cert = subspace_fidelity(ext, samples=3)
+    assert verify_fidelity(ext, cert)
+    for ups, downs in (
+        (cert.extension_opens, cert.base_opens[:1]),
+        (cert.extension_opens[:1], cert.base_opens),
+        (cert.extension_opens, ()),
+    ):
+        assert not verify_fidelity(ext, FidelityCertificate(ups, downs))
+
+
+def test_derivable_fields_are_not_passed_in():
+    """A certificate's sample count, a filter's end, a check's outcome, a
+    refusal's reason and a preorder's size are worked out, never passed in."""
+
+    def settable(cls):
+        return [f.name for f in fields(cls) if f.init]
+
+    assert settable(DensityCertificate) == ["neighborhoods"]
+    assert settable(FidelityCertificate) == ["extension_opens", "base_opens"]
+    assert settable(EscapeFilter) == ["component", "side", "anchor"]
+    assert settable(OpenCheck) == ["reason", "component", "boundary"]
+    assert settable(CompactRefused) == [] and settable(Preorder) == ["up"]
+    (c,) = components(Space(S("(0,1)")))
+    with pytest.raises(TypeError):
+        EscapeFilter(c, 1, Fraction(1), Fraction(1, 2))
+    assert EscapeFilter(c, -1, Fraction(1, 2)).end == 0
+    assert OpenCheck() and not OpenCheck("MissingTail", 0)
 
 
 def test_connectedness_certificate():
@@ -414,7 +452,7 @@ def test_open_check_boundary_matches_reference(extensions):
                 trace = intersect(trace, x)
             chk = is_open_in_extension(ext, TypeI(trace))
             assert chk.boundary == reference_openness_boundary(x, trace)
-            assert chk.ok == (chk.boundary is None)
+            assert bool(chk) == (chk.boundary is None)
         for cand in clopen_candidates(ext, rng, 10):
             out = clopen_falsifier(ext, cand)
             if isinstance(out, NotClopenEvidence) and out.reason == "TraceNotOpen":
@@ -595,7 +633,7 @@ def test_verifiers_are_total_on_malformed_tails():
         assert not verify_normality(ext, f, g, forged, nv)
         assert not verify_normality(ext, g, f, nv, forged)
         cert = density_check(ext, 2, 0)
-        forged_cert = type(cert)(2, (cert.neighborhoods[0], TypeII(u.trace, tails)))
+        forged_cert = type(cert)((cert.neighborhoods[0], TypeII(u.trace, tails)))
         assert not verify_density(ext, forged_cert)
 
 
@@ -728,13 +766,13 @@ def test_verifiers_never_build_a_declared_tail(monkeypatch):
         assert verify_hausdorff(ext, P, Fraction(20), w, v) == ok
         assert verify_hausdorff(ext, Fraction(20), P, v, w) == ok
         assert verify_normality(ext, f, g, w, around_g) == ok
-        assert verify_density(ext, DensityCertificate(1, (w,))) == ok
+        assert verify_density(ext, DensityCertificate((w,))) == ok
     # tails that fit do not make a trace open: 21 is not interior to [21,inf)
     w = TypeII(S("(0,1) U [21,inf)"), (0, 10**10))
     assert declared_tails_hold(ext, w)
     assert not verify_hausdorff(ext, P, Fraction(20), w, v)
     assert not verify_normality(ext, f, g, w, around_g)
-    assert not verify_density(ext, DensityCertificate(1, (w,)))
+    assert not verify_density(ext, DensityCertificate((w,)))
 
 
 def reference_hausdorff_from_p(ext, z):
@@ -906,7 +944,7 @@ FRACTION_OPERATORS = [
 
 
 def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
-    """Parsing, verdicts, filter starts, tail indices, the sampled
+    """Parsing, verdicts, check records, filter starts, tail indices, the sampled
     certificates and their samplers, Hausdorff witnesses in the extension and
     in the compactification, and set difference answer with every Fraction
     arithmetic operator disabled, and answer as before."""
@@ -928,7 +966,7 @@ def test_endpoint_arithmetic_needs_no_fraction_operator(corpus200, monkeypatch):
         out = []
         for seed, (space, points, traces, comp_points) in enumerate(inputs):
             verdict = check_connectifiable(space)
-            out.append((parse_set(str(space)), verdict))
+            out.append((parse_set(str(space)), verdict, fmt_check(space)))
             ce = compactify(space)
             if isinstance(ce, CompactExtension):
                 out.append([compactification_hausdorff_witness(ce, INFINITY, z) for z in comp_points])

@@ -121,8 +121,8 @@ def reference_opens(p):
     """The open scan as it was: every mask against every point's row."""
     return frozenset(
         mask
-        for mask in range(1 << p.size)
-        if all(not (mask >> x) & 1 or (p.up[x] | mask) == mask for x in range(p.size))
+        for mask in range(1 << len(p.up))
+        if all(not (mask >> x) & 1 or (p.up[x] | mask) == mask for x in range(len(p.up)))
     )
 
 

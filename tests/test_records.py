@@ -5,6 +5,8 @@ import pytest
 from onepoint import (
     EMPTY,
     Connectifiable,
+    DensityCertificate,
+    FidelityCertificate,
     InvalidExtension,
     P,
     Space,
@@ -16,14 +18,18 @@ from onepoint import (
     hausdorff_witness,
     parse_set,
     subspace_fidelity,
+    verify_density,
+    verify_fidelity,
 )
 from onepoint.connectify import ConnectednessCertificate, ConnectednessStep
+from onepoint.intervals import fmt_value, is_finite
 from onepoint.records import (
     fmt_check,
     fmt_connectedness,
     fmt_density,
     fmt_falsifier_outcome,
     fmt_fidelity,
+    fmt_filter,
     fmt_open,
     fmt_verdict,
     fmt_witness_pair,
@@ -72,6 +78,40 @@ def test_certificate_records_stable():
     f1 = fmt_fidelity(subspace_fidelity(ext, samples=5))
     f2 = fmt_fidelity(subspace_fidelity(ext, samples=5))
     assert f1 == f2 and len(f1) == 11
+
+
+def test_sample_headers_count_the_steps(extensions):
+    for seed, ext in enumerate(extensions[:40]):
+        density = density_check(ext, 1 + seed % 4, seed)
+        fidelity = subspace_fidelity(ext, 1 + seed % 3, seed)
+        for cert in (density, DensityCertificate(density.neighborhoods[:1])):
+            assert verify_density(ext, cert)
+            lines = fmt_density(cert)
+            assert lines[0] == f"certificate density samples={len(lines) - 1}"
+        half = FidelityCertificate(fidelity.extension_opens[:1], fidelity.base_opens[:1])
+        for cert in (fidelity, half):
+            assert verify_fidelity(ext, cert)
+            lines = fmt_fidelity(cert)
+            downs = sum(" down " in line for line in lines)
+            ups = sum(" up " in line for line in lines)
+            assert downs == ups == len(lines) // 2
+            assert lines[0] == f"certificate fidelity samples={downs}"
+
+
+def test_filter_records_name_the_components_own_end(extensions):
+    count = 0
+    for ext in extensions:
+        for f in ext.filters:
+            piece = f.component.piece
+            end, closed = (piece.hi, piece.hi_closed) if f.side > 0 else (piece.lo, piece.lo_closed)
+            assert not closed
+            if is_finite(end):
+                way = f"{'open_right' if f.side > 0 else 'open_left'}({fmt_value(end)})"
+            else:
+                way = "pos_inf" if f.side > 0 else "neg_inf"
+            assert fmt_filter(f) == f"filter {f.component} dir={way} anchor={fmt_value(f.anchor)}"
+            count += 1
+    assert count > 300
 
 
 def test_falsifier_record_lines():
