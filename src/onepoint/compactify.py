@@ -60,7 +60,7 @@ CompOpenSet = TypeI | TypeInf
 def comp_contains(u: CompOpenSet, pt: CompPoint) -> bool:
     if pt is INFINITY:
         return isinstance(u, TypeInf)
-    return (pt if type(pt) is Fraction else Fraction(pt)) in u.trace
+    return pt in u.trace
 
 
 def is_open_in_compactification(ce: CompactExtension, u: CompOpenSet) -> OpenCheck:

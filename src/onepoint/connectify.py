@@ -45,6 +45,7 @@ from .intervals import (
     _lt,
     _mk_interval,
     _mk_set,
+    as_point,
     difference,
     inner_point,
     intersect,
@@ -135,7 +136,7 @@ class EscapeFilter:
 
     def avoid_index(self, z) -> int:
         """Least n with z outside element(n)."""
-        z = Fraction(z)
+        z = as_point(z)
         if not self.component.piece.contains(z):
             raise PointOutsideComponent(f"{z} is not in {self.component.piece}")
         return self._index_past(z, False)
@@ -246,7 +247,7 @@ def check_connectifiable(space: Space) -> Verdict:
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
     if pt is P:
         return isinstance(u, TypeII)
-    return (pt if type(pt) is Fraction else Fraction(pt)) in u.trace
+    return pt in u.trace
 
 
 # --------------------------------------------------------------------------
@@ -447,6 +448,8 @@ def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityC
     """
     from .sampling import random_p_neighborhood
 
+    if samples < 1:
+        raise ValueError("a certificate needs at least one sample")
     rng = random.Random(seed)
     neighborhoods = tuple(random_p_neighborhood(ext, rng) for _ in range(samples))
     cert = DensityCertificate(neighborhoods)
@@ -456,6 +459,8 @@ def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityC
 
 
 def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
+    if not cert.neighborhoods:
+        return False
     for nb in cert.neighborhoods:
         if not nb.trace or not _open_as_declared(ext, nb):
             return False
@@ -478,6 +483,8 @@ def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> Fide
     """
     from .sampling import random_ext_open, random_open_in
 
+    if samples < 1:
+        raise ValueError("a certificate needs at least one sample")
     rng = random.Random(seed)
     ups = tuple(random_ext_open(ext, rng) for _ in range(samples))
     downs = tuple(random_open_in(ext.space.ambient, rng) for _ in range(samples))
@@ -488,7 +495,7 @@ def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> Fide
 
 
 def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
-    if len(cert.extension_opens) != len(cert.base_opens):
+    if not cert.extension_opens or len(cert.extension_opens) != len(cert.base_opens):
         return False
     for u in cert.extension_opens:
         if not _open_as_declared(ext, u):
@@ -615,11 +622,11 @@ def separate_points(space: Space, added: NamedPoint, from_added, y, z):
     if y is added and z is added:
         raise EqualPoints(f"both points are {added}")
     if y is added:
-        return from_added(Fraction(z))
+        return from_added(as_point(z))
     if z is added:
-        u_added, v_y = from_added(Fraction(y))
+        u_added, v_y = from_added(as_point(y))
         return v_y, u_added
-    u, v = split_points(space, Fraction(y), Fraction(z))
+    u, v = split_points(space, as_point(y), as_point(z))
     return TypeI(u), TypeI(v)
 
 

@@ -5,9 +5,9 @@ corresponds to a preorder through specialization; the module carries both
 views plus two independent enumerators so they can cross-check each other.
 The preorder walk fills the rows in order and bounds row i by the AND of the
 earlier rows that hold i (transitivity), so it visits only the submasks of
-that bound.  The connectification search builds each one-point extension of
-a base from an (up-set, down-set) pair of its preorder rather than scanning
-every topology on one more point.
+that bound.  The connectification search reads each one-point extension of a
+base straight off the base's opens, one per (up-set, down-set) pair of the
+new point, rather than scanning every topology on one more point.
 """
 
 from __future__ import annotations
@@ -69,26 +69,30 @@ class Preorder:
     up: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        n = len(self.up)
         for i, ui in enumerate(self.up):
+            if ui >> n:
+                raise ParseError(f"preorder row {i} ({ui}) holds points outside 0..{n - 1}")
             if not (ui >> i) & 1:
                 raise ParseError("preorders are reflexive")
-            for j in range(len(self.up)):
+            for j in range(n):
                 if (ui >> j) & 1 and (self.up[j] | ui) != ui:
                     raise ParseError("preorders are transitive")
 
 
-def minimal_open(space: FiniteSpace, x: int) -> int:
-    """Intersection of all opens containing x (open, finitely many opens)."""
+def least_open(space: FiniteSpace, mask: int) -> int:
+    """Intersection of all opens holding the masked points (open, finitely
+    many opens); for one point x, its minimal open."""
     m = space.full
     for o in space.opens:
-        if (o >> x) & 1:
+        if (o | mask) == o:
             m &= o
     return m
 
 
 def to_preorder(space: FiniteSpace) -> Preorder:
     """Specialization: x below y iff every open containing x contains y."""
-    return Preorder(tuple(minimal_open(space, x) for x in range(space.size)))
+    return Preorder(tuple(least_open(space, 1 << x) for x in range(space.size)))
 
 
 def from_preorder(p: Preorder) -> FiniteSpace:
@@ -254,17 +258,10 @@ def _is_locally_connected(s: FiniteSpace) -> bool:
 
 
 def _is_normal_pairs(s: FiniteSpace) -> bool:
-    opens = sorted(s.opens)
-    closeds = [s.full ^ o for o in opens]
-    for fc in closeds:
-        for gc in closeds:
-            if fc & gc:
-                continue
-            if not any(
-                (fc | u) == u and (gc | v) == v and not u & v for u in opens for v in opens
-            ):
-                return False
-    return True
+    """Disjoint closed sets lie in disjoint opens exactly when their least
+    opens, which lie inside any other opens holding them, are disjoint."""
+    least = {c: least_open(s, c) for c in (s.full ^ o for o in s.opens)}
+    return not any(least[f] & least[g] for f in least for g in least if not f & g)
 
 
 _AXIOM_CHECKS = {
@@ -277,11 +274,15 @@ _AXIOM_CHECKS = {
 }
 
 
-def check_axiom(space: FiniteSpace, axiom: str) -> bool:
+def _axiom_check(axiom: str):
     fn = _AXIOM_CHECKS.get(axiom)
     if fn is None:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {', '.join(AXIOMS)}")
-    return fn(space)
+    return fn
+
+
+def check_axiom(space: FiniteSpace, axiom: str) -> bool:
+    return _axiom_check(axiom)(space)
 
 
 # --------------------------------------------------------------------------
@@ -367,33 +368,30 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 
     An extension of x by a point p is fixed by the open A of points above p
     and the closed B of points below p, with every point of B below every
-    point of A; its subspace on the original points is x by construction.
-    Keeps the extensions in which x is dense, that are connected, and that
-    satisfy the axiom, in the lexicographic order of their preorder rows.
-    The extra point always carries the last label.
+    point of A.  Its opens are those of x missing B, plus p added to those
+    holding A, so its subspace on the original points is x.  x is dense
+    exactly when {p} is not open, that is when A is not empty.  Keeps the
+    extensions that are connected and satisfy the axiom, in the
+    lexicographic order of their preorder rows.  The extra point always
+    carries the last label.
     """
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
+    satisfies = _axiom_check(axiom)
     up = to_preorder(x).up
-    prefix = x.full
     p_bit = 1 << x.size
     found = []
-    for a in x.opens:
+    for a in x.opens - {0}:
         below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
+        with_p = frozenset(o | p_bit for o in x.opens if (o | a) == o)
         for o in x.opens:
-            b = prefix ^ o
+            b = x.full ^ o
             if b & ~below_a:
                 continue
-            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
-            rows += (a | p_bit,)
-            t = from_preorder(Preorder(rows))
-            if not is_dense(t, prefix):
-                continue
-            if not _is_connected(t):
-                continue
-            if not check_axiom(t, axiom):
-                continue
-            found.append((rows, t))
+            t = FiniteSpace(x.size + 1, frozenset(u for u in x.opens if not u & b) | with_p)
+            if _is_connected(t) and satisfies(t):
+                rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
+                found.append((rows + (a | p_bit,), t))
     found.sort(key=lambda pair: pair[0])
     return [t for _, t in found]
 

@@ -48,6 +48,17 @@ def _coerce_value(v: object) -> Value:
     raise MalformedInterval(f"not a rational endpoint: {v!r}")
 
 
+def as_point(q: object) -> Fraction:
+    """A point of the line as a plain `Fraction`: the one rule for every
+    point argument.  Only ints and `Fraction`s are points; a plain `Fraction`
+    comes back as it is."""
+    if type(q) is Fraction:
+        return q
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise TypeError(f"membership is decided for rationals, not {q!r}")
+    return Fraction(q)
+
+
 def _frac(n: int, d: int) -> Fraction:
     """The plain `Fraction` n/d in lowest terms; d must be positive.
 
@@ -115,28 +126,17 @@ class Interval:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _coerce_value(self.lo))
         object.__setattr__(self, "hi", _coerce_value(self.hi))
-        if isinstance(self.lo, float) and self.lo == POS_INF:
-            raise MalformedInterval("lower endpoint cannot be +inf")
-        if isinstance(self.hi, float) and self.hi == NEG_INF:
-            raise MalformedInterval("upper endpoint cannot be -inf")
-        if (isinstance(self.lo, float) and self.lo_closed) or (
-            isinstance(self.hi, float) and self.hi_closed
-        ):
-            raise MalformedInterval("infinite endpoints are never included")
-        if _lt(self.hi, self.lo):
-            raise MalformedInterval(
-                f"empty interval: {fmt_value(self.lo)} above {fmt_value(self.hi)}"
-            )
-        if _eq(self.lo, self.hi) and not (self.lo_closed and self.hi_closed):
-            raise MalformedInterval("degenerate interval must include both endpoints")
+        fault = _interval_fault(self.lo, self.hi, self.lo_closed, self.hi_closed)
+        if fault:
+            raise MalformedInterval(fault)
 
     @property
     def degenerate(self) -> bool:
         return _eq(self.lo, self.hi)
 
     def contains(self, q: Fraction) -> bool:
-        if type(q) is not Fraction:
-            q = Fraction(q)
+        if type(q) is not Fraction:  # runs once per piece of a set: skip the call
+            q = as_point(q)
         above = _lt(self.lo, q) or (self.lo_closed and _eq(q, self.lo))
         return above and (_lt(q, self.hi) or (self.hi_closed and _eq(q, self.hi)))
 
@@ -147,6 +147,21 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{fmt_value(self.lo)},{fmt_value(self.hi)}{right}"
+
+
+def _interval_fault(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> str | None:
+    """Why coerced endpoints make no interval, or None when they do."""
+    if isinstance(lo, float) and lo == POS_INF:
+        return "lower endpoint cannot be +inf"
+    if isinstance(hi, float) and hi == NEG_INF:
+        return "upper endpoint cannot be -inf"
+    if (isinstance(lo, float) and lo_closed) or (isinstance(hi, float) and hi_closed):
+        return "infinite endpoints are never included"
+    if _lt(hi, lo):
+        return f"empty interval: {fmt_value(lo)} above {fmt_value(hi)}"
+    if _eq(lo, hi) and not (lo_closed and hi_closed):
+        return "degenerate interval must include both endpoints"
+    return None
 
 
 def _mk_interval(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> Interval:
@@ -191,10 +206,7 @@ class IntervalSet:
         return bool(self.pieces)
 
     def __contains__(self, q: object) -> bool:
-        if type(q) is not Fraction:
-            if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
-                raise TypeError(f"membership is decided for rationals, not {q!r}")
-            q = Fraction(q)
+        q = as_point(q)
         return any(iv.contains(q) for iv in self.pieces)
 
     def issubset(self, other: IntervalSet) -> bool:
@@ -522,12 +534,11 @@ def parse_set(text: str) -> IntervalSet:
         if m is None:
             raise ParseError(f"bad interval syntax: {part.strip()!r}")
         lo_b, lo_t, hi_t, hi_b = m.groups()
-        try:
-            intervals.append(
-                Interval(_parse_endpoint(lo_t), _parse_endpoint(hi_t), lo_b == "[", hi_b == "]")
-            )
-        except MalformedInterval as exc:
-            raise ParseError(str(exc)) from exc
+        ends = (_parse_endpoint(lo_t), _parse_endpoint(hi_t), lo_b == "[", hi_b == "]")
+        fault = _interval_fault(*ends)
+        if fault:
+            raise ParseError(fault)
+        intervals.append(_mk_interval(*ends))
     return normalize(intervals)
 
 

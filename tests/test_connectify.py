@@ -65,6 +65,7 @@ from onepoint.compactify import (
     INFINITY,
     CompactExtension,
     CompactRefused,
+    comp_contains,
     compactification_hausdorff_witness,
     compactify,
 )
@@ -361,6 +362,19 @@ def test_fidelity_rejects_halves_of_unequal_length():
         (cert.extension_opens, ()),
     ):
         assert not verify_fidelity(ext, FidelityCertificate(ups, downs))
+
+
+def test_certificates_are_never_empty():
+    ext = ext_of("(0,1) U [5,inf)")
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            density_check(ext, samples)
+        with pytest.raises(ValueError, match="at least one sample"):
+            subspace_fidelity(ext, samples)
+    assert not verify_density(ext, DensityCertificate(()))
+    assert not verify_fidelity(ext, FidelityCertificate((), ()))
+    assert verify_density(ext, density_check(ext, 1))
+    assert verify_fidelity(ext, subspace_fidelity(ext, 1))
 
 
 def test_derivable_fields_are_not_passed_in():
@@ -679,6 +693,34 @@ def test_membership_coerces_only_non_fractions(monkeypatch):
     q = Fraction(20)
     monkeypatch.setattr(Fraction, "__new__", no_copies)
     assert q in v.trace and ext_contains(v, q) and not ext_contains(u, q)
+
+
+def test_every_point_entry_takes_the_membership_rule():
+    """Only ints and Fractions are points, wherever a point is passed in."""
+    ext = ext_of("(0,inf)")
+    flt = ext.filters[0]
+    ce = compactify(Space(S("(0,inf)")))
+    u, v = hausdorff_witness(ext, P, Fraction(20))
+    entries = (
+        lambda q: flt.component.piece.contains(q),
+        lambda q: q in v.trace,
+        lambda q: ext_contains(v, q),
+        lambda q: flt.avoid_index(q),
+        lambda q: hausdorff_witness(ext, P, q),
+        lambda q: hausdorff_witness(ext, q, P),
+        lambda q: hausdorff_witness(ext, q, Fraction(30)),
+        lambda q: hausdorff_witness(ext, Fraction(30), q),
+        lambda q: compactification_hausdorff_witness(ce, q, INFINITY),
+        lambda q: compactification_hausdorff_witness(ce, INFINITY, q),
+        lambda q: comp_contains(TypeI(S("(1,30)")), q),
+    )
+    for entry in entries:
+        for bad in (True, 0.5, "1/2", "1e200000"):
+            with pytest.raises(TypeError):
+                entry(bad)
+        assert entry(20) == entry(Fraction(20))
+    assert ext_contains(v, 20) and not ext_contains(u, 20)
+    assert flt.avoid_index(20) == flt.avoid_index(Fraction(20)) > 0
 
 
 def test_malformed_tails_are_input_errors():

@@ -6,6 +6,7 @@ from onepoint import (
     AXIOMS,
     FiniteSpace,
     ParseError,
+    Preorder,
     SizeTooLarge,
     check_axiom,
     components_exhaustive,
@@ -21,6 +22,7 @@ from onepoint import (
     topology_literal,
     validate_topology,
 )
+from onepoint import finite
 from onepoint.finite import _preorder_enumeration
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
@@ -145,6 +147,13 @@ def test_range_check_runs_on_every_space():
         FiniteSpace(2, frozenset({-1, 0, 3}))
 
 
+def test_preorder_rows_stay_inside_the_points():
+    for rows, bad in (((0b111,), 0), ((0b1, 0b10, 0b1100), 2), ((-1,), 0)):
+        with pytest.raises(ParseError, match=rf"^preorder row {bad} \("):
+            Preorder(rows)
+    assert Preorder((0b11, 0b10)).up == (0b11, 0b10)
+
+
 def test_size_limits():
     with pytest.raises(SizeTooLarge):
         list(enumerate_topologies(5, "family"))
@@ -174,6 +183,36 @@ def test_axiom_examples():
 
     with pytest.raises(ValueError):
         check_axiom(d3, "T9")
+
+
+def test_search_looks_the_axiom_up_first():
+    # A search with no candidate still rejects an unknown axiom name.
+    for x in (FiniteSpace(0, frozenset({0})), discrete(2)):
+        with pytest.raises(ValueError, match="^unknown axiom 'bogus'; choose from T0, "):
+            search_one_point_connectifications(x, "bogus")
+
+
+def reference_normal_pairs(s):
+    """The normal-pairs check as it was: every pair of opens for every pair
+    of disjoint closed sets."""
+    opens = sorted(s.opens)
+    closeds = [s.full ^ o for o in opens]
+    return all(
+        any((f | u) == u and (g | v) == v and not u & v for u in opens for v in opens)
+        for f in closeds
+        for g in closeds
+        if not f & g
+    )
+
+
+def test_normal_pairs_matches_reference():
+    seen = {True: 0, False: 0}
+    for n in range(5):
+        for t in enumerate_topologies(n, "preorder"):
+            got = check_axiom(t, "normal-pairs")
+            assert got == reference_normal_pairs(t), topology_literal(t)
+            seen[got] += 1
+    assert seen[True] and seen[False]
 
 
 def test_every_finite_space_locally_connected():
@@ -246,6 +285,44 @@ def test_search_positive_control():
     # the 1-point space has a connected T0 extension (Sierpinski itself)
     found = search_one_point_connectifications(discrete(1), "T0")
     assert found
+
+
+def reference_extensions(x):
+    """Every (A, B) candidate of the search as it was built: a preorder with
+    the new point above B and below A, its opens from that preorder, and
+    density asked of the result.  Yields (rows, A, extension, dense)."""
+    up = to_preorder(x).up
+    p_bit = 1 << x.size
+    for a in sorted(x.opens):
+        below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
+        for o in sorted(x.opens):
+            b = x.full ^ o
+            if b & ~below_a:
+                continue
+            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
+            rows += (a | p_bit,)
+            t = from_preorder(Preorder(rows))
+            yield rows, a, t, is_dense(t, x.full)
+
+
+def test_search_candidates_match_preorder_construction(monkeypatch):
+    """With the connectedness and axiom filters switched off, the search
+    returns exactly the dense candidates of the preorder construction, and
+    density is A != 0 on every candidate."""
+    monkeypatch.setattr(finite, "_is_connected", lambda t: True)
+    monkeypatch.setitem(finite._AXIOM_CHECKS, "any", lambda t: True)
+    bases = pairs = empty_a = 0
+    for n in range(5):
+        for x in enumerate_topologies(n, "preorder"):
+            bases += 1
+            ref = sorted(reference_extensions(x), key=lambda c: c[0])
+            for _, a, _, dense in ref:
+                assert dense == (a != 0), topology_literal(x)
+            pairs += len(ref)
+            empty_a += sum(a == 0 for _, a, _, _ in ref)
+            want = [t for _, _, t, dense in ref if dense]
+            assert search_one_point_connectifications(x, "any") == want, topology_literal(x)
+    assert (bases, pairs, empty_a) == (390, 7331, 2483)
 
 
 # --------------------------------------------------------------------------

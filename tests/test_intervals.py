@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -488,6 +489,28 @@ def test_parse_rejects_bad_syntax():
     for bad in ["", "(0,1", "[inf,2]", "(2,1)", "(0,0)", "(0.5,1)", "(1/0,2)", "foo"]:
         with pytest.raises(ParseError):
             S(bad)
+
+
+def test_parse_set_checks_intervals_like_the_constructor(monkeypatch):
+    """One check serves both: the same texts, as ParseError from parse_set
+    and MalformedInterval from Interval(...); parsing builds no checked
+    Interval and converts no exception."""
+    cases = [
+        ("(inf,2)", (POS_INF, 2), "lower endpoint cannot be +inf"),
+        ("(0,-inf)", (0, NEG_INF), "upper endpoint cannot be -inf"),
+        ("[-inf,0)", (NEG_INF, 0, True), "infinite endpoints are never included"),
+        ("(2,1/2)", (2, Fraction(1, 2)), "empty interval: 2 above 1/2"),
+        ("(0,0]", (0, 0, False, True), "degenerate interval must include both endpoints"),
+    ]
+    for text, args, message in cases:
+        with pytest.raises(MalformedInterval, match=f"^{re.escape(message)}$"):
+            Interval(*args)
+    monkeypatch.setattr(Interval, "__post_init__", lambda self: pytest.fail("checked twice"))
+    for text, _, message in cases:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
+            S(text)
+        assert exc.value.__cause__ is None and exc.value.__context__ is None
+    assert str(S("(0,1) U [2,2] U (3,inf)")) == "(0,1) U [2,2] U (3,inf)"
 
 
 def test_parse_point():
