@@ -8,6 +8,12 @@ earlier rows that hold i (transitivity), so it visits only the submasks of
 that bound.  The connectification search reads each one-point extension of a
 base straight off the base's opens, one per (up-set, down-set) pair of the
 new point, rather than scanning every topology on one more point.
+
+A point's least open is its preorder row, so the axioms are decided from the
+rows: T0 means distinct rows, T1 means each row is the point alone, T2 means
+pairwise disjoint rows, and locally connected means every row is a connected
+subset.  Normal-pairs compares the least opens of disjoint closed sets, and
+connectedness stays a literal scan of the opens.
 """
 
 from __future__ import annotations
@@ -69,15 +75,20 @@ class Preorder:
     up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.up)
-        for i, ui in enumerate(self.up):
+        up = self.up
+        n = len(up)
+        for i, ui in enumerate(up):
+            # The range check comes first: a negative row has endless set bits.
             if ui >> n:
                 raise ParseError(f"preorder row {i} ({ui}) holds points outside 0..{n - 1}")
             if not (ui >> i) & 1:
                 raise ParseError("preorders are reflexive")
-            for j in range(n):
-                if (ui >> j) & 1 and (self.up[j] | ui) != ui:
+            rest = ui
+            while rest:
+                low = rest & -rest
+                if up[low.bit_length() - 1] & ~ui:
                     raise ParseError("preorders are transitive")
+                rest ^= low
 
 
 def least_open(space: FiniteSpace, mask: int) -> int:
@@ -153,9 +164,12 @@ def _preorder_enumeration(n: int):
         sub = 0
         while True:
             m = sub | bit
-            for r in range(i):
-                if (m >> r) & 1 and (rows[r] | m) != m:
+            rest = m & (bit - 1)
+            while rest:
+                low = rest & -rest
+                if rows[low.bit_length() - 1] & ~m:
                     break
+                rest ^= low
             else:
                 rows.append(m)
                 yield from extend(i + 1)
@@ -197,37 +211,8 @@ def count_topologies(n: int, method: str = "preorder") -> int:
 
 
 # --------------------------------------------------------------------------
-# separation axioms and connectedness, checked literally
+# axioms, decided from the least opens (the preorder rows)
 # --------------------------------------------------------------------------
-
-
-def _is_t0(s: FiniteSpace) -> bool:
-    for x in range(s.size):
-        for y in range(x + 1, s.size):
-            if not any(((o >> x) & 1) != ((o >> y) & 1) for o in s.opens):
-                return False
-    return True
-
-
-def _is_t1(s: FiniteSpace) -> bool:
-    for x in range(s.size):
-        for y in range(s.size):
-            if x == y:
-                continue
-            if not any((o >> x) & 1 and not (o >> y) & 1 for o in s.opens):
-                return False
-    return True
-
-
-def _is_t2(s: FiniteSpace) -> bool:
-    opens = sorted(s.opens)
-    for x in range(s.size):
-        for y in range(x + 1, s.size):
-            if not any(
-                (u >> x) & 1 and (v >> y) & 1 and not u & v for u in opens for v in opens
-            ):
-                return False
-    return True
 
 
 def connected_subset(s: FiniteSpace, mask: int) -> bool:
@@ -245,31 +230,29 @@ def _is_connected(s: FiniteSpace) -> bool:
     return connected_subset(s, s.full)
 
 
-def _is_locally_connected(s: FiniteSpace) -> bool:
-    for x in range(s.size):
-        for u in s.opens:
-            if not (u >> x) & 1:
-                continue
-            if not any(
-                (v >> x) & 1 and (v | u) == u and connected_subset(s, v) for v in s.opens
-            ):
-                return False
+def _is_t2(s: FiniteSpace, rows: tuple[int, ...]) -> bool:
+    seen = 0
+    for r in rows:
+        if r & seen:
+            return False
+        seen |= r
     return True
 
 
-def _is_normal_pairs(s: FiniteSpace) -> bool:
+def _is_normal_pairs(s: FiniteSpace, rows: tuple[int, ...]) -> bool:
     """Disjoint closed sets lie in disjoint opens exactly when their least
     opens, which lie inside any other opens holding them, are disjoint."""
     least = {c: least_open(s, c) for c in (s.full ^ o for o in s.opens)}
     return not any(least[f] & least[g] for f in least for g in least if not f & g)
 
 
+# Each check takes the space and its least opens, rows[i] for point i.
 _AXIOM_CHECKS = {
-    "T0": _is_t0,
-    "T1": _is_t1,
+    "T0": lambda s, rows: len(set(rows)) == len(rows),
+    "T1": lambda s, rows: all(r == 1 << i for i, r in enumerate(rows)),
     "T2": _is_t2,
-    "connected": _is_connected,
-    "locally_connected": _is_locally_connected,
+    "connected": lambda s, rows: _is_connected(s),
+    "locally_connected": lambda s, rows: all(connected_subset(s, r) for r in rows),
     "normal-pairs": _is_normal_pairs,
 }
 
@@ -282,85 +265,12 @@ def _axiom_check(axiom: str):
 
 
 def check_axiom(space: FiniteSpace, axiom: str) -> bool:
-    return _axiom_check(axiom)(space)
+    return _axiom_check(axiom)(space, to_preorder(space).up)
 
 
 # --------------------------------------------------------------------------
-# components, two independent algorithms
+# the connectification search
 # --------------------------------------------------------------------------
-
-
-def components_exhaustive(s: FiniteSpace) -> tuple[int, ...]:
-    """Components as maximal connected subsets found by scanning all subsets."""
-    if s.size > MAX_FAMILY_POINTS:
-        raise SizeTooLarge(f"exhaustive scan handles at most {MAX_FAMILY_POINTS} points")
-    connected_masks = [m for m in range(1, s.full + 1) if connected_subset(s, m)]
-    comps = set()
-    for x in range(s.size):
-        comp = 0
-        for m in connected_masks:
-            if (m >> x) & 1:
-                comp |= m
-        if comp not in connected_masks:
-            raise AssertionError("union of connected sets through a point must be connected")
-        comps.add(comp)
-    return tuple(sorted(comps))
-
-
-def components_growth(s: FiniteSpace) -> tuple[int, ...]:
-    """Components via the comparability graph of the specialization preorder."""
-    p = to_preorder(s)
-    adj = [p.up[x] for x in range(s.size)]
-    for x in range(s.size):
-        for y in range(s.size):
-            if (p.up[y] >> x) & 1:
-                adj[x] |= 1 << y
-    seen = 0
-    comps = []
-    for x in range(s.size):
-        if (seen >> x) & 1:
-            continue
-        comp = 0
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            if (comp >> v) & 1:
-                continue
-            comp |= 1 << v
-            for w in range(s.size):
-                if (adj[v] >> w) & 1 and not (comp >> w) & 1:
-                    stack.append(w)
-        comps.append(comp)
-        seen |= comp
-    return tuple(sorted(comps))
-
-
-# --------------------------------------------------------------------------
-# subspaces, density, and the connectification search
-# --------------------------------------------------------------------------
-
-
-def subspace(s: FiniteSpace, mask: int) -> FiniteSpace:
-    """Trace topology on the masked points, relabeled in order."""
-    points = [x for x in range(s.size) if (mask >> x) & 1]
-    pos = {x: k for k, x in enumerate(points)}
-    opens = set()
-    for o in s.opens:
-        t = 0
-        for x in points:
-            if (o >> x) & 1:
-                t |= 1 << pos[x]
-        opens.add(t)
-    return FiniteSpace(len(points), frozenset(opens))
-
-
-def is_dense(s: FiniteSpace, mask: int) -> bool:
-    """Dense iff the only closed superset of the masked points is everything."""
-    for o in s.opens:
-        closed = s.full ^ o
-        if (mask | closed) == closed and closed != s.full:
-            return False
-    return True
 
 
 def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[FiniteSpace]:
@@ -389,9 +299,12 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
             if b & ~below_a:
                 continue
             t = FiniteSpace(x.size + 1, frozenset(u for u in x.opens if not u & b) | with_p)
-            if _is_connected(t) and satisfies(t):
-                rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
-                found.append((rows + (a | p_bit,), t))
+            if not _is_connected(t):
+                continue
+            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
+            rows += (a | p_bit,)
+            if satisfies(t, rows):
+                found.append((rows, t))
     found.sort(key=lambda pair: pair[0])
     return [t for _, t in found]
 
@@ -401,13 +314,17 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 # --------------------------------------------------------------------------
 
 
+# The text of every mask over MAX_POINTS points, and its (size, mask) order key.
+_MASK_TEXT = tuple(
+    "{" + ",".join(str(x) for x in range(MAX_POINTS) if (m >> x) & 1) + "}"
+    for m in range(1 << MAX_POINTS)
+)
+_MASK_ORDER = tuple((bin(m).count("1"), m) for m in range(1 << MAX_POINTS))
+
+
 def topology_literal(s: FiniteSpace) -> str:
     """Stable one-line rendering, opens ordered by size then mask."""
-
-    def fmt(mask: int) -> str:
-        return "{" + ",".join(str(x) for x in range(s.size) if (mask >> x) & 1) + "}"
-
-    return ",".join(fmt(m) for m in sorted(s.opens, key=lambda m: (bin(m).count("1"), m)))
+    return ",".join(_MASK_TEXT[m] for m in sorted(s.opens, key=_MASK_ORDER.__getitem__))
 
 
 _LITERAL_RE = re.compile(r"(\{[0-9,]*\})(,\{[0-9,]*\})*\Z")

@@ -1,4 +1,6 @@
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -9,21 +11,17 @@ from onepoint import (
     Preorder,
     SizeTooLarge,
     check_axiom,
-    components_exhaustive,
-    components_growth,
     count_topologies,
     enumerate_topologies,
     from_preorder,
-    is_dense,
     parse_topology_literal,
     search_one_point_connectifications,
-    subspace,
     to_preorder,
     topology_literal,
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import _preorder_enumeration
+from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration, connected_subset
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -154,6 +152,38 @@ def test_preorder_rows_stay_inside_the_points():
     assert Preorder((0b11, 0b10)).up == (0b11, 0b10)
 
 
+def reference_preorder_fault(up):
+    """The Preorder check as it was, over every (i, j) pair: the message of
+    the first fault, or None for a preorder."""
+    n = len(up)
+    for i, ui in enumerate(up):
+        if ui >> n:
+            return f"preorder row {i} ({ui}) holds points outside 0..{n - 1}"
+        if not (ui >> i) & 1:
+            return "preorders are reflexive"
+        for j in range(n):
+            if (ui >> j) & 1 and (up[j] | ui) != ui:
+                return "preorders are transitive"
+    return None
+
+
+def test_preorder_check_matches_reference():
+    """Every row tuple up to 3 points, with rows from -1 to 2^(n+1) - 1, so
+    negative rows and bits past the last point are among them."""
+    outcomes = Counter()
+    for n in range(4):
+        for up in product(range(-1, 1 << (n + 1)), repeat=n):
+            try:
+                Preorder(up)
+                got = None
+            except ParseError as exc:
+                got = str(exc)
+            assert got == reference_preorder_fault(up), up
+            outcomes[got if got is None or got.startswith("preorders") else "range"] += 1
+    assert outcomes[None] == 1 + 1 + 4 + 29
+    assert len(outcomes) == 4  # accepted, out of range, not reflexive, not transitive
+
+
 def test_size_limits():
     with pytest.raises(SizeTooLarge):
         list(enumerate_topologies(5, "family"))
@@ -205,6 +235,48 @@ def reference_normal_pairs(s):
     )
 
 
+def reference_t0(s):
+    for x in range(s.size):
+        for y in range(x + 1, s.size):
+            if not any(((o >> x) & 1) != ((o >> y) & 1) for o in s.opens):
+                return False
+    return True
+
+
+def reference_t1(s):
+    for x in range(s.size):
+        for y in range(s.size):
+            if x == y:
+                continue
+            if not any((o >> x) & 1 and not (o >> y) & 1 for o in s.opens):
+                return False
+    return True
+
+
+def reference_t2(s):
+    opens = sorted(s.opens)
+    for x in range(s.size):
+        for y in range(x + 1, s.size):
+            if not any(
+                (u >> x) & 1 and (v >> y) & 1 and not u & v for u in opens for v in opens
+            ):
+                return False
+    return True
+
+
+def reference_locally_connected(s):
+    """Every open holding a point holds a connected open holding it."""
+    for x in range(s.size):
+        for u in s.opens:
+            if not (u >> x) & 1:
+                continue
+            if not any(
+                (v >> x) & 1 and (v | u) == u and connected_subset(s, v) for v in s.opens
+            ):
+                return False
+    return True
+
+
 def test_normal_pairs_matches_reference():
     seen = {True: 0, False: 0}
     for n in range(5):
@@ -213,6 +285,29 @@ def test_normal_pairs_matches_reference():
             assert got == reference_normal_pairs(t), topology_literal(t)
             seen[got] += 1
     assert seen[True] and seen[False]
+
+
+def test_axioms_match_literal_references():
+    """Every axiom against a scan of the opens that does not read least
+    opens, on every topology of up to 5 points.  Connectedness is checked
+    against the comparability graph of the specialization preorder."""
+    references = {
+        "T0": reference_t0,
+        "T1": reference_t1,
+        "T2": reference_t2,
+        "connected": lambda s: len(components_growth(s)) <= 1,
+        "locally_connected": reference_locally_connected,
+        "normal-pairs": reference_normal_pairs,
+    }
+    outcomes = Counter()
+    for n in range(6):
+        for t in _topologies(n):
+            for axiom in AXIOMS:
+                got = check_axiom(t, axiom)
+                assert got == references[axiom](t), (topology_literal(t), axiom)
+                outcomes[axiom, got] += 1
+    assert sum(outcomes.values()) == 7332 * len(AXIOMS)
+    assert all(outcomes[axiom, False] for axiom in AXIOMS if axiom != "locally_connected")
 
 
 def test_every_finite_space_locally_connected():
@@ -225,6 +320,51 @@ def test_t2_equals_discrete_on_finite():
     for n in range(1, 5):
         for t in enumerate_topologies(n, "preorder"):
             assert check_axiom(t, "T2") == (t == discrete(n))
+
+
+def components_exhaustive(s):
+    """Components as maximal connected subsets found by scanning all subsets."""
+    if s.size > MAX_FAMILY_POINTS:
+        raise SizeTooLarge(f"exhaustive scan handles at most {MAX_FAMILY_POINTS} points")
+    connected_masks = [m for m in range(1, s.full + 1) if connected_subset(s, m)]
+    comps = set()
+    for x in range(s.size):
+        comp = 0
+        for m in connected_masks:
+            if (m >> x) & 1:
+                comp |= m
+        if comp not in connected_masks:
+            raise AssertionError("union of connected sets through a point must be connected")
+        comps.add(comp)
+    return tuple(sorted(comps))
+
+
+def components_growth(s):
+    """Components via the comparability graph of the specialization preorder."""
+    p = to_preorder(s)
+    adj = [p.up[x] for x in range(s.size)]
+    for x in range(s.size):
+        for y in range(s.size):
+            if (p.up[y] >> x) & 1:
+                adj[x] |= 1 << y
+    seen = 0
+    comps = []
+    for x in range(s.size):
+        if (seen >> x) & 1:
+            continue
+        comp = 0
+        stack = [x]
+        while stack:
+            v = stack.pop()
+            if (comp >> v) & 1:
+                continue
+            comp |= 1 << v
+            for w in range(s.size):
+                if (adj[v] >> w) & 1 and not (comp >> w) & 1:
+                    stack.append(w)
+        comps.append(comp)
+        seen |= comp
+    return tuple(sorted(comps))
 
 
 def test_components_algorithms_agree():
@@ -241,6 +381,29 @@ def test_connected_iff_one_component():
 # --------------------------------------------------------------------------
 # subspace and density
 # --------------------------------------------------------------------------
+
+
+def subspace(s, mask):
+    """Trace topology on the masked points, relabeled in order."""
+    points = [x for x in range(s.size) if (mask >> x) & 1]
+    pos = {x: k for k, x in enumerate(points)}
+    opens = set()
+    for o in s.opens:
+        t = 0
+        for x in points:
+            if (o >> x) & 1:
+                t |= 1 << pos[x]
+        opens.add(t)
+    return FiniteSpace(len(points), frozenset(opens))
+
+
+def is_dense(s, mask):
+    """Dense iff the only closed superset of the masked points is everything."""
+    for o in s.opens:
+        closed = s.full ^ o
+        if (mask | closed) == closed and closed != s.full:
+            return False
+    return True
 
 
 def test_subspace_and_density_examples():
@@ -307,10 +470,16 @@ def reference_extensions(x):
 
 def test_search_candidates_match_preorder_construction(monkeypatch):
     """With the connectedness and axiom filters switched off, the search
-    returns exactly the dense candidates of the preorder construction, and
-    density is A != 0 on every candidate."""
+    returns exactly the dense candidates of the preorder construction,
+    density is A != 0 on every candidate, and the axiom is handed each
+    candidate's least opens."""
+
+    def any_axiom(space, rows):
+        assert rows == to_preorder(space).up, topology_literal(space)
+        return True
+
     monkeypatch.setattr(finite, "_is_connected", lambda t: True)
-    monkeypatch.setitem(finite._AXIOM_CHECKS, "any", lambda t: True)
+    monkeypatch.setitem(finite._AXIOM_CHECKS, "any", any_axiom)
     bases = pairs = empty_a = 0
     for n in range(5):
         for x in enumerate_topologies(n, "preorder"):
@@ -379,11 +548,23 @@ def test_search_equals_brute_force_scan():
 # --------------------------------------------------------------------------
 
 
+def reference_literal(s):
+    """The literal as it was printed: each open's text built point by point."""
+
+    def fmt(mask):
+        return "{" + ",".join(str(x) for x in range(s.size) if (mask >> x) & 1) + "}"
+
+    return ",".join(fmt(m) for m in sorted(s.opens, key=lambda m: (bin(m).count("1"), m)))
+
+
 def test_topology_literal_round_trip():
     assert topology_literal(SIERPINSKI) == "{},{0},{0,1}"
     assert parse_topology_literal("{},{0},{0,1}") == SIERPINSKI
-    for t in enumerate_topologies(3, "preorder"):
-        assert parse_topology_literal(topology_literal(t)) == t
+    for n in range(6):
+        for t in _topologies(n):
+            text = topology_literal(t)
+            assert text == reference_literal(t)
+            assert parse_topology_literal(text) == t
 
 
 def test_parse_topology_literal_rejects_huge_tokens():
