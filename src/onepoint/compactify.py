@@ -4,10 +4,10 @@ the mirror image of the connectification verdict."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotACover
+from .frozen import Frozen
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
 from .intervals import EMPTY, IntervalSet, _frac, _lt, _mk_interval, _mk_set, difference
@@ -21,16 +21,19 @@ INFINITY = NamedPoint("infinity")
 CompPoint = Fraction | NamedPoint
 
 
-@dataclass(frozen=True, slots=True)
-class CompactExtension:
+class CompactExtension(Frozen):
     """The space plus the point at infinity."""
 
-    space: Space
+    __slots__ = ("space",)
+
+    def __init__(self, space: Space) -> None:
+        object.__setattr__(self, "space", space)
 
 
-@dataclass(frozen=True, slots=True)
-class CompactRefused:
+class CompactRefused(Frozen):
     """The space is already compact, so no point at infinity is added."""
+
+    __slots__ = ()
 
 
 CompactVerdict = CompactExtension | CompactRefused
@@ -47,11 +50,13 @@ def compactify(space: Space) -> CompactVerdict:
     return CompactExtension(space)
 
 
-@dataclass(frozen=True, slots=True)
-class TypeInf:
+class TypeInf(Frozen):
     """Open set containing infinity: the complement of its trace is compact."""
 
-    trace: IntervalSet
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: IntervalSet) -> None:
+        object.__setattr__(self, "trace", trace)
 
 
 CompOpenSet = TypeI | TypeInf

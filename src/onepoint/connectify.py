@@ -18,7 +18,6 @@ witness or certificate that re-verifies under the exact set algebra alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -34,11 +33,11 @@ from .errors import (
     PInBoth,
     PointOutsideComponent,
 )
+from .frozen import Frozen
 from .intervals import (
     EMPTY,
     Interval,
     IntervalSet,
-    Value,
     _eq,
     _frac,
     _intersect_pieces,
@@ -65,8 +64,7 @@ from .space import component_index, component_slices, separate_disjoint_closed, 
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EscapeFilter:
+class EscapeFilter(Frozen):
     """Descending chain of closed escape sets along one component.
 
     The chain runs toward ``end`` on one ``side`` of the component: ``side``
@@ -75,17 +73,28 @@ class EscapeFilter:
     endpoint.  element(n) is the block from ``start(n)`` to ``end``, with
     ``start(n)`` included, intersected with the component: ``start(n)`` is
     ``anchor + n`` (``anchor - n`` on the left) toward an infinite end and
-    ``end - (end - anchor)/2^n`` toward a finite one.
+    ``end - (end - anchor)/2^n`` toward a finite one.  A side other than
+    +1 or -1, an included end or an anchor not strictly inside the component
+    is an input error.
     """
 
-    component: Component
-    side: int
-    anchor: Fraction
-    end: Value = field(init=False)  # read in every sweep, so worked out once
+    # end is worked out once: every sweep reads it
+    __slots__ = ("component", "side", "anchor", "end")
 
-    def __post_init__(self) -> None:
-        piece = self.component.piece
-        object.__setattr__(self, "end", piece.hi if self.side > 0 else piece.lo)
+    def __init__(self, component: Component, side: int, anchor: Fraction) -> None:
+        piece = component.piece
+        if type(anchor) is not Fraction:  # runs once per component: skip the call
+            anchor = as_point(anchor)
+        if type(side) is not int or side not in (1, -1):
+            raise MalformedInterval(f"an escape filter runs on side 1 or -1, not {side!r}")
+        if (piece.hi_closed if side > 0 else piece.lo_closed):
+            raise MalformedInterval(f"no escape toward an included end of {piece}")
+        if not (_lt(piece.lo, anchor) and _lt(anchor, piece.hi)):
+            raise MalformedInterval(f"filter anchor {anchor} is not inside {piece}")
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "end", piece.hi if side > 0 else piece.lo)
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
@@ -177,55 +186,67 @@ P = NamedPoint("p")
 ExtPoint = Fraction | NamedPoint
 
 
-@dataclass(frozen=True, slots=True)
-class Extension:
+class Extension(Frozen):
     """The space plus the extra point, one escape filter per component."""
 
-    space: Space
-    filters: tuple[EscapeFilter, ...]
+    __slots__ = ("space", "filters")
+
+    def __init__(self, space: Space, filters: tuple[EscapeFilter, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "filters", filters)
 
     def whole_open(self) -> TypeII:
         return TypeII(self.space.ambient, (0,) * len(self.filters))
 
 
-@dataclass(frozen=True, slots=True)
-class TypeI:
+class TypeI(Frozen):
     """Extension-open set not containing the extra point: a plain trace."""
 
-    trace: IntervalSet
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: IntervalSet) -> None:
+        object.__setattr__(self, "trace", trace)
 
 
-@dataclass(frozen=True, slots=True)
-class TypeII:
+class TypeII(Frozen):
     """Extension-open set containing the extra point.
 
     For every component the declared tail index witnesses that a whole
     filter tail sits inside the trace.
     """
 
-    trace: IntervalSet
-    tails: tuple[int, ...]
+    __slots__ = ("trace", "tails")
+
+    def __init__(self, trace: IntervalSet, tails: tuple[int, ...]) -> None:
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "tails", tails)
 
 
 ExtOpenSet = TypeI | TypeII
 
 
-@dataclass(frozen=True, slots=True)
-class ExtClosedSet:
+class ExtClosedSet(Frozen):
     """Closed subset of the extension: optional extra point plus a trace."""
 
-    has_p: bool
-    trace: IntervalSet
+    __slots__ = ("has_p", "trace")
+
+    def __init__(self, has_p: bool, trace: IntervalSet) -> None:
+        object.__setattr__(self, "has_p", has_p)
+        object.__setattr__(self, "trace", trace)
 
 
-@dataclass(frozen=True, slots=True)
-class Connectifiable:
-    extension: Extension
+class Connectifiable(Frozen):
+    __slots__ = ("extension",)
+
+    def __init__(self, extension: Extension) -> None:
+        object.__setattr__(self, "extension", extension)
 
 
-@dataclass(frozen=True, slots=True)
-class Refused:
-    witness: Component
+class Refused(Frozen):
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: Component) -> None:
+        object.__setattr__(self, "witness", witness)
 
 
 Verdict = Connectifiable | Refused
@@ -255,13 +276,20 @@ def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class OpenCheck:
+class OpenCheck(Frozen):
     """Outcome of an openness check: open exactly when no reason is given."""
 
-    reason: str | None = None  # "TraceNotOpen", "MissingTail" or "RemainderNotCompact"
-    component: int | None = None
-    boundary: Fraction | None = None  # a point of the trace where TraceNotOpen fails
+    __slots__ = ("reason", "component", "boundary")
+
+    def __init__(
+        self,
+        reason: str | None = None,  # "TraceNotOpen", "MissingTail" or "RemainderNotCompact"
+        component: int | None = None,
+        boundary: Fraction | None = None,  # a point of the trace where TraceNotOpen fails
+    ) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "boundary", boundary)
 
     def __bool__(self) -> bool:
         return self.reason is None
@@ -429,14 +457,16 @@ def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DensityCertificate:
+class DensityCertificate(Frozen):
     """Sampled neighborhoods of the extra point, all with nonempty traces.
 
     Every point of the base lies in the base, so density is a claim about
     the neighborhoods of the extra point alone."""
 
-    neighborhoods: tuple[TypeII, ...]
+    __slots__ = ("neighborhoods",)
+
+    def __init__(self, neighborhoods: tuple[TypeII, ...]) -> None:
+        object.__setattr__(self, "neighborhoods", neighborhoods)
 
 
 def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityCertificate:
@@ -467,13 +497,17 @@ def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class FidelityCertificate:
+class FidelityCertificate(Frozen):
     """Sampled opens showing the base is an honest subspace of the extension:
     one extension open and one base open per sample."""
 
-    extension_opens: tuple[ExtOpenSet, ...]
-    base_opens: tuple[IntervalSet, ...]
+    __slots__ = ("extension_opens", "base_opens")
+
+    def __init__(
+        self, extension_opens: tuple[ExtOpenSet, ...], base_opens: tuple[IntervalSet, ...]
+    ) -> None:
+        object.__setattr__(self, "extension_opens", extension_opens)
+        object.__setattr__(self, "base_opens", base_opens)
 
 
 def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> FidelityCertificate:
@@ -511,18 +545,22 @@ def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectednessStep:
-    component: Component
-    tail: IntervalSet  # representative filter element
+class ConnectednessStep(Frozen):
+    __slots__ = ("component", "tail")
+
+    def __init__(self, component: Component, tail: IntervalSet) -> None:
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "tail", tail)  # representative filter element
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectednessCertificate:
+class ConnectednessCertificate(Frozen):
     """Schema: a clopen set holding the extra point contains a tail in every
     component, hence meets it, hence swallows it whole, hence is everything."""
 
-    steps: tuple[ConnectednessStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[ConnectednessStep, ...]) -> None:
+        object.__setattr__(self, "steps", steps)
 
 
 def connectedness_certificate(ext: Extension) -> ConnectednessCertificate:
@@ -548,17 +586,27 @@ def verify_connectedness(ext: Extension, cert: ConnectednessCertificate) -> bool
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class IsTrivial:
-    which: str  # "empty" or "whole"
+class IsTrivial(Frozen):
+    __slots__ = ("which",)
+
+    def __init__(self, which: str) -> None:  # "empty" or "whole"
+        object.__setattr__(self, "which", which)
 
 
-@dataclass(frozen=True, slots=True)
-class NotClopenEvidence:
-    side: str  # "set" or "complement"
-    reason: str  # "TraceNotOpen" or "MissingTail"
-    component: int | None = None
-    boundary: Fraction | None = None
+class NotClopenEvidence(Frozen):
+    __slots__ = ("side", "reason", "component", "boundary")
+
+    def __init__(
+        self,
+        side: str,  # "set" or "complement"
+        reason: str,  # "TraceNotOpen" or "MissingTail"
+        component: int | None = None,
+        boundary: Fraction | None = None,
+    ) -> None:
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "boundary", boundary)
 
 
 def clopen_falsifier(ext: Extension, s: ExtOpenSet):

@@ -19,9 +19,9 @@ connectedness stays a literal scan of the opens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, SizeTooLarge
+from .frozen import Frozen
 
 MAX_POINTS = 6
 MAX_FAMILY_POINTS = 4
@@ -30,12 +30,15 @@ MAX_SEARCH_POINTS = 5  # size of the extended space in the connectification sear
 AXIOMS = ("T0", "T1", "T2", "connected", "locally_connected", "normal-pairs")
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteSpace:
+class FiniteSpace(Frozen):
     """A topology on {0..size-1} given as the family of open masks."""
 
-    size: int
-    opens: frozenset[int]
+    __slots__ = ("size", "opens")
+
+    def __init__(self, size: int, opens: frozenset[int]) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "opens", opens)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.size <= MAX_POINTS:
@@ -68,11 +71,14 @@ def validate_topology(size: int, family) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class Preorder:
+class Preorder(Frozen):
     """Reflexive transitive relation; up[i] is the mask of successors of i."""
 
-    up: tuple[int, ...]
+    __slots__ = ("up",)
+
+    def __init__(self, up: tuple[int, ...]) -> None:
+        object.__setattr__(self, "up", up)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         up = self.up

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedInterval, NotASubset, ParseError, SizeTooLarge
+from .frozen import Frozen
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -114,14 +114,19 @@ def fmt_value(v: Value) -> str:
         raise SizeTooLarge("a computed number has too many digits to print") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(Frozen):
     """One nonempty interval; degenerate single points are ``[a,a]``."""
 
-    lo: Value
-    hi: Value
-    lo_closed: bool = False
-    hi_closed: bool = False
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(
+        self, lo: Value, hi: Value, lo_closed: bool = False, hi_closed: bool = False
+    ) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _coerce_value(self.lo))
@@ -190,11 +195,14 @@ def _gap_between(left: Interval, right: Interval) -> bool:
     return not left.hi_closed and not right.lo_closed and _eq(left.hi, right.lo)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
+class IntervalSet(Frozen):
     """Canonical finite union of disjoint, unmergeable intervals."""
 
-    pieces: tuple[Interval, ...] = ()
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[Interval, ...] = ()) -> None:
+        object.__setattr__(self, "pieces", pieces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", tuple(self.pieces))

@@ -8,11 +8,11 @@ connected components, each simultaneously closed and open in the space.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptySpace, EqualPoints, NotASubset, NotClosed, NotDisjoint
 from .errors import PointOutsideComponent
+from .frozen import Frozen
 from .intervals import (
     EMPTY,
     Interval,
@@ -35,12 +35,14 @@ from .intervals import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Component:
+class Component(Frozen):
     """A maximal connected piece of the ambient set (always clopen here)."""
 
-    piece: Interval
-    index: int
+    __slots__ = ("piece", "index")
+
+    def __init__(self, piece: Interval, index: int) -> None:
+        object.__setattr__(self, "piece", piece)
+        object.__setattr__(self, "index", index)
 
     def as_set(self) -> IntervalSet:
         return only(self.piece)
@@ -49,11 +51,14 @@ class Component:
         return f"C#{self.index}={self.piece}"
 
 
-@dataclass(frozen=True, slots=True)
-class Space:
+class Space(Frozen):
     """A nonempty canonical interval set with its subspace topology."""
 
-    ambient: IntervalSet
+    __slots__ = ("ambient",)
+
+    def __init__(self, ambient: IntervalSet) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.ambient.pieces:
@@ -114,11 +119,13 @@ def has_compact_component(space: Space) -> Component | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class LocalConnectednessCertificate:
+class LocalConnectednessCertificate(Frozen):
     """Per component, a line-open interval whose trace is exactly that component."""
 
-    entries: tuple[tuple[Component, Interval], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Component, Interval], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
 
 def local_connectedness_certificate(space: Space) -> LocalConnectednessCertificate:

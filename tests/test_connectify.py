@@ -1,6 +1,6 @@
+import inspect
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -382,7 +382,7 @@ def test_derivable_fields_are_not_passed_in():
     refusal's reason and a preorder's size are worked out, never passed in."""
 
     def settable(cls):
-        return [f.name for f in fields(cls) if f.init]
+        return list(inspect.signature(cls).parameters)
 
     assert settable(DensityCertificate) == ["neighborhoods"]
     assert settable(FidelityCertificate) == ["extension_opens", "base_opens"]
@@ -394,6 +394,30 @@ def test_derivable_fields_are_not_passed_in():
         EscapeFilter(c, 1, Fraction(1), Fraction(1, 2))
     assert EscapeFilter(c, -1, Fraction(1, 2)).end == 0
     assert OpenCheck() and not OpenCheck("MissingTail", 0)
+
+
+def test_escape_filter_refuses_a_non_escape_chain():
+    """A filter runs on side 1 or -1 toward an excluded or infinite end, from
+    an anchor strictly inside the component; anything else is an input error,
+    so no certificate can be built on it."""
+    (c,) = components(Space(S("(0,1)")))
+    (half_open,) = components(Space(S("[0,1)")))
+    bad = [
+        (c, 1, Fraction(5)),  # element(0) would be [5,1)
+        (c, 1, Fraction(1)),
+        (c, -1, Fraction(0)),
+        (c, 2, Fraction(1, 2)),
+        (c, 0, Fraction(1, 2)),
+        (half_open, -1, Fraction(1, 2)),  # 0 is included
+    ]
+    for args in bad:
+        with pytest.raises(MalformedInterval):
+            EscapeFilter(*args)
+    assert EscapeFilter(half_open, 1, Fraction(1, 2)) == choose_escape(half_open)
+    for text in ["(-inf,0]", "(0,inf)", "(-inf,inf)", "[2,3)"]:
+        (comp,) = components(Space(S(text)))
+        flt = choose_escape(comp)
+        assert EscapeFilter(flt.component, flt.side, flt.anchor) == flt
 
 
 def test_connectedness_certificate():
