@@ -1,19 +1,20 @@
 """Oracle on finite topological spaces (at most 6 points).
 
-Subsets of {0..n-1} are n-bit masks.  Every finite topology is Alexandrov and
-corresponds to a preorder through specialization; the module carries both
-views plus two independent enumerators so they can cross-check each other.
-The preorder walk fills the rows in order and bounds row i by the AND of the
-earlier rows that hold i (transitivity), so it visits only the submasks of
-that bound.  The connectification search reads each one-point extension of a
-base straight off the base's opens, one per (up-set, down-set) pair of the
-new point, rather than scanning every topology on one more point.
+Subsets of {0..n-1} are n-bit masks.  Every finite topology is Alexandrov:
+row ``up[i]`` of its specialization preorder is the least open of point i,
+and the module works on these row tuples alone.  The walk yields them, the
+axioms read them and the search builds them; a ``FiniteSpace`` (the family
+of opens) is made only for a space the module returns.  The walk bounds row
+i by the AND of the earlier rows that hold i (transitivity) and visits only
+the submasks of that bound.  The search builds the rows of each one-point
+extension of a base, one per (up-set, down-set) pair of the new point.
 
-A point's least open is its preorder row, so the axioms are decided from the
-rows: T0 means distinct rows, T1 means each row is the point alone, T2 means
-pairwise disjoint rows, and locally connected means every row is a connected
-subset.  Normal-pairs compares the least opens of disjoint closed sets, and
-connectedness stays a literal scan of the opens.
+Axioms on rows: T0 is distinct rows, T1 each row being its point alone.  T2
+is the T1 rule: a row holding y holds y's row, so rows are pairwise disjoint
+only when each is its own point.  Locally connected always holds: each row
+is a connected open, its point lying below the rest of it.  Connected: the
+rows that meet, merged, cover every point.  Normal-pairs: no two points with
+disjoint closures have meeting rows.
 """
 
 from __future__ import annotations
@@ -36,18 +37,15 @@ class FiniteSpace(Frozen):
     __slots__ = ("size", "opens")
 
     def __init__(self, size: int, opens: frozenset[int]) -> None:
+        if not 0 <= size <= MAX_POINTS:
+            raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")
+        full = (1 << size) - 1
+        if 0 not in opens or full not in opens:
+            raise ParseError("a topology contains the empty set and the full set")
+        if min(opens) < 0 or max(opens) > full:
+            raise ParseError("open masks must fit the point set")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "opens", opens)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.size <= MAX_POINTS:
-            raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")
-        full = (1 << self.size) - 1
-        if 0 not in self.opens or full not in self.opens:
-            raise ParseError("a topology contains the empty set and the full set")
-        if min(self.opens) < 0 or max(self.opens) > full:
-            raise ParseError("open masks must fit the point set")
 
     @property
     def full(self) -> int:
@@ -77,11 +75,6 @@ class Preorder(Frozen):
     __slots__ = ("up",)
 
     def __init__(self, up: tuple[int, ...]) -> None:
-        object.__setattr__(self, "up", up)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        up = self.up
         n = len(up)
         for i, ui in enumerate(up):
             # The range check comes first: a negative row has endless set bits.
@@ -95,6 +88,7 @@ class Preorder(Frozen):
                 if up[low.bit_length() - 1] & ~ui:
                     raise ParseError("preorders are transitive")
                 rest ^= low
+        object.__setattr__(self, "up", up)
 
 
 def least_open(space: FiniteSpace, mask: int) -> int:
@@ -113,13 +107,17 @@ def to_preorder(space: FiniteSpace) -> Preorder:
 
 
 def from_preorder(p: Preorder) -> FiniteSpace:
-    """Opens are the up-closed sets of the preorder.
+    """Opens are the up-closed sets of the preorder."""
+    return _space(p.up)
+
+
+def _space(up: tuple[int, ...]) -> FiniteSpace:
+    """The space whose least opens are the rows ``up``.
 
     One table holds, per mask, the union of the up-sets of its points, built
     from the mask without its lowest point; a mask is open when that union
     stays inside it.
     """
-    up = p.up
     n = len(up)
     reach = [0] * (1 << n)
     opens = [0]
@@ -145,21 +143,18 @@ def _family_enumeration(n: int):
 
 
 def _preorder_enumeration(n: int):
-    """Every preorder on n points, rows in lexicographic order.
+    """Every preorder on n points as its row tuple, in lexicographic order.
 
     Row i must lie inside every earlier row holding i, so only the submasks
     of that bound (with bit i set) are walked, in ascending order; each one
     is kept when every earlier point in it brings its whole row.
     """
-    if n == 0:
-        yield Preorder(())
-        return
     rows: list[int] = []
     full = (1 << n) - 1
 
     def extend(i: int):
         if i == n:
-            yield Preorder(tuple(rows))
+            yield tuple(rows)
             return
         bit = 1 << i
         cap = full
@@ -202,64 +197,65 @@ def enumerate_topologies(n: int, method: str = "preorder"):
     elif method == "preorder":
         if n > MAX_POINTS:
             raise SizeTooLarge(f"preorder enumeration handles at most {MAX_POINTS} points")
-        for p in _preorder_enumeration(n):
-            yield from_preorder(p)
+        yield from map(_space, _preorder_enumeration(n))
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
-    """Count topologies; the preorder method counts the preorders the walk
-    builds and validates, without turning each into its family of opens."""
+    """Count topologies; the preorder method counts the row tuples the walk
+    yields, without turning each into its family of opens."""
     if method == "preorder" and 0 <= n <= MAX_POINTS:
         return sum(1 for _ in _preorder_enumeration(n))
     return sum(1 for _ in enumerate_topologies(n, method))
 
 
 # --------------------------------------------------------------------------
-# axioms, decided from the least opens (the preorder rows)
+# axioms, as rules on the preorder rows (the least opens)
 # --------------------------------------------------------------------------
 
 
-def connected_subset(s: FiniteSpace, mask: int) -> bool:
-    """No relatively clopen proper nonempty trace on the subset."""
-    if mask == 0:
-        return True
-    traces = {o & mask for o in s.opens}
-    for t in traces:
-        if t != 0 and t != mask and (mask ^ t) in traces:
-            return False
-    return True
+def _connected(rows: tuple[int, ...]) -> bool:
+    """Each row is connected, its point lying below the rest of it, so rows
+    that meet lie in one component; the space is connected when the rows
+    merged from the first reach every point."""
+    reach = rows[0] if rows else 0
+    grown = True
+    while grown:
+        grown = False
+        for r in rows:
+            if r & reach and r & ~reach:
+                reach |= r
+                grown = True
+    return reach == (1 << len(rows)) - 1
 
 
-def _is_connected(s: FiniteSpace) -> bool:
-    return connected_subset(s, s.full)
+def _points_open(rows: tuple[int, ...]) -> bool:
+    return all(r == 1 << i for i, r in enumerate(rows))
 
 
-def _is_t2(s: FiniteSpace, rows: tuple[int, ...]) -> bool:
-    seen = 0
-    for r in rows:
-        if r & seen:
-            return False
-        seen |= r
-    return True
+def _normal_pairs(rows: tuple[int, ...]) -> bool:
+    """Disjoint closed sets lie in disjoint opens exactly when no two points
+    have disjoint closures and meeting rows; the closure of f is the set of
+    points x with f in rows[x]."""
+    n = len(rows)
+    down = [sum(1 << x for x in range(n) if (rows[x] >> f) & 1) for f in range(n)]
+    return not any(
+        rows[f] & rows[g] and not down[f] & down[g] for f in range(n) for g in range(f + 1, n)
+    )
 
 
-def _is_normal_pairs(s: FiniteSpace, rows: tuple[int, ...]) -> bool:
-    """Disjoint closed sets lie in disjoint opens exactly when their least
-    opens, which lie inside any other opens holding them, are disjoint."""
-    least = {c: least_open(s, c) for c in (s.full ^ o for o in s.opens)}
-    return not any(least[f] & least[g] for f in least for g in least if not f & g)
-
-
-# Each check takes the space and its least opens, rows[i] for point i.
+# Each check takes the least opens, rows[i] for point i.
 _AXIOM_CHECKS = {
-    "T0": lambda s, rows: len(set(rows)) == len(rows),
-    "T1": lambda s, rows: all(r == 1 << i for i, r in enumerate(rows)),
-    "T2": _is_t2,
-    "connected": lambda s, rows: _is_connected(s),
-    "locally_connected": lambda s, rows: all(connected_subset(s, r) for r in rows),
-    "normal-pairs": _is_normal_pairs,
+    "T0": lambda rows: len(set(rows)) == len(rows),
+    "T1": _points_open,
+    # A row holding y holds y's row, so rows are pairwise disjoint exactly
+    # when each row is its own point.
+    "T2": _points_open,
+    "connected": _connected,
+    # Every row is a connected open neighbourhood of its point.
+    "locally_connected": lambda rows: True,
+    "normal-pairs": _normal_pairs,
 }
 
 
@@ -271,7 +267,7 @@ def _axiom_check(axiom: str):
 
 
 def check_axiom(space: FiniteSpace, axiom: str) -> bool:
-    return _axiom_check(axiom)(space, to_preorder(space).up)
+    return _axiom_check(axiom)(to_preorder(space).up)
 
 
 # --------------------------------------------------------------------------
@@ -284,12 +280,12 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 
     An extension of x by a point p is fixed by the open A of points above p
     and the closed B of points below p, with every point of B below every
-    point of A.  Its opens are those of x missing B, plus p added to those
-    holding A, so its subspace on the original points is x.  x is dense
-    exactly when {p} is not open, that is when A is not empty.  Keeps the
-    extensions that are connected and satisfy the axiom, in the
-    lexicographic order of their preorder rows.  The extra point always
-    carries the last label.
+    point of A.  Its rows are those of x with p added to the rows of B, plus
+    {p} with A for p, so its subspace on the original points is x.  x is
+    dense exactly when {p} is not open, that is when A is not empty.  Keeps
+    the extensions that are connected and satisfy the axiom, in the
+    lexicographic order of their rows, and builds the opens of those only.
+    The extra point always carries the last label.
     """
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
@@ -299,20 +295,16 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     found = []
     for a in x.opens - {0}:
         below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
-        with_p = frozenset(o | p_bit for o in x.opens if (o | a) == o)
         for o in x.opens:
             b = x.full ^ o
             if b & ~below_a:
                 continue
-            t = FiniteSpace(x.size + 1, frozenset(u for u in x.opens if not u & b) | with_p)
-            if not _is_connected(t):
-                continue
             rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
             rows += (a | p_bit,)
-            if satisfies(t, rows):
-                found.append((rows, t))
-    found.sort(key=lambda pair: pair[0])
-    return [t for _, t in found]
+            if _connected(rows) and satisfies(rows):
+                found.append(rows)
+    found.sort()
+    return [_space(rows) for rows in found]
 
 
 # --------------------------------------------------------------------------

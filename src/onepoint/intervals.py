@@ -122,18 +122,14 @@ class Interval(Frozen):
     def __init__(
         self, lo: Value, hi: Value, lo_closed: bool = False, hi_closed: bool = False
     ) -> None:
+        lo, hi = _coerce_value(lo), _coerce_value(hi)
+        fault = _interval_fault(lo, hi, lo_closed, hi_closed)
+        if fault:
+            raise MalformedInterval(fault)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "lo_closed", lo_closed)
         object.__setattr__(self, "hi_closed", hi_closed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _coerce_value(self.lo))
-        object.__setattr__(self, "hi", _coerce_value(self.hi))
-        fault = _interval_fault(self.lo, self.hi, self.lo_closed, self.hi_closed)
-        if fault:
-            raise MalformedInterval(fault)
 
     @property
     def degenerate(self) -> bool:
@@ -201,14 +197,11 @@ class IntervalSet(Frozen):
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: tuple[Interval, ...] = ()) -> None:
-        object.__setattr__(self, "pieces", pieces)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        for left, right in zip(self.pieces, self.pieces[1:]):
+        pieces = tuple(pieces)
+        for left, right in zip(pieces, pieces[1:]):
             if not _gap_between(left, right):
                 raise MalformedInterval(f"pieces {left} and {right} break canonical form")
+        object.__setattr__(self, "pieces", pieces)
 
     def __bool__(self) -> bool:
         return bool(self.pieces)

@@ -57,12 +57,9 @@ class Space(Frozen):
     __slots__ = ("ambient",)
 
     def __init__(self, ambient: IntervalSet) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not self.ambient.pieces:
+        if not ambient.pieces:
             raise EmptySpace("a space needs at least one point")
+        object.__setattr__(self, "ambient", ambient)
 
     def __str__(self) -> str:
         return str(self.ambient)

@@ -21,7 +21,7 @@ from onepoint import (
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration, connected_subset
+from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -117,25 +117,34 @@ def reference_preorder_rows(n):
     yield from extend(0)
 
 
-def reference_opens(p):
+def reference_opens(rows):
     """The open scan as it was: every mask against every point's row."""
     return frozenset(
         mask
-        for mask in range(1 << len(p.up))
-        if all(not (mask >> x) & 1 or (p.up[x] | mask) == mask for x in range(len(p.up)))
+        for mask in range(1 << len(rows))
+        if all(not (mask >> x) & 1 or (rows[x] | mask) == mask for x in range(len(rows)))
     )
 
 
 def test_preorder_walk_matches_reference():
     for n in range(6):
-        got = [p.up for p in _preorder_enumeration(n)]
-        assert got == list(reference_preorder_rows(n)), n
+        assert list(_preorder_enumeration(n)) == list(reference_preorder_rows(n)), n
 
 
 def test_open_table_matches_reference():
+    """Every row tuple of the walk is a preorder, and its opens are the
+    up-closed masks."""
     for n in range(6):
-        for p in _preorder_enumeration(n):
-            assert from_preorder(p).opens == reference_opens(p), p
+        for rows in _preorder_enumeration(n):
+            assert from_preorder(Preorder(rows)).opens == reference_opens(rows), rows
+
+
+def test_walk_builds_no_preorder(monkeypatch):
+    """The walk's leaves are valid by construction, so neither counting nor
+    enumerating checks one through the Preorder constructor."""
+    monkeypatch.setattr(Preorder, "__init__", lambda self, up: pytest.fail("Preorder built"))
+    assert count_topologies(5) == 6942
+    assert len(list(enumerate_topologies(5))) == 6942
 
 
 def test_range_check_runs_on_every_space():
@@ -264,6 +273,17 @@ def reference_t2(s):
     return True
 
 
+def connected_subset(s, mask):
+    """No relatively clopen proper nonempty trace on the subset."""
+    if mask == 0:
+        return True
+    traces = {o & mask for o in s.opens}
+    for t in traces:
+        if t != 0 and t != mask and (mask ^ t) in traces:
+            return False
+    return True
+
+
 def reference_locally_connected(s):
     """Every open holding a point holds a connected open holding it."""
     for x in range(s.size):
@@ -290,12 +310,12 @@ def test_normal_pairs_matches_reference():
 def test_axioms_match_literal_references():
     """Every axiom against a scan of the opens that does not read least
     opens, on every topology of up to 5 points.  Connectedness is checked
-    against the comparability graph of the specialization preorder."""
+    against the scan for a clopen split of the whole space."""
     references = {
         "T0": reference_t0,
         "T1": reference_t1,
         "T2": reference_t2,
-        "connected": lambda s: len(components_growth(s)) <= 1,
+        "connected": lambda s: connected_subset(s, s.full),
         "locally_connected": reference_locally_connected,
         "normal-pairs": reference_normal_pairs,
     }
@@ -473,12 +493,13 @@ def test_search_candidates_match_preorder_construction(monkeypatch):
     returns exactly the dense candidates of the preorder construction,
     density is A != 0 on every candidate, and the axiom is handed each
     candidate's least opens."""
+    handed = []
 
-    def any_axiom(space, rows):
-        assert rows == to_preorder(space).up, topology_literal(space)
+    def any_axiom(rows):
+        handed.append(rows)
         return True
 
-    monkeypatch.setattr(finite, "_is_connected", lambda t: True)
+    monkeypatch.setattr(finite, "_connected", lambda rows: True)
     monkeypatch.setitem(finite._AXIOM_CHECKS, "any", any_axiom)
     bases = pairs = empty_a = 0
     for n in range(5):
@@ -490,8 +511,32 @@ def test_search_candidates_match_preorder_construction(monkeypatch):
             pairs += len(ref)
             empty_a += sum(a == 0 for _, a, _, _ in ref)
             want = [t for _, _, t, dense in ref if dense]
+            handed.clear()
             assert search_one_point_connectifications(x, "any") == want, topology_literal(x)
+            assert sorted(handed) == [to_preorder(t).up for t in want], topology_literal(x)
     assert (bases, pairs, empty_a) == (390, 7331, 2483)
+
+
+def test_search_builds_only_the_spaces_it_returns(monkeypatch):
+    """Rejected candidates stay rows: every FiniteSpace the search
+    constructs is one it returns, each once."""
+    built = []
+    init = FiniteSpace.__init__
+
+    def counting_init(self, size, opens):
+        init(self, size, opens)
+        built.append(self)
+
+    bases = [t for n in range(5) for t in _topologies(n)]
+    monkeypatch.setattr(FiniteSpace, "__init__", counting_init)
+    total = 0
+    for x in bases:
+        for axiom in AXIOMS:
+            built.clear()
+            found = search_one_point_connectifications(x, axiom)
+            assert list(map(id, built)) == list(map(id, found)), (topology_literal(x), axiom)
+            total += len(found)
+    assert total == 10889
 
 
 # --------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def test_parse_set_checks_intervals_like_the_constructor(monkeypatch):
     for text, args, message in cases:
         with pytest.raises(MalformedInterval, match=f"^{re.escape(message)}$"):
             Interval(*args)
-    monkeypatch.setattr(Interval, "__post_init__", lambda self: pytest.fail("checked twice"))
+    monkeypatch.setattr(Interval, "__init__", lambda self, *a, **k: pytest.fail("checked twice"))
     for text, _, message in cases:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
             S(text)
