@@ -38,12 +38,14 @@ from .intervals import (
     EMPTY,
     Interval,
     IntervalSet,
+    _ends_by,
     _eq,
     _frac,
     _intersect_pieces,
     _lt,
     _mk_interval,
     _mk_set,
+    _starts_before,
     as_point,
     difference,
     inner_point,
@@ -155,9 +157,22 @@ def choose_escape(component: Component) -> EscapeFilter:
     """Deterministic escape filter: prefer the right end when non-compact."""
     if is_compact(component):
         raise CompactComponent(f"{component.piece} has no non-compact end")
+    return _escape(component)
+
+
+def _escape(component: Component) -> EscapeFilter:
+    # The filter of a component known to be non-compact, built without the
+    # checks of EscapeFilter(...): such a piece is not a single point and
+    # has an excluded end, and an infinite end is never included, so an
+    # open right end is non-compact and the inner point lies strictly inside.
     p = component.piece
-    # An infinite endpoint is never included, so an open right end is non-compact.
-    return EscapeFilter(component, -1 if p.hi_closed else 1, inner_point(p.lo, p.hi))
+    side = -1 if p.hi_closed else 1
+    flt = object.__new__(EscapeFilter)
+    object.__setattr__(flt, "component", component)
+    object.__setattr__(flt, "side", side)
+    object.__setattr__(flt, "anchor", inner_point(p.lo, p.hi))
+    object.__setattr__(flt, "end", p.hi if side > 0 else p.lo)
+    return flt
 
 
 # --------------------------------------------------------------------------
@@ -258,11 +273,12 @@ def check_connectifiable(space: Space) -> Verdict:
     A compact component would stay clopen and proper in any one-point
     Hausdorff extension, so it is returned as the refusal witness.
     """
-    comps = components(space)
-    for comp in comps:
+    filters = []
+    for comp in components(space):
         if is_compact(comp):
             return Refused(comp)
-    return Connectifiable(Extension(space, tuple(map(choose_escape, comps))))
+        filters.append(_escape(comp))
+    return Connectifiable(Extension(space, tuple(filters)))
 
 
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
@@ -332,8 +348,8 @@ def _escape_pieces(ext: Extension, trace: IntervalSet):
     end before the escape end (or at it, for a left end), the next piece
     alone can reach the end inside the component, and does when it starts
     before the end (or at it, for a left end); it is clipped to the
-    component.  A skipped piece ends before every later component, so the
-    sweep never steps back.
+    component unless it already lies inside it.  A skipped piece ends before
+    every later component, so the sweep never steps back.
     """
     pieces = trace.pieces
     n = len(pieces)
@@ -348,7 +364,13 @@ def _escape_pieces(ext: Extension, trace: IntervalSet):
             while i < n and not _lt(end, pieces[i].hi):
                 i += 1
             hit = i < n and not _lt(end, pieces[i].lo)
-        yield _intersect_pieces(pieces[i], flt.component.piece) if hit else None
+        if not hit:
+            yield None
+            continue
+        piece, comp = pieces[i], flt.component.piece
+        if piece is not comp and (_starts_before(piece, comp) or not _ends_by(piece, comp)):
+            piece = _intersect_pieces(piece, comp)
+        yield piece
 
 
 def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:

@@ -191,6 +191,47 @@ def _gap_between(left: Interval, right: Interval) -> bool:
     return not left.hi_closed and not right.lo_closed and _eq(left.hi, right.lo)
 
 
+def _ends_before(x: Interval, y: Interval) -> bool:
+    # x lies wholly before y: the two share no point.
+    return _lt(x.hi, y.lo) or (not (x.hi_closed and y.lo_closed) and _eq(x.hi, y.lo))
+
+
+def _ends_by(x: Interval, y: Interval) -> bool:
+    # Line order of upper ends, an excluded end first: x ends no later than y.
+    return _lt(x.hi, y.hi) or ((not x.hi_closed or y.hi_closed) and _eq(x.hi, y.hi))
+
+
+def _ends_short_of(x: Interval, y: Interval) -> bool:
+    # x ends strictly before y ends: not _ends_by(y, x).
+    return _lt(x.hi, y.hi) or (y.hi_closed and not x.hi_closed and _eq(x.hi, y.hi))
+
+
+def _gallop(pieces, i: int, n: int, test, ref: Interval) -> int:
+    """The first index from i on whose piece fails ``test(piece, ref)``, for a
+    test that holds on a prefix of ``pieces[i:n]`` and fails on the rest.
+
+    Pieces of a canonical set come in line order, so "ends before ref" and
+    "ends by ref" are such tests.  The probes run i, i+1, i+3, i+7, ... and
+    a binary search settles the last step: a run of r pieces costs
+    O(log r) tests, and an empty run one.
+    """
+    if i >= n or not test(pieces[i], ref):
+        return i
+    lo, hi, step = i, i + 1, 1  # the test holds at lo
+    while hi < n and test(pieces[hi], ref):
+        lo, step = hi, step * 2
+        hi = lo + step
+    if hi > n:
+        hi = n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if test(pieces[mid], ref):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class IntervalSet(Frozen):
     """Canonical finite union of disjoint, unmergeable intervals."""
 
@@ -234,19 +275,21 @@ def _hosts(s: IntervalSet, x: IntervalSet) -> list[Interval] | None:
     ``s`` is not a subset of ``x``.
 
     A connected piece fits inside a canonical union iff it fits inside a
-    single piece, so one merge sweep finds every host.
+    single piece, so one merge sweep finds every host: it gallops past the
+    pieces of ``x`` that end before the next piece of ``s`` does.
     """
     po = x.pieces
     n = len(po)
     oi = 0
     hosts = []
     for p in s.pieces:
-        while oi < n and (
-            _lt(po[oi].hi, p.hi) or (p.hi_closed and not po[oi].hi_closed and _eq(po[oi].hi, p.hi))
-        ):
-            oi += 1
-        if oi == n or _starts_before(p, po[oi]):
-            return None
+        if oi + 1 < n and po[oi + 1] is p:
+            oi += 1  # a piece of x itself is its own host
+        else:
+            if oi < n and _ends_short_of(po[oi], p):
+                oi = _gallop(po, oi + 1, n, _ends_short_of, p)
+            if oi == n or _starts_before(p, po[oi]):
+                return None
         hosts.append(po[oi])
     return hosts
 
@@ -326,43 +369,88 @@ def _intersect_pieces(x: Interval, y: Interval) -> Interval | None:
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    # Both inputs are canonical, hence in line order: merge them in one pass.
+    """Both inputs are canonical, hence in line order: merge them in one pass.
+
+    The piece starting first goes next.  When it ends with a gap before the
+    other set's piece, so may the pieces after it: that run goes out as it
+    is.  A run of pieces ending inside the last piece out is skipped.
+    """
     pa, pb = a.pieces, b.pieces
     if not pa:
         return b
     if not pb:
         return a
-    items = []
+    out: list[Interval] = []
+    na, nb = len(pa), len(pb)
     ai = bi = 0
-    while ai < len(pa) and bi < len(pb):
+    while ai < na and bi < nb:
         if _starts_before(pb[bi], pa[ai]):
-            items.append(pb[bi])
-            bi += 1
+            pa, pb, na, nb, ai, bi = pb, pa, nb, na, bi, ai
+        x = pa[ai]
+        if out and not _gap_between(out[-1], x):
+            ai = _absorb(out, pa, ai, na)
+        elif _gap_between(x, pb[bi]):
+            run = _gallop(pa, ai + 1, na, _gap_between, pb[bi])
+            out += pa[ai:run]
+            ai = run
         else:
-            items.append(pa[ai])
+            out.append(x)
             ai += 1
-    items += pa[ai:]
-    items += pb[bi:]
-    return _merge_ordered(items)
+    for rest, i, n in ((pa, ai, na), (pb, bi, nb)):
+        if i < n and not _gap_between(out[-1], rest[i]):
+            i = _absorb(out, rest, i, n)
+        out += rest[i:]
+    return _mk_set(tuple(out))
+
+
+def _absorb(out: list[Interval], pieces, i: int, n: int) -> int:
+    # pieces[i] overlaps or touches out[-1] and starts no earlier: skip the
+    # run of pieces ending inside out[-1], then stretch out[-1] over the
+    # next piece if it still touches.
+    last = out[-1]
+    if _ends_by(pieces[i], last):
+        i = _gallop(pieces, i + 1, n, _ends_by, last)
+        if i == n or _gap_between(last, pieces[i]):
+            return i
+    x = pieces[i]
+    out[-1] = _mk_interval(last.lo, x.hi, last.lo_closed, x.hi_closed)
+    return i + 1
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    # Both inputs are canonical, so a single merge sweep suffices and the
-    # result comes out canonical piece by piece.
+    """Both inputs are canonical, so one merge sweep suffices and the result
+    comes out canonical piece by piece.
+
+    A piece both sets share goes out at once.  Otherwise the piece ending
+    first, x, meets the other set's piece y in one of three ways: not at
+    all, when x ends before y (skip the run of such pieces); wholly, when x
+    starts inside y (copy the run of pieces ending inside y, the very same
+    objects); or in a clipped piece from the start of y to the end of x.
+    """
     pa, pb = a.pieces, b.pieces
     if not pa or not pb:
         return EMPTY
-    out = []
+    out: list[Interval] = []
+    na, nb = len(pa), len(pb)
     ai = bi = 0
-    while ai < len(pa) and bi < len(pb):
+    while ai < na and bi < nb:
         x, y = pa[ai], pb[bi]
-        r = _intersect_pieces(x, y)
-        if r is not None:
-            out.append(r)
-        if _lt(x.hi, y.hi) or ((not x.hi_closed or y.hi_closed) and _eq(x.hi, y.hi)):
+        if x is y:
+            out.append(x)
             ai += 1
-        else:
             bi += 1
+            continue
+        if not _ends_by(x, y):
+            pa, pb, na, nb, ai, bi, x, y = pb, pa, nb, na, bi, ai, y, x
+        if not _starts_before(x, y):
+            run = _gallop(pa, ai + 1, na, _ends_by, y)
+            out += pa[ai:run]
+            ai = run
+        elif _ends_before(x, y):
+            ai = _gallop(pa, ai + 1, na, _ends_before, y)
+        else:
+            out.append(_mk_interval(y.lo, x.hi, y.lo_closed, x.hi_closed))
+            ai += 1
     return _mk_set(tuple(out))
 
 
@@ -384,40 +472,51 @@ def complement(a: IntervalSet) -> IntervalSet:
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """The points of ``a`` outside ``b``, in one merge sweep.
 
-    Each piece of ``a`` is cut, in line order, by the pieces of ``b`` that
-    overlap it; a piece of ``b`` reaching past its end may cut the next one
-    too.  No complement or other intermediate set is built, and the cuts
-    come out in line order, hence canonical.
+    Pieces of ``b`` ending before the current piece of ``a`` are skipped,
+    and the run of pieces of ``a`` ending before the current piece of ``b``
+    is copied as it is.  Any other piece of ``a`` is cut, in line order, by
+    the pieces of ``b`` that overlap it; a piece of ``b`` reaching past its
+    end may cut the next one too.  No complement or other intermediate set
+    is built, and the cuts come out in line order, hence canonical.
     """
     pa, pb = a.pieces, b.pieces
     if not pa or not pb:
         return a
-    out = []
-    nb = len(pb)
-    bi = 0
-    for x in pa:
+    out: list[Interval] = []
+    na, nb = len(pa), len(pb)
+    ai = bi = 0
+    while ai < na:
+        x = pa[ai]
         # Pieces of b ending before x starts cut no later piece of a either.
-        while bi < nb and (
-            _lt(pb[bi].hi, x.lo)
-            or (not (pb[bi].hi_closed and x.lo_closed) and _eq(pb[bi].hi, x.lo))
-        ):
-            bi += 1
-        first = bi
-        lo, lo_closed = x.lo, x.lo_closed  # start of what is left of x
-        rest = True
-        while bi < nb:
+        y = pb[bi]
+        if _ends_before(y, x):
+            bi = _gallop(pb, bi + 1, nb, _ends_before, x)
+            if bi == nb:
+                out += pa[ai:]
+                break
             y = pb[bi]
-            if _lt(x.hi, y.lo) or (not (x.hi_closed and y.lo_closed) and _eq(x.hi, y.lo)):
-                break  # y starts after x
+        if _ends_before(x, y):
+            run = _gallop(pa, ai + 1, na, _ends_before, y)
+            out += pa[ai:run]
+            ai = run
+            continue
+        # y overlaps x: cut x by y and by the next pieces of b that overlap it.
+        lo, lo_closed = x.lo, x.lo_closed  # start of what is left of x
+        while True:
             if _lt(lo, y.lo) or (lo_closed and not y.lo_closed and _eq(lo, y.lo)):
                 out.append(_mk_interval(lo, y.lo, lo_closed, not y.lo_closed))
             if _lt(x.hi, y.hi) or ((y.hi_closed or not x.hi_closed) and _eq(x.hi, y.hi)):
-                rest = False  # y covers the rest of x
-                break
+                break  # y covers the rest of x, and may reach into the next piece
             lo, lo_closed = y.hi, not y.hi_closed
             bi += 1
-        if rest:
-            out.append(x if bi == first else _mk_interval(lo, x.hi, lo_closed, x.hi_closed))
+            if bi == nb or _ends_before(x, pb[bi]):
+                out.append(_mk_interval(lo, x.hi, lo_closed, x.hi_closed))
+                break
+            y = pb[bi]
+        ai += 1
+        if bi == nb:
+            out += pa[ai:]
+            break
     return _mk_set(tuple(out))
 
 
@@ -522,13 +621,18 @@ def _parse_endpoint(text: str) -> Value:
 
 
 def parse_set(text: str) -> IntervalSet:
-    """Parse the SET grammar (or the word ``empty``) into canonical form."""
+    """Parse the SET grammar (or the word ``empty``) into canonical form.
+
+    Text already in canonical order, each piece with a gap before the next,
+    is taken as it reads; any other text goes through `normalize`.
+    """
     flat = text.strip()
     if flat == "empty":
         return EMPTY
     if not flat:
         raise ParseError("empty interval-set text")
-    intervals = []
+    intervals: list[Interval] = []
+    canonical = True
     for part in flat.split("U"):
         squeezed = "".join(part.split())
         m = _INTERVAL_RE.match(squeezed)
@@ -539,8 +643,11 @@ def parse_set(text: str) -> IntervalSet:
         fault = _interval_fault(*ends)
         if fault:
             raise ParseError(fault)
-        intervals.append(_mk_interval(*ends))
-    return normalize(intervals)
+        iv = _mk_interval(*ends)
+        if canonical and intervals and not _gap_between(intervals[-1], iv):
+            canonical = False
+        intervals.append(iv)
+    return _mk_set(tuple(intervals)) if canonical else normalize(intervals)
 
 
 def parse_point(text: str) -> Fraction:

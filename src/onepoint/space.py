@@ -19,9 +19,10 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _ends_before,
+    _ends_by,
     _eq,
-    _intersect_pieces,
-    _lt,
+    _gallop,
     _mk_interval,
     _mk_set,
     _starts_before,
@@ -81,21 +82,31 @@ def component_index(space: Space, z: Fraction) -> int:
 
 def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
     """s ∩ C for every component C, in line order, from one merge sweep of s
-    against the components: each meeting of a piece of s with a component
-    is filed under that component."""
-    pa, pc = s.pieces, space.ambient.pieces
-    slices: list[list[Interval]] = [[] for _ in pc]
-    ai = ci = 0
-    while ai < len(pa) and ci < len(pc):
-        x, y = pa[ai], pc[ci]
-        r = _intersect_pieces(x, y)
-        if r is not None:
-            slices[ci].append(r)
-        if _lt(x.hi, y.hi) or ((not x.hi_closed or y.hi_closed) and _eq(x.hi, y.hi)):
-            ai += 1
-        else:
-            ci += 1
-    return tuple(_mk_set(tuple(sl)) for sl in slices)
+    against the components.
+
+    Past the pieces of s that end before C, the run of pieces ending inside
+    C is copied, its first piece clipped to C when it starts before C; the
+    next piece, ending past C, meets C in a piece running to C's end, or in
+    C itself when it also starts no later than C.
+    """
+    pa = s.pieces
+    na = len(pa)
+    ai = 0
+    slices = []
+    for c in space.ambient.pieces:
+        ai = _gallop(pa, ai, na, _ends_before, c)
+        run = _gallop(pa, ai, na, _ends_by, c)
+        sl = list(pa[ai:run])
+        if sl and _starts_before(sl[0], c):
+            sl[0] = _mk_interval(c.lo, sl[0].hi, c.lo_closed, sl[0].hi_closed)
+        if run < na and not _ends_before(c, pa[run]):
+            x = pa[run]
+            sl.append(
+                _mk_interval(x.lo, c.hi, x.lo_closed, c.hi_closed) if _starts_before(c, x) else c
+            )
+        slices.append(_mk_set(tuple(sl)))
+        ai = run
+    return tuple(slices)
 
 
 def closed_and_bounded(p: Interval) -> bool:

@@ -46,6 +46,47 @@ def test_witness_normal_golden():
     assert lines == ["U = II trace=(15/2,inf) tails=C#0:2", "V = I trace=[5,15/2)"]
 
 
+# Twelve components: rays, bounded pieces open at either end or both, and
+# two pairs that touch at an excluded point.
+MIXED = (
+    "(-inf,-7] U (-6,-5) U [-4,-3) U (-3,-2] U (-1,0) U (0,1/3) U [1/2,1) U (1,3/2]"
+    " U (2,5/2) U [3,7/2) U (4,9/2] U [5,inf)"
+)
+NEAR_END = "46116860184273879039/18446744073709551616"  # 5/2 - 2^-64, inside (2,5/2)
+
+
+def test_witness_hausdorff_golden_many_components():
+    code, lines = run_cli("witness", "hausdorff", "--", MIXED, "p", NEAR_END)
+    assert code == 0
+    assert lines == [
+        "U = II trace=(-inf,-7] U (-6,-5) U [-4,-3) U (-3,-2] U (-1,0) U (0,1/3) U [1/2,1)"
+        " U (1,3/2] U (92233720368547758079/36893488147419103232,5/2) U [3,7/2) U (4,9/2]"
+        " U [5,inf) tails=C#0:0,C#1:0,C#2:0,C#3:0,C#4:0,C#5:0,C#6:0,C#7:0,C#8:64,C#9:0,"
+        "C#10:0,C#11:0",
+        "V = I trace=(92233720368547758077/36893488147419103232,"
+        "92233720368547758079/36893488147419103232)",
+    ]
+    code, lines = run_cli("witness", "hausdorff", "--", MIXED, "-11/2", "13/4")
+    assert code == 0
+    assert lines == [
+        "U = I trace=(-inf,-7] U (-6,-5) U [-4,-3) U (-3,-2]",
+        "V = I trace=(-1,0) U (0,1/3) U [1/2,1) U (1,3/2] U (2,5/2) U [3,7/2) U (4,9/2] U [5,inf)",
+    ]
+
+
+def test_witness_normal_golden_many_components():
+    g = "[-4,-7/2] U [17/8,23058430092136939519/9223372036854775808] U [6,7]"  # to 5/2 - 2^-63
+    code, lines = run_cli("witness", "normal", "--", MIXED, "p", g)
+    assert code == 0
+    assert lines == [
+        "U = II trace=(-inf,-7] U (-6,-5) U (-27/8,-3) U (-3,-2] U (-1,0) U (0,1/3) U [1/2,1)"
+        " U (1,3/2] U (92233720368547758077/36893488147419103232,5/2) U [3,7/2) U (4,9/2]"
+        " U (15/2,inf) tails=C#0:0,C#1:0,C#2:1,C#3:0,C#4:0,C#5:0,C#6:0,C#7:0,C#8:62,C#9:0,"
+        "C#10:0,C#11:2",
+        "V = I trace=[-4,-27/8) U (2,92233720368547758077/36893488147419103232) U [5,15/2)",
+    ]
+
+
 def test_witness_normal_specs():
     code, lines = run_cli("witness", "normal", "[5,inf)", "p+[10,inf)", "[5,6]")
     assert code == 0 and lines[0].startswith("U = II")

@@ -4,6 +4,7 @@ loop stays linear in the number of components."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from onepoint import (
     EqualPoints,
     Interval,
-    IntervalSet,
     P,
     PointOutsideComponent,
     Space,
@@ -188,24 +188,26 @@ def spread(k):
     return " U ".join(f"({3 * i},{3 * i + 1})" for i in range(k))
 
 
-def pieces_swept(monkeypatch, run):
-    """Piece pairs met by intersect sweeps plus pieces handed to issubset."""
+def comparisons(monkeypatch, run):
+    """Endpoint comparisons made: every call of the `_lt` and `_eq` kernel,
+    patched in each module that imports it."""
     count = 0
-    meet, subset = intervals._intersect_pieces, IntervalSet.issubset
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("onepoint")]
 
-    def counting_meet(a, b):
-        nonlocal count
-        count += 1
-        return meet(a, b)
+    def counting(kernel):
+        def counted(a, b):
+            nonlocal count
+            count += 1
+            return kernel(a, b)
 
-    def counting_subset(self, other):
-        nonlocal count
-        count += len(self.pieces) + len(other.pieces)
-        return subset(self, other)
+        return counted
 
     with monkeypatch.context() as mp:
-        mp.setattr(intervals, "_intersect_pieces", counting_meet)
-        mp.setattr(IntervalSet, "issubset", counting_subset)
+        for kernel in (intervals._lt, intervals._eq):
+            wrapped = counting(kernel)
+            for module in modules:
+                if getattr(module, kernel.__name__, None) is kernel:
+                    mp.setattr(module, kernel.__name__, wrapped)
         run()
     return count
 
@@ -225,7 +227,7 @@ OPS = {
 @pytest.mark.parametrize("name", sorted(OPS))
 def test_per_component_work_is_linear(monkeypatch, name):
     op = OPS[name]
-    small = pieces_swept(monkeypatch, lambda: op(64))
-    large = pieces_swept(monkeypatch, lambda: op(256))
+    small = comparisons(monkeypatch, lambda: op(64))
+    large = comparisons(monkeypatch, lambda: op(256))
     assert small > 0
     assert large <= 4.5 * small, (name, small, large)

@@ -1,7 +1,9 @@
 import inspect
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -921,6 +923,39 @@ def test_check_connectifiable_builds_the_components_once(corpus200, monkeypatch)
         calls.clear()
         assert check_connectifiable(sp) == verdict
         assert calls == [sp]
+
+
+def perfbench_large_spaces(seed):
+    """The spaces of 32 to 128 components that perfbench's `large` workload draws."""
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import workloads
+
+    rng = random.Random(seed)
+    return [
+        Space(S(workloads.rs.fmt_set(workloads.large_pieces(rng, n))))
+        for n in workloads.LARGE_COMPONENTS
+    ]
+
+
+def test_verdict_builds_each_filter_unchecked(corpus200, monkeypatch):
+    """The compactness loop has already ruled out a compact component, so the
+    verdict builds each filter without EscapeFilter's own checks, and gets
+    the filter choose_escape gives."""
+    spaces = list(corpus200) + perfbench_large_spaces(7) + perfbench_large_spaces(8)
+    expected = [
+        None if any(map(is_compact, components(sp))) else list(map(choose_escape, components(sp)))
+        for sp in spaces
+    ]
+    monkeypatch.setattr(EscapeFilter, "__init__", lambda *args: pytest.fail("filter rechecked"))
+    for sp, filters in zip(spaces, expected):
+        verdict = check_connectifiable(sp)
+        if filters is None:
+            assert isinstance(verdict, Refused)
+        else:
+            assert list(verdict.extension.filters) == filters
+    assert sum(f is not None for f in expected) > 100
 
 
 # --------------------------------------------------------------------------

@@ -679,3 +679,51 @@ def test_parse_errors_match_fraction_text_parser():
         with pytest.raises(ParseError) as exc:
             parse_point(shown)
         assert str(exc.value) == reference_parse_error(t, "point", shown)
+
+
+# --------------------------------------------------------------------------
+# the sweeps skip and reuse the pieces an operation leaves unchanged
+# --------------------------------------------------------------------------
+
+MANY = " U ".join(["(-inf,-1)"] + [f"[{3 * i},{3 * i + 1})" for i in range(40)] + ["(121,122]"])
+
+
+def test_untouched_pieces_come_back_as_they_are(monkeypatch):
+    """Pieces an intersection or difference leaves alone are the operand's
+    own objects, and pieces past the other operand's end are skipped by
+    galloping, not by comparing every one of them."""
+    x = S(MANY)
+    monkeypatch.setattr(intervals, "_intersect_pieces", lambda a, b: pytest.fail("piece rebuilt"))
+    gap, past = S("[5/4,2]"), S("[150,160]")
+    for got in (intersect(x, REALS), intersect(REALS, x), difference(x, gap), difference(x, past)):
+        assert len(got.pieces) == len(x.pieces)
+        assert all(a is b for a, b in zip(got.pieces, x.pieces))
+    cut = difference(x, S("[1/2,3/4]"))
+    assert len(cut.pieces) == len(x.pieces) + 1
+    assert all(a is b for a, b in zip(cut.pieces[3:], x.pieces[2:]))
+
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return _lt(a, b)
+
+    monkeypatch.setattr(intervals, "_lt", counted)
+    assert difference(x, S("[1000,1001]")) == x
+    assert not intersect(x, S("[123,124]"))
+    assert not intersect(S("[150,151]"), x)
+    assert calls < len(x.pieces)
+
+
+def test_canonical_text_is_not_normalized(monkeypatch):
+    texts = [MANY, "(0,1) U (1,2) U [3,3] U (4,inf)", "[-1/2,0) U (0,1/2]", "(-inf,inf)"]
+    expected = [normalize(S(t).pieces) for t in texts]
+    monkeypatch.setattr(intervals, "normalize", lambda items: pytest.fail("text normalized"))
+    for t, want in zip(texts, expected):
+        got = S(t)
+        assert got == want and str(got) == t
+    with pytest.raises(pytest.fail.Exception):
+        S("(1,2) U (0,1)")
+    with pytest.raises(pytest.fail.Exception):
+        S("(0,1] U (1,2)")

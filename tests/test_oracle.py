@@ -7,6 +7,7 @@ too.  Endpoints come from a small pool, so that coincident endpoints,
 touching pieces and single missing points are common.
 """
 
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -121,3 +122,73 @@ def test_union_is_the_canonical_form_of_both_piece_lists(a, b):
     joined = union(sa, sb)
     assert joined == normalize(sa.pieces + sb.pieces) == normalize(sb.pieces + sa.pieces)
     assert IntervalSet(joined.pieces) == joined  # rechecks canonical form
+
+
+# --------------------------------------------------------------------------
+# long operands: runs for the sweeps to skip and copy
+# --------------------------------------------------------------------------
+
+LONG_LINE = rs.Line([Fraction(k, 2) for k in range(-240, 241)])
+
+
+def long_mask(rng, count, longest, lo=0, hi=LONG_LINE.size):
+    """The union of `count` random runs of up to `longest` atoms inside atoms lo..hi-1."""
+    mask = 0
+    for _ in range(count):
+        start = rng.randrange(lo, hi)
+        end = min(hi, start + rng.randint(1, longest))
+        mask |= ((1 << end) - 1) ^ ((1 << start) - 1)
+    return mask
+
+
+def long_operands(rng):
+    """Masks of 30 to 130 pieces, spread or clustered at both ends, and one-piece masks."""
+    size = LONG_LINE.size
+    third = size // 3
+    spread = long_mask(rng, rng.randint(50, 220), 4)
+    left = long_mask(rng, rng.randint(40, 150), 3, 0, third)
+    right = long_mask(rng, rng.randint(40, 150), 3, 2 * third, size)
+    start = rng.randrange(size)
+    end = start + 1 if rng.random() < 0.3 else rng.randint(start + 1, size)
+    one = ((1 << end) - 1) ^ ((1 << start) - 1)  # a point, a gap or a longer run
+    return [spread, left, right, left | right, one, LONG_LINE.full]
+
+
+def test_long_operands_match_the_atom_oracle():
+    rng = random.Random(19)
+    line = LONG_LINE
+    counts = set()
+    for _ in range(12):
+        masks = long_operands(rng)
+        sets = [parse_set(text(line, m)) for m in masks]
+        counts.update(len(s.pieces) for s in sets)
+        # Results of the sweeps share piece objects with their operands;
+        # operate on them too, so shared pieces meet in every role.
+        a, b = sets[0], sets[3]
+        for m, s in ((masks[0] & masks[3], intersect(a, b)), (masks[0] | masks[3], union(a, b)),
+                     (masks[0] & ~masks[3], difference(a, b))):
+            assert str(s) == text(line, m)
+            masks.append(m)
+            sets.append(s)
+        for ma, sa in zip(masks, sets):
+            for mb, sb in zip(masks, sets):
+                assert str(intersect(sa, sb)) == text(line, ma & mb)
+                assert str(union(sa, sb)) == text(line, ma | mb)
+                assert str(difference(sa, sb)) == text(line, ma & ~mb)
+                assert sa.issubset(sb) == (ma & ~mb == 0)
+                inner = ma & mb
+                for ms, ss in ((inner, intersect(sa, sb)), (ma, sa)):
+                    if ms & ~mb:
+                        for op in (not_interior_in, is_closed_in):
+                            with pytest.raises(NotASubset):
+                                op(ss, sb)
+                        continue
+                    bad = ms & line.closure(mb & ~ms)
+                    assert str(not_interior_in(ss, sb)) == text(line, bad)
+                    assert is_closed_in(ss, sb) == line.is_closed_in(ms, mb)
+                if mb:
+                    comps = line.pieces(mb)
+                    got = [str(t) for t in component_slices(Space(sb), sa)]
+                    assert got == [text(line, ma & line.interval(c)) for c in comps]
+    assert min(counts) == 1 and max(counts) > 100
+    assert len([c for c in counts if 30 <= c <= 130]) > 20
