@@ -19,12 +19,7 @@ from . import records
 from . import selftest
 from .compactify import CompactRefused
 from .compactify import compactify as alexandroff_compactify
-from .errors import (
-    DensityFailure,
-    FidelityFailure,
-    InvalidExtension,
-    OnePointError,
-)
+from .errors import InvalidExtension, OnePointError
 from .intervals import parse_point, parse_set
 from .space import Space, components
 
@@ -180,7 +175,7 @@ def main(argv=None, emit=print) -> int:
         if args.verb == "finite":
             return _cmd_finite(args, emit)
         return selftest.run(emit)
-    except (DensityFailure, FidelityFailure, InvalidExtension) as exc:
+    except InvalidExtension as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1
     except OnePointError as exc:

@@ -57,7 +57,7 @@ from .intervals import (
     pick_point,
     union,
 )
-from .space import Component, Space, components, is_compact
+from .space import Component, Space, components, has_compact_component, is_compact
 from .space import component_index, component_slices, separate_disjoint_closed, split_points
 
 
@@ -67,36 +67,34 @@ from .space import component_index, component_slices, separate_disjoint_closed, 
 
 
 class EscapeFilter(Frozen):
-    """Descending chain of closed escape sets along one component.
+    """Descending chain of closed escape sets along one non-compact component.
 
-    The chain runs toward ``end`` on one ``side`` of the component: ``side``
-    is +1 for the right end and -1 for the left end, and ``end`` is that end
-    as a value of the extended line, an infinity or the excluded finite
-    endpoint.  element(n) is the block from ``start(n)`` to ``end``, with
-    ``start(n)`` included, intersected with the component: ``start(n)`` is
-    ``anchor + n`` (``anchor - n`` on the left) toward an infinite end and
-    ``end - (end - anchor)/2^n`` toward a finite one.  A side other than
-    +1 or -1, an included end or an anchor not strictly inside the component
-    is an input error.
+    The chain runs toward ``end`` on one ``side`` of the component: the
+    right end (``side`` +1) unless it is included, else the left end
+    (``side`` -1).  ``end`` is that end as a value of the extended line, an
+    infinity or the excluded finite endpoint, and ``anchor`` is the
+    component's inner point.  element(n) is the block from ``start(n)`` to
+    ``end``, with ``start(n)`` included, intersected with the component:
+    ``start(n)`` is ``anchor + n`` (``anchor - n`` on the left) toward an
+    infinite end and ``end - (end - anchor)/2^n`` toward a finite one.  A
+    compact component has no escape end and raises ``CompactComponent``.
     """
 
-    # end is worked out once: every sweep reads it
+    # side, anchor and end are worked out once: every sweep reads them
     __slots__ = ("component", "side", "anchor", "end")
 
-    def __init__(self, component: Component, side: int, anchor: Fraction) -> None:
-        piece = component.piece
-        if type(anchor) is not Fraction:  # runs once per component: skip the call
-            anchor = as_point(anchor)
-        if type(side) is not int or side not in (1, -1):
-            raise MalformedInterval(f"an escape filter runs on side 1 or -1, not {side!r}")
-        if (piece.hi_closed if side > 0 else piece.lo_closed):
-            raise MalformedInterval(f"no escape toward an included end of {piece}")
-        if not (_lt(piece.lo, anchor) and _lt(anchor, piece.hi)):
-            raise MalformedInterval(f"filter anchor {anchor} is not inside {piece}")
+    def __init__(self, component: Component) -> None:
+        # A non-compact piece is not a single point and has an excluded end,
+        # and an infinite end is never included, so an open right end is
+        # non-compact and the inner point lies strictly inside.
+        p = component.piece
+        if is_compact(component):
+            raise CompactComponent(f"{p} has no non-compact end")
+        side = -1 if p.hi_closed else 1
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "end", piece.hi if side > 0 else piece.lo)
+        object.__setattr__(self, "anchor", inner_point(p.lo, p.hi))
+        object.__setattr__(self, "end", p.hi if side > 0 else p.lo)
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
@@ -153,28 +151,6 @@ class EscapeFilter(Frozen):
         return self._index_past(z, False)
 
 
-def choose_escape(component: Component) -> EscapeFilter:
-    """Deterministic escape filter: prefer the right end when non-compact."""
-    if is_compact(component):
-        raise CompactComponent(f"{component.piece} has no non-compact end")
-    return _escape(component)
-
-
-def _escape(component: Component) -> EscapeFilter:
-    # The filter of a component known to be non-compact, built without the
-    # checks of EscapeFilter(...): such a piece is not a single point and
-    # has an excluded end, and an infinite end is never included, so an
-    # open right end is non-compact and the inner point lies strictly inside.
-    p = component.piece
-    side = -1 if p.hi_closed else 1
-    flt = object.__new__(EscapeFilter)
-    object.__setattr__(flt, "component", component)
-    object.__setattr__(flt, "side", side)
-    object.__setattr__(flt, "anchor", inner_point(p.lo, p.hi))
-    object.__setattr__(flt, "end", p.hi if side > 0 else p.lo)
-    return flt
-
-
 # --------------------------------------------------------------------------
 # the extension and its open sets
 # --------------------------------------------------------------------------
@@ -202,13 +178,14 @@ ExtPoint = Fraction | NamedPoint
 
 
 class Extension(Frozen):
-    """The space plus the extra point, one escape filter per component."""
+    """The space plus the extra point, one escape filter per component; a
+    space with a compact component raises ``CompactComponent``."""
 
     __slots__ = ("space", "filters")
 
-    def __init__(self, space: Space, filters: tuple[EscapeFilter, ...]) -> None:
+    def __init__(self, space: Space) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "filters", filters)
+        object.__setattr__(self, "filters", tuple(map(EscapeFilter, components(space))))
 
     def whole_open(self) -> TypeII:
         return TypeII(self.space.ambient, (0,) * len(self.filters))
@@ -273,12 +250,8 @@ def check_connectifiable(space: Space) -> Verdict:
     A compact component would stay clopen and proper in any one-point
     Hausdorff extension, so it is returned as the refusal witness.
     """
-    filters = []
-    for comp in components(space):
-        if is_compact(comp):
-            return Refused(comp)
-        filters.append(_escape(comp))
-    return Connectifiable(Extension(space, tuple(filters)))
+    comp = has_compact_component(space)
+    return Connectifiable(Extension(space)) if comp is None else Refused(comp)
 
 
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:

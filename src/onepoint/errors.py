@@ -58,14 +58,14 @@ class NotACover(OnePointError):
     """The given family does not cover the compactified space."""
 
 
-class DensityFailure(OnePointError):
-    """Bug signal: a neighborhood of the extra point came out empty or invalid."""
-
-
-class FidelityFailure(OnePointError):
-    """Bug signal: subspace topology disagreement between base and extension."""
-
-
 class InvalidExtension(OnePointError):
     """Bug signal: the extension violated one of its own structural theorems,
     or an engine-built witness or certificate failed its own verification."""
+
+
+class DensityFailure(InvalidExtension):
+    """Bug signal: a neighborhood of the extra point came out empty or invalid."""
+
+
+class FidelityFailure(InvalidExtension):
+    """Bug signal: subspace topology disagreement between base and extension."""

@@ -121,9 +121,9 @@ def is_compact(comp: Component) -> bool:
 
 def has_compact_component(space: Space) -> Component | None:
     """The first compact component in line order, if any."""
-    for comp in components(space):
-        if is_compact(comp):
-            return comp
+    for i, piece in enumerate(space.ambient.pieces):
+        if closed_and_bounded(piece):
+            return Component(piece, i)
     return None
 
 

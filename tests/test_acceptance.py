@@ -15,6 +15,7 @@ from onepoint import (
     INFINITY,
     CompactExtension,
     CompactRefused,
+    EscapeFilter,
     IsTrivial,
     NotClopenEvidence,
     P,
@@ -23,7 +24,6 @@ from onepoint import (
     TypeII,
     check_axiom,
     check_connectifiable,
-    choose_escape,
     clopen_falsifier,
     compactification_hausdorff_witness,
     components,
@@ -154,7 +154,7 @@ def test_criterion_4_filter_laws(corpus200):
         for comp in components(sp):
             if is_compact(comp):
                 continue
-            flt = choose_escape(comp)
+            flt = EscapeFilter(comp)
             c = comp.as_set()
             prev = None
             for n in range(65):

@@ -195,3 +195,32 @@ def test_unexpected_exception_is_one_line_and_exit_1(monkeypatch, capsys):
     code, lines = run_cli("components", "(0,1)")
     assert code == 1 and lines == []
     assert capsys.readouterr().err == "internal error: RuntimeError: lost track\n"
+
+
+def test_every_bug_signal_exits_1_with_its_message(monkeypatch, capsys):
+    from onepoint.errors import DensityFailure, FidelityFailure, InvalidExtension
+
+    for error in (DensityFailure, FidelityFailure, InvalidExtension):
+        assert issubclass(error, InvalidExtension)
+
+        def broken(args, emit, error=error):
+            raise error("certificate failed its own verification")
+
+        monkeypatch.setattr(cli, "_cmd_components", broken)
+        code, lines = run_cli("components", "(0,1)")
+        assert code == 1 and lines == []
+        err = capsys.readouterr().err
+        assert err == "internal invariant violation: certificate failed its own verification\n"
+
+
+def test_selftest_dichotomy_catches_a_wrong_verdict(monkeypatch):
+    from onepoint import connectify, selftest
+
+    assert selftest._check_dichotomy() == (True, "spaces=80 refused=19")
+
+    def always_refused(space):
+        return connectify.Refused(connectify.components(space)[-1])
+
+    monkeypatch.setattr(connectify, "check_connectifiable", always_refused)
+    ok, detail = selftest._check_dichotomy()
+    assert not ok and detail.startswith("dichotomy-broken space=")

@@ -18,6 +18,7 @@ from onepoint import (
     EqualPoints,
     EscapeFilter,
     ExtClosedSet,
+    Extension,
     FidelityCertificate,
     FidelityFailure,
     Interval,
@@ -35,7 +36,6 @@ from onepoint import (
     TypeI,
     TypeII,
     check_connectifiable,
-    choose_escape,
     clopen_falsifier,
     closed_in_extension,
     components,
@@ -43,6 +43,7 @@ from onepoint import (
     declared_tails_hold,
     density_check,
     ext_contains,
+    has_compact_component,
     hausdorff_witness,
     interior_in,
     intersect,
@@ -66,7 +67,6 @@ from onepoint import (
 from onepoint.compactify import (
     INFINITY,
     CompactExtension,
-    CompactRefused,
     comp_contains,
     compactification_hausdorff_witness,
     compactify,
@@ -78,7 +78,7 @@ from onepoint.connectify import (
     _escape_piece,
     _least_tail,
 )
-from onepoint.finite import Preorder
+from onepoint.frozen import Frozen
 from onepoint.intervals import closure_in, difference, is_finite, only, pick_point, union
 from onepoint.sampling import (
     clopen_candidates,
@@ -106,29 +106,29 @@ def ext_of(text):
 
 def test_choose_escape_examples():
     (c,) = components(Space(S("(0,1)")))
-    f = choose_escape(c)
+    f = EscapeFilter(c)
     assert f.side == 1 and f.end == 1 and is_finite(f.end)
     assert f.anchor == Fraction(1, 2)
 
     (c,) = components(Space(S("[5,inf)")))
-    f = choose_escape(c)
+    f = EscapeFilter(c)
     assert f.side == 1 and f.end == POS_INF and f.anchor == 6
 
     (c,) = components(Space(S("(-inf,0)")))
-    f = choose_escape(c)
+    f = EscapeFilter(c)
     assert f.side == 1 and f.end == 0 and is_finite(f.end)
     assert f.anchor == -1
 
     (c,) = components(Space(S("(-inf,0]")))
-    f = choose_escape(c)
+    f = EscapeFilter(c)
     assert f.side == -1 and f.end == NEG_INF and f.anchor == -1
 
     (c,) = components(Space(S("(0,2]")))
-    f = choose_escape(c)
+    f = EscapeFilter(c)
     assert f.side == -1 and f.end == 0 and is_finite(f.end)
 
     with pytest.raises(CompactComponent):
-        choose_escape(components(Space(S("[2,3]")))[0])
+        EscapeFilter(components(Space(S("[2,3]")))[0])
 
 
 def test_filter_element_examples():
@@ -253,8 +253,6 @@ def test_check_connectifiable_examples():
 
 
 def test_verdict_dichotomy_and_refusal_soundness(corpus200):
-    from onepoint import has_compact_component
-
     for sp in corpus200:
         v = check_connectifiable(sp)
         assert isinstance(v, Refused) == (has_compact_component(sp) is not None)
@@ -379,47 +377,90 @@ def test_certificates_are_never_empty():
     assert verify_fidelity(ext, subspace_fidelity(ext, 1))
 
 
+#: Per value class, the fields its constructor works out instead of taking.
+#: Every other field is a constructor parameter, in field order.
+DERIVED_FIELDS = {
+    "intervals.Interval": (),
+    "intervals.IntervalSet": (),
+    "space.Component": (),
+    "space.Space": (),
+    "space.LocalConnectednessCertificate": (),
+    "connectify.EscapeFilter": ("side", "anchor", "end"),
+    "connectify.Extension": ("filters",),
+    "connectify.TypeI": (),
+    "connectify.TypeII": (),
+    "connectify.ExtClosedSet": (),
+    "connectify.Connectifiable": (),
+    "connectify.Refused": (),
+    "connectify.OpenCheck": (),
+    "connectify.DensityCertificate": (),
+    "connectify.FidelityCertificate": (),
+    "connectify.ConnectednessStep": (),
+    "connectify.ConnectednessCertificate": (),
+    "connectify.IsTrivial": (),
+    "connectify.NotClopenEvidence": (),
+    "compactify.CompactExtension": (),
+    "compactify.CompactRefused": (),
+    "compactify.TypeInf": (),
+    "finite.FiniteSpace": (),
+    "finite.Preorder": (),
+}
+
+
+def value_classes(cls=Frozen):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from value_classes(sub)
+
+
 def test_derivable_fields_are_not_passed_in():
-    """A certificate's sample count, a filter's end, a check's outcome, a
-    refusal's reason and a preorder's size are worked out, never passed in."""
-
-    def settable(cls):
-        return list(inspect.signature(cls).parameters)
-
-    assert settable(DensityCertificate) == ["neighborhoods"]
-    assert settable(FidelityCertificate) == ["extension_opens", "base_opens"]
-    assert settable(EscapeFilter) == ["component", "side", "anchor"]
-    assert settable(OpenCheck) == ["reason", "component", "boundary"]
-    assert settable(CompactRefused) == [] and settable(Preorder) == ["up"]
+    """A filter's side, anchor and end, an extension's filters, and every
+    property (a certificate's sample count, a check's outcome, a refusal's
+    reason, a preorder's size) are worked out, never passed in.  A value
+    class missing from the table fails, so a new one declares its derived
+    fields."""
+    classes = {
+        f"{cls.__module__.removeprefix('onepoint.')}.{cls.__qualname__}": cls
+        for cls in value_classes()
+    }
+    assert sorted(classes) == sorted(DERIVED_FIELDS)
+    for name, cls in classes.items():
+        derived = DERIVED_FIELDS[name]
+        assert set(derived) <= set(cls.__slots__), name
+        kept = [f for f in cls.__slots__ if f not in derived]
+        assert list(inspect.signature(cls).parameters) == kept, name
     (c,) = components(Space(S("(0,1)")))
     with pytest.raises(TypeError):
-        EscapeFilter(c, 1, Fraction(1), Fraction(1, 2))
-    assert EscapeFilter(c, -1, Fraction(1, 2)).end == 0
+        EscapeFilter(c, -1, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Extension(Space(S("(0,1)")), (EscapeFilter(c),))
+    assert EscapeFilter(c).end == 1
     assert OpenCheck() and not OpenCheck("MissingTail", 0)
 
 
-def test_escape_filter_refuses_a_non_escape_chain():
-    """A filter runs on side 1 or -1 toward an excluded or infinite end, from
-    an anchor strictly inside the component; anything else is an input error,
-    so no certificate can be built on it."""
+def test_escape_filter_refuses_a_non_escape_chain(corpus200):
+    """A filter runs toward an excluded or infinite end from an anchor
+    strictly inside the component, all worked out from the component: a
+    compact one has no such end and raises, and a forged side or anchor
+    cannot be passed in."""
+    compact = [c for sp in corpus200 for c in components(sp) if is_compact(c)]
+    assert len(compact) == 64
+    for comp in compact:
+        with pytest.raises(CompactComponent):
+            EscapeFilter(comp)
     (c,) = components(Space(S("(0,1)")))
-    (half_open,) = components(Space(S("[0,1)")))
-    bad = [
-        (c, 1, Fraction(5)),  # element(0) would be [5,1)
-        (c, 1, Fraction(1)),
-        (c, -1, Fraction(0)),
-        (c, 2, Fraction(1, 2)),
-        (c, 0, Fraction(1, 2)),
-        (half_open, -1, Fraction(1, 2)),  # 0 is included
-    ]
-    for args in bad:
-        with pytest.raises(MalformedInterval):
-            EscapeFilter(*args)
-    assert EscapeFilter(half_open, 1, Fraction(1, 2)) == choose_escape(half_open)
-    for text in ["(-inf,0]", "(0,inf)", "(-inf,inf)", "[2,3)"]:
+    with pytest.raises(TypeError):
+        EscapeFilter(c, 1, Fraction(5))  # element(0) would be [5,1)
+    for text, side, anchor, end in [
+        ("[0,1)", 1, Fraction(1, 2), 1),
+        ("[2,3)", 1, Fraction(5, 2), 3),
+        ("(-inf,0]", -1, -1, NEG_INF),
+        ("(0,inf)", 1, 1, POS_INF),
+        ("(-inf,inf)", 1, 0, POS_INF),
+    ]:
         (comp,) = components(Space(S(text)))
-        flt = choose_escape(comp)
-        assert EscapeFilter(flt.component, flt.side, flt.anchor) == flt
+        flt = EscapeFilter(comp)
+        assert (flt.component, flt.side, flt.anchor, flt.end) == (comp, side, anchor, end)
 
 
 def test_connectedness_certificate():
@@ -922,7 +963,8 @@ def test_check_connectifiable_builds_the_components_once(corpus200, monkeypatch)
     for sp, verdict in zip(corpus200[:60], expected):
         calls.clear()
         assert check_connectifiable(sp) == verdict
-        assert calls == [sp]
+        assert calls == ([] if isinstance(verdict, Refused) else [sp])
+    assert any(isinstance(v, Refused) for v in expected)
 
 
 def perfbench_large_spaces(seed):
@@ -939,23 +981,38 @@ def perfbench_large_spaces(seed):
     ]
 
 
-def test_verdict_builds_each_filter_unchecked(corpus200, monkeypatch):
-    """The compactness loop has already ruled out a compact component, so the
-    verdict builds each filter without EscapeFilter's own checks, and gets
-    the filter choose_escape gives."""
+def test_verdict_builds_each_filter_unchecked(corpus200):
+    """The verdict's extension holds the filter EscapeFilter gives for each
+    component, in line order."""
     spaces = list(corpus200) + perfbench_large_spaces(7) + perfbench_large_spaces(8)
     expected = [
-        None if any(map(is_compact, components(sp))) else list(map(choose_escape, components(sp)))
+        None if any(map(is_compact, components(sp))) else tuple(map(EscapeFilter, components(sp)))
         for sp in spaces
     ]
-    monkeypatch.setattr(EscapeFilter, "__init__", lambda *args: pytest.fail("filter rechecked"))
     for sp, filters in zip(spaces, expected):
         verdict = check_connectifiable(sp)
         if filters is None:
             assert isinstance(verdict, Refused)
         else:
-            assert list(verdict.extension.filters) == filters
+            assert verdict.extension.filters == filters
     assert sum(f is not None for f in expected) > 100
+
+
+def test_extension_is_a_function_of_its_space(corpus200):
+    """Extension(space) raises exactly when a component is compact, and is
+    otherwise the verdict's extension."""
+    spaces = list(corpus200) + perfbench_large_spaces(7) + perfbench_large_spaces(8)
+    refused = 0
+    for sp in spaces:
+        comp = has_compact_component(sp)
+        assert comp == next(filter(is_compact, components(sp)), None)
+        if comp is not None:
+            refused += 1
+            with pytest.raises(CompactComponent):
+                Extension(sp)
+        else:
+            assert Extension(sp) == check_connectifiable(sp).extension
+    assert refused == 49 and len(spaces) - refused > 100
 
 
 # --------------------------------------------------------------------------
@@ -1033,7 +1090,7 @@ def test_choose_escape_anchors_match_fraction_arithmetic(corpus200):
     for space in corpus200:
         for comp in components(space):
             if not is_compact(comp):
-                assert_same_fraction(choose_escape(comp).anchor, reference_anchor(comp.piece))
+                assert_same_fraction(EscapeFilter(comp).anchor, reference_anchor(comp.piece))
                 count += 1
     assert count > 200
 
