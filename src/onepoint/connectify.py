@@ -28,6 +28,7 @@ from .errors import (
     InvalidExtension,
     MalformedInterval,
     NotASubset,
+    NotClosed,
     NotClosedInY,
     NotDisjoint,
     PInBoth,
@@ -739,7 +740,12 @@ def normality_witness(
     slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
     for flt, n_c, (f_c, g_c) in zip(ext.filters, tails, slices):
         c = Space(flt.component.as_set())
-        u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
+        # Closed and disjoint when F and G are and the tail avoids G, so a
+        # refusal here is the engine's fault, not the input's.
+        try:
+            u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
+        except (NotClosed, NotDisjoint) as exc:
+            raise InvalidExtension(f"F with tail {n_c} in {flt.component}: {exc}") from exc
         u_pieces.extend(u_c.pieces)
         v_pieces.extend(v_c.pieces)
     return TypeII(normalize(u_pieces), tails), TypeI(normalize(v_pieces))

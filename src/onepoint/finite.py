@@ -69,46 +69,18 @@ def validate_topology(size: int, family) -> bool:
     return True
 
 
-class Preorder(Frozen):
-    """Reflexive transitive relation; up[i] is the mask of successors of i."""
-
-    __slots__ = ("up",)
-
-    def __init__(self, up: tuple[int, ...]) -> None:
-        n = len(up)
-        for i, ui in enumerate(up):
-            # The range check comes first: a negative row has endless set bits.
-            if ui >> n:
-                raise ParseError(f"preorder row {i} ({ui}) holds points outside 0..{n - 1}")
-            if not (ui >> i) & 1:
-                raise ParseError("preorders are reflexive")
-            rest = ui
-            while rest:
-                low = rest & -rest
-                if up[low.bit_length() - 1] & ~ui:
-                    raise ParseError("preorders are transitive")
-                rest ^= low
-        object.__setattr__(self, "up", up)
-
-
-def least_open(space: FiniteSpace, mask: int) -> int:
-    """Intersection of all opens holding the masked points (open, finitely
-    many opens); for one point x, its minimal open."""
-    m = space.full
-    for o in space.opens:
-        if (o | mask) == o:
-            m &= o
-    return m
-
-
-def to_preorder(space: FiniteSpace) -> Preorder:
-    """Specialization: x below y iff every open containing x contains y."""
-    return Preorder(tuple(least_open(space, 1 << x) for x in range(space.size)))
-
-
-def from_preorder(p: Preorder) -> FiniteSpace:
-    """Opens are the up-closed sets of the preorder."""
-    return _space(p.up)
+def to_preorder(space: FiniteSpace) -> tuple[int, ...]:
+    """The rows of the specialization preorder: row x, the points y with x
+    below y (every open containing x contains y), is the least open of x,
+    the intersection of the opens holding x."""
+    rows = []
+    for x in range(space.size):
+        m = space.full
+        for o in space.opens:
+            if (o >> x) & 1:
+                m &= o
+        rows.append(m)
+    return tuple(rows)
 
 
 def _space(up: tuple[int, ...]) -> FiniteSpace:
@@ -267,7 +239,7 @@ def _axiom_check(axiom: str):
 
 
 def check_axiom(space: FiniteSpace, axiom: str) -> bool:
-    return _axiom_check(axiom)(to_preorder(space).up)
+    return _axiom_check(axiom)(to_preorder(space))
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +262,7 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
     satisfies = _axiom_check(axiom)
-    up = to_preorder(x).up
+    up = to_preorder(x)
     p_bit = 1 << x.size
     found = []
     for a in x.opens - {0}:
@@ -353,8 +325,6 @@ def parse_topology_literal(text: str) -> FiniteSpace:
     n = max(masks).bit_length()
     try:
         space = FiniteSpace(n, frozenset(masks))
-    except SizeTooLarge:
-        raise
     except Exception as exc:
         raise ParseError(f"not a topology: {text!r} ({exc})") from exc
     if not validate_topology(n, space.opens):

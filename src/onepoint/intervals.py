@@ -348,7 +348,8 @@ def _merge_ordered(items) -> IntervalSet:
     return _mk_set(tuple(merged))
 
 
-def _intersect_pieces(x: Interval, y: Interval) -> Interval | None:
+def _intersect_pieces(x: Interval, y: Interval) -> Interval:
+    """The piece two pieces share; they must meet."""
     if _lt(y.lo, x.lo):
         lo, lo_closed = x.lo, x.lo_closed
     elif _lt(x.lo, y.lo):
@@ -361,10 +362,6 @@ def _intersect_pieces(x: Interval, y: Interval) -> Interval | None:
         hi, hi_closed = y.hi, y.hi_closed
     else:
         hi, hi_closed = x.hi, x.hi_closed and y.hi_closed
-    if _lt(hi, lo):
-        return None
-    if not (lo_closed and hi_closed) and _eq(lo, hi):
-        return None
     return _mk_interval(lo, hi, lo_closed, hi_closed)
 
 

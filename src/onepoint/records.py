@@ -6,7 +6,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from .compactify import CompactRefused, CompactVerdict, TypeInf
+from .compactify import CompactRefused, CompactVerdict
 from .connectify import (
     ConnectednessCertificate,
     DensityCertificate,
@@ -16,6 +16,7 @@ from .connectify import (
     IsTrivial,
     NotClopenEvidence,
     Refused,
+    TypeI,
     TypeII,
     Verdict,
     verify_connectedness,
@@ -34,11 +35,10 @@ def fmt_tails(u: TypeII) -> str:
 
 
 def fmt_open(u) -> str:
-    """One-line record of an extension or compactification open set."""
+    """One-line record of an extension open set."""
     if isinstance(u, TypeII):
         return f"II trace={u.trace} tails={fmt_tails(u)}"
-    if isinstance(u, TypeInf):
-        return f"Inf trace={u.trace}"
+    assert isinstance(u, TypeI)
     return f"I trace={u.trace}"
 
 

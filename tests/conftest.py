@@ -1,5 +1,6 @@
 import pytest
 
+import golden
 from onepoint import Connectifiable, check_connectifiable
 from onepoint.sampling import corpus
 
@@ -17,3 +18,10 @@ def extensions(corpus200):
         if isinstance(verdict, Connectifiable):
             out.append(verdict.extension)
     return out
+
+
+@pytest.fixture(scope="session")
+def perfbench_rounds():
+    """The seed-7 round of each benchmark workload, run once: per workload,
+    (op, exit code, stdout lines, stderr, exception) for every op."""
+    return golden.perfbench_rounds(golden.modules())

@@ -224,3 +224,41 @@ def test_selftest_dichotomy_catches_a_wrong_verdict(monkeypatch):
     monkeypatch.setattr(connectify, "check_connectifiable", always_refused)
     ok, detail = selftest._check_dichotomy()
     assert not ok and detail.startswith("dichotomy-broken space=")
+
+
+def test_engine_built_separation_failure_exits_1(monkeypatch, capsys):
+    """normality_witness hands separate_disjoint_closed a set it built itself
+    (F's slice with a filter tail); when that set meets G the engine is at
+    fault, so the request exits 1, not 2 as for bad input."""
+    from onepoint import connectify
+    from onepoint.intervals import is_finite
+
+    request = ("witness", "normal", "(0,1) U [5,7)", "p", "[1/4,3/4]")
+    code, lines = run_cli(*request)
+    assert code == 0 and lines[0].startswith("U = II trace=")
+    assert capsys.readouterr().err == ""
+
+    def every_near_end_included(flt, piece):
+        near = piece.lo if flt.side > 0 else piece.hi
+        return flt._index_past(near, True) if is_finite(near) else 0
+
+    monkeypatch.setattr(connectify, "_least_tail", every_near_end_included)
+    code, lines = run_cli(*request)
+    assert code == 1 and lines == []
+    assert capsys.readouterr().err == (
+        "internal invariant violation: F with tail 1 in C#0=(0,1): [3/4,1) meets [1/4,3/4]\n"
+    )
+    # The same refusal on the user's own sets is still an input error.
+    code, lines = run_cli("witness", "normal", "(0,1) U [5,7)", "[1/8,1/2]", "[1/4,3/4]")
+    assert code == 2 and lines == []
+    assert capsys.readouterr().err == "error: [1/8,1/2] meets [1/4,3/4]\n"
+
+
+def test_non_topology_literals_exit_2(capsys):
+    for literal in ("{},{0},{1},{0,1,2}", "{},{0,1},{1,2},{0,1,2}"):
+        for axiom in ("connected", "T0"):
+            code, lines = run_cli("finite", "search", literal, axiom)
+            assert code == 2 and lines == []
+            assert capsys.readouterr().err == (
+                f"error: family is not closed under union/intersection: {literal!r}\n"
+            )

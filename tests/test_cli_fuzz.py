@@ -8,6 +8,7 @@ digits, so no request asks for a huge allocation.
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -144,3 +145,31 @@ def test_cli_survives_each_corruption_everywhere():
                     bad = list(free)
                     bad[k] = corrupt(token, kind, i)
                     run([*words, "--", *bad, *fixed])
+
+
+ALL_LITERALS = [topology_literal(t) for n in range(5) for t in enumerate_topologies(n)]
+
+
+def is_topology(masks):
+    """The family scanned here rather than by ``validate_topology``: it holds
+    the empty set and the set of every point named (the literal's point set),
+    and the union and intersection of any two of its sets."""
+    family = set(masks)
+    full = (1 << max(family, default=0).bit_length()) - 1
+    return {0, full} <= family and all(
+        (a | b) in family and (a & b) in family for a in family for b in family
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ALL_LITERALS), st.data(), st.sampled_from(AXIOMS))
+def test_literal_with_an_open_dropped_exits_2_exactly_when_not_a_topology(literal, data, axiom):
+    groups = re.findall(r"\{[0-9,]*\}", literal)
+    k = data.draw(st.integers(0, len(groups) - 1))
+    kept = groups[:k] + groups[k + 1 :]
+    masks = [sum(1 << int(x) for x in g[1:-1].split(",") if x) for g in kept]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["finite", "search", ",".join(kept), axiom], emit=[].append)
+    assert code == (0 if is_topology(masks) else 2), (kept, axiom, err.getvalue())
+    assert err.getvalue().count("\n") == (code == 2), err.getvalue()

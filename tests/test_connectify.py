@@ -403,7 +403,6 @@ DERIVED_FIELDS = {
     "compactify.CompactRefused": (),
     "compactify.TypeInf": (),
     "finite.FiniteSpace": (),
-    "finite.Preorder": (),
 }
 
 
@@ -416,7 +415,7 @@ def value_classes(cls=Frozen):
 def test_derivable_fields_are_not_passed_in():
     """A filter's side, anchor and end, an extension's filters, and every
     property (a certificate's sample count, a check's outcome, a refusal's
-    reason, a preorder's size) are worked out, never passed in.  A value
+    reason, a finite space's full mask) are worked out, never passed in.  A value
     class missing from the table fails, so a new one declares its derived
     fields."""
     classes = {

@@ -8,12 +8,10 @@ from onepoint import (
     AXIOMS,
     FiniteSpace,
     ParseError,
-    Preorder,
     SizeTooLarge,
     check_axiom,
     count_topologies,
     enumerate_topologies,
-    from_preorder,
     parse_topology_literal,
     search_one_point_connectifications,
     to_preorder,
@@ -21,7 +19,7 @@ from onepoint import (
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration
+from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration, _space
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -46,24 +44,63 @@ def test_validate_topology_examples():
     assert not validate_topology(2, {0, 1, 2, 3} - {0})
 
 
+def reference_preorder_fault(up):
+    """The preorder check, over every (i, j) pair: the first fault of a row
+    tuple (a row outside the points, not reflexive or not transitive), or
+    None for a preorder."""
+    n = len(up)
+    for i, ui in enumerate(up):
+        if ui >> n:
+            return f"preorder row {i} ({ui}) holds points outside 0..{n - 1}"
+        if not (ui >> i) & 1:
+            return "preorders are reflexive"
+        for j in range(n):
+            if (ui >> j) & 1 and (up[j] | ui) != ui:
+                return "preorders are transitive"
+    return None
+
+
+def test_preorder_fault_finds_each_fault():
+    """Over every row tuple up to 3 points, with rows from -1 to
+    2^(n+1) - 1, the check accepts exactly the preorders (as many as there
+    are topologies) and finds each kind of fault."""
+    outcomes = Counter()
+    for n in range(4):
+        for up in product(range(-1, 1 << (n + 1)), repeat=n):
+            fault = reference_preorder_fault(up)
+            outcomes[fault if fault is None or fault.startswith("preorders") else "range"] += 1
+    assert outcomes[None] == 1 + 1 + 4 + 29
+    assert len(outcomes) == 4  # accepted, out of range, not reflexive, not transitive
+    assert reference_preorder_fault((-1,)) == "preorder row 0 (-1) holds points outside 0..0"
+    assert reference_preorder_fault((0b1, 0b10, 0b1100)) == "preorder row 2 (12) holds points outside 0..2"
+
+
 def test_preorder_round_trip_examples():
-    assert from_preorder(to_preorder(discrete(3))) == discrete(3)
-    assert from_preorder(to_preorder(indiscrete(3))) == indiscrete(3)
-    assert from_preorder(to_preorder(SIERPINSKI)) == SIERPINSKI
-    p = to_preorder(SIERPINSKI)
-    assert p.up == (1, 3)  # the 2-chain: 0 below nothing new, 1 below 0? no: up-masks
-    p_disc = to_preorder(discrete(2))
-    assert p_disc.up == (1, 2)  # equality preorder
-    p_ind = to_preorder(indiscrete(2))
-    assert p_ind.up == (3, 3)  # total relation
+    assert _space(to_preorder(discrete(3))) == discrete(3)
+    assert _space(to_preorder(indiscrete(3))) == indiscrete(3)
+    assert _space(to_preorder(SIERPINSKI)) == SIERPINSKI
+    assert to_preorder(SIERPINSKI) == (1, 3)  # up-masks: point 0 lies below point 1
+    assert to_preorder(discrete(2)) == (1, 2)  # equality preorder
+    assert to_preorder(indiscrete(2)) == (3, 3)  # total relation
+    assert to_preorder(FiniteSpace(0, frozenset({0}))) == ()
 
 
 def test_round_trip_everything_up_to_4():
     for n in range(5):
         for t in enumerate_topologies(n, "preorder"):
             p = to_preorder(t)
-            assert from_preorder(p) == t
-            assert to_preorder(from_preorder(p)) == p
+            assert _space(p) == t
+            assert to_preorder(_space(p)) == p
+
+
+def test_least_opens_are_preorder_rows_up_to_5():
+    """The least opens of every topology of up to 5 points form a preorder,
+    and its up-closed masks are the topology's opens again."""
+    for n in range(6):
+        for t in enumerate_topologies(n, "family" if n <= MAX_FAMILY_POINTS else "preorder"):
+            p = to_preorder(t)
+            assert reference_preorder_fault(p) is None, topology_literal(t)
+            assert _space(p) == t, topology_literal(t)
 
 
 # --------------------------------------------------------------------------
@@ -136,15 +173,8 @@ def test_open_table_matches_reference():
     up-closed masks."""
     for n in range(6):
         for rows in _preorder_enumeration(n):
-            assert from_preorder(Preorder(rows)).opens == reference_opens(rows), rows
-
-
-def test_walk_builds_no_preorder(monkeypatch):
-    """The walk's leaves are valid by construction, so neither counting nor
-    enumerating checks one through the Preorder constructor."""
-    monkeypatch.setattr(Preorder, "__init__", lambda self, up: pytest.fail("Preorder built"))
-    assert count_topologies(5) == 6942
-    assert len(list(enumerate_topologies(5))) == 6942
+            assert reference_preorder_fault(rows) is None, rows
+            assert _space(rows).opens == reference_opens(rows), rows
 
 
 def test_range_check_runs_on_every_space():
@@ -152,45 +182,6 @@ def test_range_check_runs_on_every_space():
         FiniteSpace(2, frozenset({0, 3, 4}))
     with pytest.raises(ParseError, match="^open masks must fit the point set$"):
         FiniteSpace(2, frozenset({-1, 0, 3}))
-
-
-def test_preorder_rows_stay_inside_the_points():
-    for rows, bad in (((0b111,), 0), ((0b1, 0b10, 0b1100), 2), ((-1,), 0)):
-        with pytest.raises(ParseError, match=rf"^preorder row {bad} \("):
-            Preorder(rows)
-    assert Preorder((0b11, 0b10)).up == (0b11, 0b10)
-
-
-def reference_preorder_fault(up):
-    """The Preorder check as it was, over every (i, j) pair: the message of
-    the first fault, or None for a preorder."""
-    n = len(up)
-    for i, ui in enumerate(up):
-        if ui >> n:
-            return f"preorder row {i} ({ui}) holds points outside 0..{n - 1}"
-        if not (ui >> i) & 1:
-            return "preorders are reflexive"
-        for j in range(n):
-            if (ui >> j) & 1 and (up[j] | ui) != ui:
-                return "preorders are transitive"
-    return None
-
-
-def test_preorder_check_matches_reference():
-    """Every row tuple up to 3 points, with rows from -1 to 2^(n+1) - 1, so
-    negative rows and bits past the last point are among them."""
-    outcomes = Counter()
-    for n in range(4):
-        for up in product(range(-1, 1 << (n + 1)), repeat=n):
-            try:
-                Preorder(up)
-                got = None
-            except ParseError as exc:
-                got = str(exc)
-            assert got == reference_preorder_fault(up), up
-            outcomes[got if got is None or got.startswith("preorders") else "range"] += 1
-    assert outcomes[None] == 1 + 1 + 4 + 29
-    assert len(outcomes) == 4  # accepted, out of range, not reflexive, not transitive
 
 
 def test_size_limits():
@@ -361,11 +352,11 @@ def components_exhaustive(s):
 
 def components_growth(s):
     """Components via the comparability graph of the specialization preorder."""
-    p = to_preorder(s)
-    adj = [p.up[x] for x in range(s.size)]
+    up = to_preorder(s)
+    adj = list(up)
     for x in range(s.size):
         for y in range(s.size):
-            if (p.up[y] >> x) & 1:
+            if (up[y] >> x) & 1:
                 adj[x] |= 1 << y
     seen = 0
     comps = []
@@ -474,7 +465,7 @@ def reference_extensions(x):
     """Every (A, B) candidate of the search as it was built: a preorder with
     the new point above B and below A, its opens from that preorder, and
     density asked of the result.  Yields (rows, A, extension, dense)."""
-    up = to_preorder(x).up
+    up = to_preorder(x)
     p_bit = 1 << x.size
     for a in sorted(x.opens):
         below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
@@ -484,7 +475,8 @@ def reference_extensions(x):
                 continue
             rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
             rows += (a | p_bit,)
-            t = from_preorder(Preorder(rows))
+            assert reference_preorder_fault(rows) is None, rows
+            t = _space(rows)
             yield rows, a, t, is_dense(t, x.full)
 
 
@@ -513,7 +505,7 @@ def test_search_candidates_match_preorder_construction(monkeypatch):
             want = [t for _, _, t, dense in ref if dense]
             handed.clear()
             assert search_one_point_connectifications(x, "any") == want, topology_literal(x)
-            assert sorted(handed) == [to_preorder(t).up for t in want], topology_literal(x)
+            assert sorted(handed) == [to_preorder(t) for t in want], topology_literal(x)
     assert (bases, pairs, empty_a) == (390, 7331, 2483)
 
 

@@ -27,7 +27,7 @@ from onepoint.connectify import (
     connectedness_certificate,
 )
 from onepoint.errors import NotACover
-from onepoint.finite import FiniteSpace, Preorder
+from onepoint.finite import FiniteSpace
 from onepoint.frozen import Frozen
 from onepoint.intervals import Interval, parse_set as S
 from onepoint.space import Space, components, local_connectedness_certificate
@@ -122,13 +122,12 @@ CASES = [
         lambda: FiniteSpace(2, frozenset({0, 1, 3})),
         "FiniteSpace(size=2, opens=frozenset({0, 1, 3}))",
     ),
-    (lambda: Preorder((1, 3)), "Preorder(up=(1, 3))"),
 ]
 
 
 def test_every_value_class_is_in_the_table():
     assert {type(build()) for build, _ in CASES} == set(Frozen.__subclasses__())
-    assert len(Frozen.__subclasses__()) == 24
+    assert len(Frozen.__subclasses__()) == 23
 
 
 IDS = [text.split("(")[0].split("[")[0] for _, text in CASES]

@@ -4,10 +4,11 @@ own checker.
 ``perfbench/checks.py`` decides every op from references that share no
 algorithm with onepoint (``refsets`` for interval sets, ``reffinite`` for
 finite topologies), so this is the one place where the finite search and
-its axiom checks meet an oracle that does not call ``check_axiom``.
+its axiom checks meet an oracle that does not call ``check_axiom``.  The
+rounds come from the ``perfbench_rounds`` fixture, which the byte-identity
+gate shares.
 """
 
-import importlib
 import sys
 from pathlib import Path
 
@@ -15,20 +16,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
-import run  # noqa: E402
-import workloads  # noqa: E402
-
-SEED = 7
 
 
 @pytest.mark.parametrize("workload", ["corpus", "large", "finite"])
-def test_first_round_passes_the_checker(workload):
-    m = type("Modules", (), {n: importlib.import_module(f"onepoint.{n}") for n in run.MODULES})
+def test_first_round_passes_the_checker(workload, perfbench_rounds):
     checker = checks.Checker()
     problems = []
-    ops = workloads.WORKLOADS[workload](m, SEED)
-    for op in ops:
-        _, rc, lines, err, exc = run.execute(m, op)
+    results = perfbench_rounds[workload]
+    for op, rc, lines, err, exc in results:
         if exc is not None:
             # As in a benchmark run: only oversized inputs may raise.
             if op.kind != "oversized":
@@ -37,4 +32,4 @@ def test_first_round_passes_the_checker(workload):
         reason = checker.check(op.kind, op.ctx, rc, lines, err)
         if reason:
             problems.append(reason)
-    assert ops and not problems, problems[:5]
+    assert results and not problems, problems[:5]

@@ -52,6 +52,15 @@ def test_witness_records_golden():
     assert fmt_open(TypeI(EMPTY)) == "I trace=empty"
 
 
+def test_fmt_open_prints_extension_opens_only():
+    """No verb prints a compactification open, so one is refused rather than
+    printed as a type-I open."""
+    from onepoint.compactify import TypeInf
+
+    with pytest.raises(AssertionError):
+        fmt_open(TypeInf(parse_set("(5,inf)")))
+
+
 def test_verdict_records_golden():
     assert fmt_verdict(check_connectifiable(Space(parse_set("(0,1) U [2,3]")))) == [
         "Refused component=[2,3]"
