@@ -92,10 +92,10 @@ class EscapeFilter(Frozen):
         if is_compact(component):
             raise CompactComponent(f"{p} has no non-compact end")
         side = -1 if p.hi_closed else 1
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "anchor", inner_point(p.lo, p.hi))
-        object.__setattr__(self, "end", p.hi if side > 0 else p.lo)
+        _set_component(self, component)
+        _set_side(self, side)
+        _set_anchor(self, inner_point(p.lo, p.hi))
+        _set_end(self, p.hi if side > 0 else p.lo)
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
@@ -150,6 +150,13 @@ class EscapeFilter(Frozen):
         if not self.component.piece.contains(z):
             raise PointOutsideComponent(f"{z} is not in {self.component.piece}")
         return self._index_past(z, False)
+
+
+# See intervals._set_lo.
+_set_component = EscapeFilter.component.__set__
+_set_side = EscapeFilter.side.__set__
+_set_anchor = EscapeFilter.anchor.__set__
+_set_end = EscapeFilter.end.__set__
 
 
 # --------------------------------------------------------------------------
@@ -757,9 +764,10 @@ def verify_normality(
     """Independent check: containment, disjointness, openness."""
     if not (_open_as_declared(ext, u) and _open_as_declared(ext, v)):
         return False
+    # Two opens type II as declared each hold a tail of every filter, tails
+    # of one filter meet, and a space has a component: so this test also
+    # refuses a pair of type-II opens.
     if intersect(u.trace, v.trace):
-        return False
-    if isinstance(u, TypeII) and isinstance(v, TypeII):
         return False
     if f.has_p and not isinstance(u, TypeII):
         return False

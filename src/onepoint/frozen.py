@@ -1,8 +1,11 @@
 """The base of the package's immutable value classes.
 
 A subclass names its fields in ``__slots__``, in order, and sets them in its
-own ``__init__`` with ``object.__setattr__``.  Equality, hashing and ``repr``
-read those fields; no attribute can be assigned or deleted afterwards.
+own ``__init__`` with ``object.__setattr__``, or, in a hot constructor, through
+its slots' own bound setters (``_set_lo = Interval.lo.__set__``), which
+tests/test_slot_setters.py keeps to the object being built.  Equality,
+hashing and ``repr`` read the fields; no attribute can be assigned or deleted
+afterwards.
 """
 
 from __future__ import annotations

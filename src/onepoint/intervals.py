@@ -65,10 +65,11 @@ def _frac(n: int, d: int) -> Fraction:
     The one place that builds an endpoint from integers: it fills the two
     slots the kernel below reads, with no `Fraction` operator in between.
     """
-    g = math.gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
     f = object.__new__(Fraction)
     f._numerator = n
     f._denominator = d
@@ -106,10 +107,14 @@ def is_finite(v: Value) -> bool:
 
 
 def fmt_value(v: Value) -> str:
-    if isinstance(v, float):
+    """``str(v)`` of a rational, read off its two integers (this runs for
+    every printed endpoint, and `Fraction.__str__` is Python-level), or
+    ``inf``/``-inf`` for a sentinel."""
+    if type(v) is float:
         return "inf" if v > 0 else "-inf"
+    n, d = v._numerator, v._denominator
     try:
-        return str(v)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:  # beyond the interpreter's integer-to-text digit limit
         raise SizeTooLarge("a computed number has too many digits to print") from exc
 
@@ -126,10 +131,10 @@ class Interval(Frozen):
         fault = _interval_fault(lo, hi, lo_closed, hi_closed)
         if fault:
             raise MalformedInterval(fault)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo_closed", lo_closed)
-        object.__setattr__(self, "hi_closed", hi_closed)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_closed(self, lo_closed)
+        _set_hi_closed(self, hi_closed)
 
     @property
     def degenerate(self) -> bool:
@@ -150,28 +155,42 @@ class Interval(Frozen):
         return f"{left}{fmt_value(self.lo)},{fmt_value(self.hi)}{right}"
 
 
+# The slots' own setters, bound once: a write through one skips the lookup
+# `object.__setattr__` makes.  Only constructors call them, so an Interval
+# stays immutable once built.
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_set_lo_closed = Interval.lo_closed.__set__
+_set_hi_closed = Interval.hi_closed.__set__
+
+
 def _interval_fault(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> str | None:
     """Why coerced endpoints make no interval, or None when they do."""
+    # Only two finite ends can be out of order or equal: the tests on an
+    # infinite end below already refuse +inf as lo and -inf as hi.
+    if type(lo) is Fraction and type(hi) is Fraction:
+        c = hi._numerator * lo._denominator - lo._numerator * hi._denominator
+        if c < 0:
+            return f"empty interval: {fmt_value(lo)} above {fmt_value(hi)}"
+        if c == 0 and not (lo_closed and hi_closed):
+            return "degenerate interval must include both endpoints"
+        return None
     if isinstance(lo, float) and lo == POS_INF:
         return "lower endpoint cannot be +inf"
     if isinstance(hi, float) and hi == NEG_INF:
         return "upper endpoint cannot be -inf"
     if (isinstance(lo, float) and lo_closed) or (isinstance(hi, float) and hi_closed):
         return "infinite endpoints are never included"
-    if _lt(hi, lo):
-        return f"empty interval: {fmt_value(lo)} above {fmt_value(hi)}"
-    if _eq(lo, hi) and not (lo_closed and hi_closed):
-        return "degenerate interval must include both endpoints"
     return None
 
 
 def _mk_interval(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> Interval:
     # Internal fast path: endpoints already coerced, invariants already known.
     iv = object.__new__(Interval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
-    object.__setattr__(iv, "lo_closed", lo_closed)
-    object.__setattr__(iv, "hi_closed", hi_closed)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    _set_lo_closed(iv, lo_closed)
+    _set_hi_closed(iv, hi_closed)
     return iv
 
 
@@ -242,7 +261,7 @@ class IntervalSet(Frozen):
         for left, right in zip(pieces, pieces[1:]):
             if not _gap_between(left, right):
                 raise MalformedInterval(f"pieces {left} and {right} break canonical form")
-        object.__setattr__(self, "pieces", pieces)
+        _set_pieces(self, pieces)
 
     def __bool__(self) -> bool:
         return bool(self.pieces)
@@ -266,6 +285,7 @@ class IntervalSet(Frozen):
         return f"IntervalSet[{self}]"
 
 
+_set_pieces = IntervalSet.pieces.__set__
 EMPTY = IntervalSet(())
 REALS = IntervalSet((Interval(NEG_INF, POS_INF),))
 
@@ -304,7 +324,7 @@ def _hosts_or_raise(s: IntervalSet, x: IntervalSet) -> list[Interval]:
 def _mk_set(pieces: tuple[Interval, ...]) -> IntervalSet:
     # Internal fast path for results that are canonical by construction.
     s = object.__new__(IntervalSet)
-    object.__setattr__(s, "pieces", pieces)
+    _set_pieces(s, pieces)
     return s
 
 

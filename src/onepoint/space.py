@@ -42,14 +42,19 @@ class Component(Frozen):
     __slots__ = ("piece", "index")
 
     def __init__(self, piece: Interval, index: int) -> None:
-        object.__setattr__(self, "piece", piece)
-        object.__setattr__(self, "index", index)
+        _set_piece(self, piece)
+        _set_index(self, index)
 
     def as_set(self) -> IntervalSet:
         return only(self.piece)
 
     def __str__(self) -> str:
         return f"C#{self.index}={self.piece}"
+
+
+# See intervals._set_lo.
+_set_piece = Component.piece.__set__
+_set_index = Component.index.__set__
 
 
 class Space(Frozen):

@@ -16,6 +16,7 @@ from onepoint import (
     POS_INF,
     ParseError,
     REALS,
+    SizeTooLarge,
     closure_in,
     complement,
     difference,
@@ -34,7 +35,7 @@ from onepoint import (
 )
 
 from onepoint import intervals
-from onepoint.intervals import _eq, _frac, _lt, _parse_endpoint, is_finite
+from onepoint.intervals import _eq, _frac, _lt, _parse_endpoint, fmt_value, is_finite
 from onepoint.sampling import random_closed_in, random_open_in, random_real_open
 
 S = parse_set
@@ -491,10 +492,44 @@ def test_parse_rejects_bad_syntax():
             S(bad)
 
 
+def grid_end(text):
+    return NEG_INF if text == "-inf" else POS_INF if text == "inf" else Fraction(text)
+
+
+GRID_ENDS = ["-inf", "-1", "0", "1/2", "2/4", "1", "inf", f"1/{2**4096}"]
+GRID_BRACKETS = [("(", ")"), ("(", "]"), ("[", ")"), ("[", "]")]
+# (text, lo, hi, lo_closed, hi_closed) for every cell of the grid
+GRID = [
+    (f"{left}{lo},{hi}{right}", grid_end(lo), grid_end(hi), left == "[", right == "]")
+    for lo in GRID_ENDS
+    for hi in GRID_ENDS
+    for left, right in GRID_BRACKETS
+]
+
+
+def grid_fault(lo, hi, lo_closed, hi_closed):
+    """The constructor's message for these ends, by Python's own comparisons,
+    in the constructor's order of tests; None for an interval."""
+    if lo == POS_INF:
+        return "lower endpoint cannot be +inf"
+    if hi == NEG_INF:
+        return "upper endpoint cannot be -inf"
+    if (not is_finite(lo) and lo_closed) or (not is_finite(hi) and hi_closed):
+        return "infinite endpoints are never included"
+    if hi < lo:
+        text = {NEG_INF: "-inf", POS_INF: "inf"}
+        return f"empty interval: {text.get(lo, lo)} above {text.get(hi, hi)}"
+    if lo == hi and not (lo_closed and hi_closed):
+        return "degenerate interval must include both endpoints"
+    return None
+
+
 def test_parse_set_checks_intervals_like_the_constructor(monkeypatch):
     """One check serves both: the same texts, as ParseError from parse_set
     and MalformedInterval from Interval(...); parsing builds no checked
-    Interval and converts no exception."""
+    Interval and converts no exception.  On the grid of every endpoint pair
+    under every bracket pair, both accept the same interval or give the same
+    message."""
     cases = [
         ("(inf,2)", (POS_INF, 2), "lower endpoint cannot be +inf"),
         ("(0,-inf)", (0, NEG_INF), "upper endpoint cannot be -inf"),
@@ -505,12 +540,32 @@ def test_parse_set_checks_intervals_like_the_constructor(monkeypatch):
     for text, args, message in cases:
         with pytest.raises(MalformedInterval, match=f"^{re.escape(message)}$"):
             Interval(*args)
+    built = {}
+    for text, *ends in GRID:
+        try:
+            built[text] = IntervalSet((Interval(*ends),))
+        except MalformedInterval as exc:
+            built[text] = str(exc)
+        assert grid_fault(*ends) == (built[text] if isinstance(built[text], str) else None), text
     monkeypatch.setattr(Interval, "__init__", lambda self, *a, **k: pytest.fail("checked twice"))
     for text, _, message in cases:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
             S(text)
         assert exc.value.__cause__ is None and exc.value.__context__ is None
     assert str(S("(0,1) U [2,2] U (3,inf)")) == "(0,1) U [2,2] U (3,inf)"
+    for text, *_ in GRID:
+        try:
+            parsed = S(text)
+        except ParseError as exc:
+            assert exc.__cause__ is None and exc.__context__ is None
+            parsed = str(exc)
+        assert parsed == built[text], text
+    assert built["[1/2,2/4]"] == S("[1/2,1/2]")
+    assert built["(1/2,2/4]"] == "degenerate interval must include both endpoints"
+    assert built["(1,1/2]"] == "empty interval: 1 above 1/2"
+    assert {b.partition(":")[0] for b in built.values() if isinstance(b, str)} == {
+        message.partition(":")[0] for _, _, message in cases
+    }
 
 
 def test_parse_point():
@@ -578,6 +633,48 @@ def test_fraction_subclass_endpoints_are_stored_plain():
     points = [SubFraction(n, 4) for n in (0, 1, 2, -4)] + [0, Fraction(1, 3)]
     for q in points:
         assert sub.contains(q) == plain.contains(q) == (q in b)
+
+
+FMT_POOL = [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-3), Fraction(10**40),
+    Fraction(-(10**40)), Fraction(1, 2), Fraction(-1, 2), Fraction(22, 7), Fraction(-22, 7),
+    TINY, -TINY, 1 - TINY, 1 + TINY, Fraction(-(3**900), 2**4096), Fraction(2**4096 + 1, 2**4096),
+]
+
+
+def reference_render(iv):
+    """An interval's text from Fraction's own ``str`` of its ends."""
+    def end(v):
+        return str(v) if is_finite(v) else "inf" if v > 0 else "-inf"
+    left, right = "[" if iv.lo_closed else "(", "]" if iv.hi_closed else ")"
+    return f"{left}{end(iv.lo)},{end(iv.hi)}{right}"
+
+
+def test_fmt_value_and_interval_text_match_fraction_str():
+    rng = random.Random(3)
+    pool = FMT_POOL + [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(200)]
+    for v in pool:
+        assert fmt_value(v) == str(v)
+    assert (fmt_value(NEG_INF), fmt_value(POS_INF)) == ("-inf", "inf")
+    ends = [NEG_INF, *sorted(set(FMT_POOL)), POS_INF]
+    for i, lo in enumerate(ends):
+        for hi in ends[i:]:
+            for lo_closed in (False, True):
+                for hi_closed in (False, True):
+                    try:
+                        iv = Interval(lo, hi, lo_closed, hi_closed)
+                    except MalformedInterval:
+                        continue
+                    assert str(iv) == reference_render(iv)
+
+
+def test_fmt_value_past_the_digit_limit_is_size_too_large():
+    wide = Fraction(10**4400 + 1, 3)
+    for v in (wide, -wide, 1 / wide):
+        with pytest.raises(SizeTooLarge, match="^a computed number has too many digits to print$"):
+            fmt_value(v)
+    with pytest.raises(SizeTooLarge):
+        str(Interval(0, wide))
 
 
 # --------------------------------------------------------------------------
