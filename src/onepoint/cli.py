@@ -1,15 +1,17 @@
 """Batch command-line front-end.
 
-Thin by design: every verb parses its arguments, calls one library operation,
-and prints the stable record lines.  Exit codes: 0 success, 1 internal
-invariant violation or any other unexpected exception (a bug), 2 parse or
-argument error, 3 mathematical refusal (the requested extension does not
-exist).
+Thin by design: every verb reads its arguments, calls one library operation,
+and prints the stable record lines.  One table, `_SHAPES`, lists the nine
+request shapes: a well-formed request is read from it directly, and argparse,
+built from the same table, reads the rest and words usage, help and errors.
+
+Exit codes: 0 success, 1 internal invariant violation or any other unexpected
+exception (a bug), 2 parse or argument error, 3 mathematical refusal (the
+requested extension does not exist).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import lru_cache
 
@@ -22,56 +24,6 @@ from .compactify import compactify as alexandroff_compactify
 from .errors import InvalidExtension, OnePointError
 from .intervals import parse_point, parse_set
 from .space import Space, components
-
-
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
-        prog="onepoint",
-        description="Decide and construct one-point connectifications and compactifications.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "records"),
-        default="text",
-        help="records is the byte-stable machine format; text is the same stream",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("components", help="list the components of a space")
-    p.add_argument("set")
-
-    p = sub.add_parser("check", help="compactness and local connectedness report")
-    p.add_argument("set")
-
-    p = sub.add_parser("connectify", help="verdict plus escape filters")
-    p.add_argument("set")
-
-    w = sub.add_parser("witness", help="separation witnesses in the extension")
-    wsub = w.add_subparsers(dest="kind", required=True)
-    wh = wsub.add_parser("hausdorff")
-    wh.add_argument("set")
-    wh.add_argument("y")
-    wh.add_argument("z")
-    wn = wsub.add_parser("normal")
-    wn.add_argument("set")
-    wn.add_argument("fspec")
-    wn.add_argument("gspec")
-
-    p = sub.add_parser("compactify", help="Alexandroff verdict")
-    p.add_argument("set")
-
-    f = sub.add_parser("finite", help="finite-topology oracle")
-    fsub = f.add_subparsers(dest="kind", required=True)
-    fe = fsub.add_parser("enumerate")
-    fe.add_argument("n", type=int)
-    fs = fsub.add_parser("search")
-    fs.add_argument("literal")
-    fs.add_argument("axiom", choices=fin.AXIOMS)
-
-    sub.add_parser("selftest", help="run the full invariant suite")
-    return parser
 
 
 def _parse_ext_point(token: str):
@@ -89,8 +41,8 @@ def _parse_closed_spec(token: str) -> cn.ExtClosedSet:
     return cn.ExtClosedSet(False, parse_set(flat))
 
 
-def _require_extension(space: Space, emit) -> cn.Extension | None:
-    verdict = cn.check_connectifiable(space)
+def _require_extension(text: str, emit) -> cn.Extension | None:
+    verdict = cn.check_connectifiable(Space(parse_set(text)))
     if isinstance(verdict, cn.Refused):
         for line in records.fmt_verdict(verdict):
             emit(line)
@@ -98,83 +50,189 @@ def _require_extension(space: Space, emit) -> cn.Extension | None:
     return verdict.extension
 
 
-def _cmd_components(args, emit) -> int:
-    space = Space(parse_set(args.set))
+def _cmd_components(request, emit) -> int:
+    space = Space(parse_set(request["set"]))
     for c in components(space):
         emit(str(c))
     return 0
 
 
-def _cmd_check(args, emit) -> int:
-    for line in records.fmt_check(Space(parse_set(args.set))):
+def _cmd_check(request, emit) -> int:
+    for line in records.fmt_check(Space(parse_set(request["set"]))):
         emit(line)
     return 0
 
 
-def _cmd_connectify(args, emit) -> int:
-    verdict = cn.check_connectifiable(Space(parse_set(args.set)))
+def _cmd_connectify(request, emit) -> int:
+    verdict = cn.check_connectifiable(Space(parse_set(request["set"])))
     for line in records.fmt_verdict(verdict):
         emit(line)
     return 3 if isinstance(verdict, cn.Refused) else 0
 
 
-def _cmd_witness(args, emit) -> int:
-    space = Space(parse_set(args.set))
-    ext = _require_extension(space, emit)
+def _cmd_hausdorff(request, emit) -> int:
+    ext = _require_extension(request["set"], emit)
     if ext is None:
         return 3
-    if args.kind == "hausdorff":
-        y, z = _parse_ext_point(args.y), _parse_ext_point(args.z)
-        u, v = cn.hausdorff_witness(ext, y, z)
-        if not cn.verify_hausdorff(ext, y, z, u, v):
-            raise InvalidExtension("hausdorff witness failed its own verification")
-    else:
-        f, g = _parse_closed_spec(args.fspec), _parse_closed_spec(args.gspec)
-        u, v = cn.normality_witness(ext, f, g)
-        if not cn.verify_normality(ext, f, g, u, v):
-            raise InvalidExtension("normality witness failed its own verification")
+    y, z = _parse_ext_point(request["y"]), _parse_ext_point(request["z"])
+    u, v = cn.hausdorff_witness(ext, y, z)
+    if not cn.verify_hausdorff(ext, y, z, u, v):
+        raise InvalidExtension("hausdorff witness failed its own verification")
     for line in records.fmt_witness_pair(u, v):
         emit(line)
     return 0
 
 
-def _cmd_compactify(args, emit) -> int:
-    space = Space(parse_set(args.set))
+def _cmd_normal(request, emit) -> int:
+    ext = _require_extension(request["set"], emit)
+    if ext is None:
+        return 3
+    f, g = _parse_closed_spec(request["fspec"]), _parse_closed_spec(request["gspec"])
+    u, v = cn.normality_witness(ext, f, g)
+    if not cn.verify_normality(ext, f, g, u, v):
+        raise InvalidExtension("normality witness failed its own verification")
+    for line in records.fmt_witness_pair(u, v):
+        emit(line)
+    return 0
+
+
+def _cmd_compactify(request, emit) -> int:
+    space = Space(parse_set(request["set"]))
     verdict = alexandroff_compactify(space)
     for line in records.fmt_compact_verdict(space, verdict):
         emit(line)
     return 3 if isinstance(verdict, CompactRefused) else 0
 
 
-def _cmd_finite(args, emit) -> int:
-    if args.kind == "enumerate":
-        emit(f"count={fin.count_topologies(args.n, 'preorder')}")
-        return 0
-    base = fin.parse_topology_literal(args.literal)
-    found = fin.search_one_point_connectifications(base, args.axiom)
+def _cmd_enumerate(request, emit) -> int:
+    emit(f"count={fin.count_topologies(request['n'], 'preorder')}")
+    return 0
+
+
+def _cmd_search(request, emit) -> int:
+    base = fin.parse_topology_literal(request["literal"])
+    found = fin.search_one_point_connectifications(base, request["axiom"])
     emit(f"found={len(found)}")
     for line in sorted(fin.topology_literal(t) for t in found):
         emit(line)
     return 0
 
 
+def _cmd_selftest(request, emit) -> int:
+    return selftest.run(emit)
+
+
+# The nine request shapes, in the order `--help` lists them: the command
+# words, each positional's name with its `add_argument` options, and the
+# handler.  `_read` reads a well-formed request from this table and
+# `build_parser` builds argparse's grammar from it, so the two cannot drift.
+_SET = (("set", {}),)
+_SHAPES = (
+    (("components",), _SET, _cmd_components),
+    (("check",), _SET, _cmd_check),
+    (("connectify",), _SET, _cmd_connectify),
+    (("witness", "hausdorff"), (("set", {}), ("y", {}), ("z", {})), _cmd_hausdorff),
+    (("witness", "normal"), (("set", {}), ("fspec", {}), ("gspec", {})), _cmd_normal),
+    (("compactify",), _SET, _cmd_compactify),
+    (("finite", "enumerate"), (("n", {"type": int}),), _cmd_enumerate),
+    (("finite", "search"), (("literal", {}), ("axiom", {"choices": fin.AXIOMS})), _cmd_search),
+    (("selftest",), (), _cmd_selftest),
+)
+_BY_WORDS = {shape[0]: shape for shape in _SHAPES}
+_HELP = {
+    "components": "list the components of a space",
+    "check": "compactness and local connectedness report",
+    "connectify": "verdict plus escape filters",
+    "witness": "separation witnesses in the extension",
+    "compactify": "Alexandroff verdict",
+    "finite": "finite-topology oracle",
+    "selftest": "run the full invariant suite",
+}
+_FORMATS = ("text", "records")
+
+
+def _read(argv):
+    """(handler, request) for a request read exactly: the request is the dict
+    `vars(build_parser().parse_args(argv))`.  None for anything else (an
+    option other than a leading `--format text|records` or one `--` right
+    after the command words, a wrong count, an unknown word, a failed
+    conversion or choice), which is left to argparse."""
+    request = {"format": "text"}
+    i = 0
+    if len(argv) > 1 and argv[0] == "--format" and argv[1] in _FORMATS:
+        request["format"] = argv[1]
+        i = 2
+    shape = _BY_WORDS.get(tuple(argv[i : i + 1])) or _BY_WORDS.get(tuple(argv[i : i + 2]))
+    if shape is None:
+        return None
+    words, positionals, handler = shape
+    tokens = argv[i + len(words) :]
+    if positionals and tokens and tokens[0] == "--":
+        tokens = tokens[1:]
+        if "--" in tokens:
+            return None
+    elif any(token.startswith("-") for token in tokens):
+        return None
+    if len(tokens) != len(positionals):
+        return None
+    request["verb"] = words[0]
+    if len(words) > 1:
+        request["kind"] = words[1]
+    for (name, options), token in zip(positionals, tokens):
+        if "type" in options:
+            try:
+                token = options["type"](token)
+            except ValueError:
+                return None
+        if "choices" in options and token not in options["choices"]:
+            return None
+        request[name] = token
+    return handler, request
+
+
+@lru_cache(maxsize=None)
+def build_parser():
+    """The argparse grammar of `_SHAPES`, built on first use and shared by
+    later calls.  It reads what `_read` declines and words usage, help and
+    errors; argparse is imported only here."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="onepoint",
+        description="Decide and construct one-point connectifications and compactifications.",
+    )
+    parser.add_argument(
+        "--format",
+        choices=_FORMATS,
+        default="text",
+        help="records is the byte-stable machine format; text is the same stream",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    kinds = {}
+    for words, positionals, _ in _SHAPES:
+        if len(words) == 1:
+            sub = verbs.add_parser(words[0], help=_HELP[words[0]])
+        else:
+            if words[0] not in kinds:
+                group = verbs.add_parser(words[0], help=_HELP[words[0]])
+                kinds[words[0]] = group.add_subparsers(dest="kind", required=True)
+            sub = kinds[words[0]].add_parser(words[1])
+        for name, options in positionals:
+            sub.add_argument(name, **options)
+    return parser
+
+
 def main(argv=None, emit=print) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    read = _read(argv)
+    if read is None:
+        request = vars(build_parser().parse_args(argv))
+        words = (request["verb"], request["kind"]) if "kind" in request else (request["verb"],)
+        read = _BY_WORDS[words][2], request
+    handler, request = read
     try:
-        if args.verb == "components":
-            return _cmd_components(args, emit)
-        if args.verb == "check":
-            return _cmd_check(args, emit)
-        if args.verb == "connectify":
-            return _cmd_connectify(args, emit)
-        if args.verb == "witness":
-            return _cmd_witness(args, emit)
-        if args.verb == "compactify":
-            return _cmd_compactify(args, emit)
-        if args.verb == "finite":
-            return _cmd_finite(args, emit)
-        return selftest.run(emit)
+        return handler(request, emit)
     except InvalidExtension as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1

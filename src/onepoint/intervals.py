@@ -128,6 +128,7 @@ class Interval(Frozen):
         self, lo: Value, hi: Value, lo_closed: bool = False, hi_closed: bool = False
     ) -> None:
         lo, hi = _coerce_value(lo), _coerce_value(hi)
+        lo_closed, hi_closed = bool(lo_closed), bool(hi_closed)
         fault = _interval_fault(lo, hi, lo_closed, hi_closed)
         if fault:
             raise MalformedInterval(fault)

@@ -1,4 +1,15 @@
+import contextlib
+import io
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from onepoint import cli
+from onepoint.finite import AXIOMS
 
 
 def run_cli(*argv):
@@ -188,10 +199,11 @@ def test_selftest_runs_and_is_deterministic():
 
 
 def test_unexpected_exception_is_one_line_and_exit_1(monkeypatch, capsys):
-    def broken(args, emit):
+    def broken(space):
         raise RuntimeError("lost\ntrack")
 
-    monkeypatch.setattr(cli, "_cmd_components", broken)
+    # The table holds the handlers themselves, so break what one of them calls.
+    monkeypatch.setattr(cli, "components", broken)
     code, lines = run_cli("components", "(0,1)")
     assert code == 1 and lines == []
     assert capsys.readouterr().err == "internal error: RuntimeError: lost track\n"
@@ -203,10 +215,10 @@ def test_every_bug_signal_exits_1_with_its_message(monkeypatch, capsys):
     for error in (DensityFailure, FidelityFailure, InvalidExtension):
         assert issubclass(error, InvalidExtension)
 
-        def broken(args, emit, error=error):
+        def broken(space, error=error):
             raise error("certificate failed its own verification")
 
-        monkeypatch.setattr(cli, "_cmd_components", broken)
+        monkeypatch.setattr(cli, "components", broken)
         code, lines = run_cli("components", "(0,1)")
         assert code == 1 and lines == []
         err = capsys.readouterr().err
@@ -262,3 +274,264 @@ def test_non_topology_literals_exit_2(capsys):
             assert capsys.readouterr().err == (
                 f"error: family is not closed under union/intersection: {literal!r}\n"
             )
+
+
+def outcome(argv, capsys):
+    """How `main` ends (it returns a code, or argparse raises SystemExit), the
+    emitted lines, and what went to stdout and stderr."""
+    lines = []
+    try:
+        ended = ("returns", cli.main(list(argv), emit=lines.append))
+    except SystemExit as exc:
+        ended = ("exits", exc.code)
+    out = capsys.readouterr()
+    return ended, lines, out.out, out.err
+
+
+USAGE = (
+    "usage: onepoint [-h] [--format {text,records}]\n"
+    "                {components,check,connectify,witness,compactify,finite,selftest}\n"
+    "                ...\n"
+)
+
+# What argparse printed for requests the table hands it (Python 3.11's
+# argparse, 80 columns).  `٣` is read by int() as 3.
+FALLBACK = [
+    (
+        ["--help"],
+        ("exits", 0),
+        [],
+        USAGE
+        + "\n"
+        "Decide and construct one-point connectifications and compactifications.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {components,check,connectify,witness,compactify,finite,selftest}\n"
+        "    components          list the components of a space\n"
+        "    check               compactness and local connectedness report\n"
+        "    connectify          verdict plus escape filters\n"
+        "    witness             separation witnesses in the extension\n"
+        "    compactify          Alexandroff verdict\n"
+        "    finite              finite-topology oracle\n"
+        "    selftest            run the full invariant suite\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,records}\n"
+        "                        records is the byte-stable machine format; text is the\n"
+        "                        same stream\n",
+        "",
+    ),
+    (
+        ["witness", "--help"],
+        ("exits", 0),
+        [],
+        "usage: onepoint witness [-h] {hausdorff,normal} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {hausdorff,normal}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help          show this help message and exit\n",
+        "",
+    ),
+    (
+        ["finite", "--help"],
+        ("exits", 0),
+        [],
+        "usage: onepoint finite [-h] {enumerate,search} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {enumerate,search}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help          show this help message and exit\n",
+        "",
+    ),
+    (
+        ["finite", "search", "x", "T9"],
+        ("exits", 2),
+        [],
+        "",
+        "usage: onepoint finite search [-h]\n"
+        "                              literal\n"
+        "                              {T0,T1,T2,connected,locally_connected,normal-pairs}\n"
+        "onepoint finite search: error: argument axiom: invalid choice: 'T9' (choose from"
+        " 'T0', 'T1', 'T2', 'connected', 'locally_connected', 'normal-pairs')\n",
+    ),
+    (
+        ["finite", "enumerate", "x"],
+        ("exits", 2),
+        [],
+        "",
+        "usage: onepoint finite enumerate [-h] n\n"
+        "onepoint finite enumerate: error: argument n: invalid int value: 'x'\n",
+    ),
+    (
+        ["witness", "hausdorff", "(0,1)", "p", "-1/2"],
+        ("exits", 2),
+        [],
+        "",
+        "usage: onepoint witness hausdorff [-h] set y z\n"
+        "onepoint witness hausdorff: error: the following arguments are required: z\n",
+    ),
+    (
+        ["components"],
+        ("exits", 2),
+        [],
+        "",
+        "usage: onepoint components [-h] set\n"
+        "onepoint components: error: the following arguments are required: set\n",
+    ),
+    (
+        ["--format", "bogus", "components", "(0,1)"],
+        ("exits", 2),
+        [],
+        "",
+        USAGE + "onepoint: error: argument --format: invalid choice: 'bogus'"
+        " (choose from 'text', 'records')\n",
+    ),
+    (["--fo", "records", "components", "(0,1)"], ("returns", 0), ["C#0=(0,1)"], "", ""),
+    (
+        ["frobnicate"],
+        ("exits", 2),
+        [],
+        "",
+        USAGE + "onepoint: error: argument verb: invalid choice: 'frobnicate' (choose from"
+        " 'components', 'check', 'connectify', 'witness', 'compactify', 'finite', 'selftest')\n",
+    ),
+    (["finite", "enumerate", "٣"], ("returns", 0), ["count=29"], "", ""),
+]
+
+
+@pytest.mark.parametrize("argv, ended, lines, out, err", FALLBACK, ids=[" ".join(c[0]) for c in FALLBACK])
+def test_argparse_words_what_the_table_declines(argv, ended, lines, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(argv, capsys) == (ended, lines, out, err)
+
+
+# One well-formed request of each of the nine shapes.
+NINE = [
+    ["components", "(0,1)"],
+    ["check", "(0,1)"],
+    ["connectify", "(0,1)"],
+    ["witness", "hausdorff", "(0,1)", "p", "1/2"],
+    ["witness", "normal", "(0,1)", "p", "[1/4,1/2]"],
+    ["compactify", "(0,1)"],
+    ["finite", "enumerate", "3"],
+    ["finite", "search", "{},{0}", "T0"],
+    ["selftest"],
+]
+WELL_FORMED = [
+    [*fmt, *argv[:n], *dashes, *argv[n:]]
+    for argv in NINE
+    for n in [2 if argv[0] in ("witness", "finite") else 1]
+    for fmt in ([], ["--format", "text"], ["--format", "records"])
+    for dashes in ([], ["--"])
+    if not (dashes and argv == ["selftest"])
+]
+TOKENS = [
+    *sorted({word for argv in NINE for word in argv}),
+    *AXIOMS,
+    "--", "-", "-5", "-1/2", "-inf", "--format", "--format=records", "--fo", "-h",
+    "", " 3", "+3", "3_0", "٣", "t0", "Connected", "NORMAL-PAIRS", "text", "records",
+]
+
+
+def argparse_request(argv):
+    """`vars` of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_table_agrees(argv):
+    read, want = cli._read(argv), argparse_request(argv)
+    if read is None:
+        return False
+    assert want is not None, argv
+    handler, request = read
+    assert request == want, argv
+    words = (want["verb"], want["kind"]) if "kind" in want else (want["verb"],)
+    assert handler is cli._BY_WORDS[words][2]
+    return True
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_the_table_reads_every_well_formed_request(argv):
+    assert assert_table_agrees(argv)
+
+
+# Requests argparse reads in its own way (or rejects) that the table leaves
+# to it: a `--` where the table allows none, or a second one; an option
+# written another way; a negative number argparse takes as a positional.
+DECLINED = [
+    ["selftest", "--"],
+    ["components", "(0,1)", "--"],
+    ["components", "--", "(0,1)", "--"],
+    ["finite", "search", "--", "{},{0}", "--"],
+    ["witness", "hausdorff", "--", "--", "p", "1"],
+    ["--", "components", "(0,1)"],
+    ["witness", "--", "hausdorff", "(0,1)", "p", "1"],
+    ["finite", "enumerate", "-5"],
+    ["--format=records", "components", "(0,1)"],
+    ["--format", "text", "--format", "records", "components", "(0,1)"],
+    ["components", "-h"],
+    ["finite", "search", "{},{0}", "t0"],
+    ["finite", "enumerate", "3.0"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_table_declines_what_it_does_not_read_exactly(argv):
+    assert cli._read(argv) is None
+
+
+@st.composite
+def edited_requests(draw):
+    """A well-formed request with up to three tokens inserted, replaced,
+    dropped or duplicated anywhere."""
+    argv = list(draw(st.sampled_from(WELL_FORMED)))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("insert", "replace", "drop", "duplicate")))
+        if edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(TOKENS)))
+        elif argv:
+            i = draw(st.integers(0, len(argv) - 1))
+            if edit == "replace":
+                argv[i] = draw(st.sampled_from(TOKENS))
+            elif edit == "drop":
+                del argv[i]
+            else:
+                argv.insert(i, argv[i])
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(edited_requests())
+def test_the_table_reads_as_argparse_or_declines(argv):
+    """Against the installed argparse: a request the table reads is the one
+    argparse reads, and one argparse rejects the table declines."""
+    assert_table_agrees(argv)
+
+
+def test_well_formed_requests_load_no_argparse():
+    """A fresh interpreter answers one request of each shape without
+    importing argparse or gettext; a malformed one imports argparse and exits 2."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from onepoint import cli\n"
+        f"codes = [cli.main(argv, emit=[].append) for argv in {NINE!r}]\n"
+        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        "try:\n"
+        "    cli.main(['components'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(Path(__file__).resolve().parents[1] / "src")],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "2 True"]
+    assert out.stderr.endswith("error: the following arguments are required: set\n")

@@ -131,6 +131,18 @@ def test_malformed_intervals_rejected():
         Interval(0.5, 1)
 
 
+def test_truthy_closedness_is_stored_as_bool():
+    """Closedness is kept as a bool, so a set built from truthy flags equals
+    (and hashes as) the parsed set that prints the same."""
+    iv = Interval(0, 1, "yes", 0)
+    assert (iv.lo_closed, iv.hi_closed) == (True, False)
+    assert type(iv.lo_closed) is bool and type(iv.hi_closed) is bool
+    built, parsed = IntervalSet((iv,)), S("[0,1)")
+    assert str(built) == str(parsed) == "[0,1)"
+    assert built == parsed and hash(built) == hash(parsed)
+    assert Interval(2, 2, 1, [0]) == Interval(2, 2, True, True)
+
+
 # --------------------------------------------------------------------------
 # boolean algebra examples
 # --------------------------------------------------------------------------
