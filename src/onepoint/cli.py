@@ -227,7 +227,11 @@ def main(argv=None, emit=print) -> int:
         argv = sys.argv[1:]
     read = _read(argv)
     if read is None:
-        request = vars(build_parser().parse_args(argv))
+        parser = build_parser()
+        request = vars(parser.parse_args(argv))
+        if any(isinstance(value, list) for value in request.values()):
+            # a trailing `--` in place of the last positional, which argparse binds as []
+            parser.error("unrecognized arguments: --")
         words = (request["verb"], request["kind"]) if "kind" in request else (request["verb"],)
         read = _BY_WORDS[words][2], request
     handler, request = read

@@ -318,6 +318,8 @@ def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None
 
 def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
     """Least index whose element fits inside an escape-end piece."""
+    if piece is flt.component.piece:
+        return 0  # element(0) starts at the anchor, inside the component
     near, closed = (piece.lo, piece.lo_closed) if flt.side > 0 else (piece.hi, piece.hi_closed)
     return flt._index_past(near, closed) if is_finite(near) else 0
 
@@ -329,13 +331,19 @@ def _escape_pieces(ext: Extension, trace: IntervalSet):
     end before the escape end (or at it, for a left end), the next piece
     alone can reach the end inside the component, and does when it starts
     before the end (or at it, for a left end); it is clipped to the
-    component unless it already lies inside it.  A skipped piece ends before
-    every later component, so the sweep never steps back.
+    component unless it already lies inside it.  A skipped piece, and a hit
+    piece ending inside its component, end before every later component, so
+    the sweep never steps back.
     """
     pieces = trace.pieces
     n = len(pieces)
     i = 0
     for flt in ext.filters:
+        comp = flt.component.piece
+        if i < n and pieces[i] is comp:
+            yield comp  # the whole component reaches its own escape end
+            i += 1
+            continue
         end = flt.end
         if flt.side > 0:
             while i < n and _lt(pieces[i].hi, end):
@@ -348,8 +356,11 @@ def _escape_pieces(ext: Extension, trace: IntervalSet):
         if not hit:
             yield None
             continue
-        piece, comp = pieces[i], flt.component.piece
-        if piece is not comp and (_starts_before(piece, comp) or not _ends_by(piece, comp)):
+        piece = pieces[i]
+        ends_inside = _ends_by(piece, comp)
+        if ends_inside:
+            i += 1
+        if not ends_inside or _starts_before(piece, comp):
             piece = _intersect_pieces(piece, comp)
         yield piece
 

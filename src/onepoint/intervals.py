@@ -553,6 +553,8 @@ def not_interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
     """
     out = []
     for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
+        if p is h:
+            continue  # a piece of x is clopen in x
         if p.lo_closed and p.hi_closed and _eq(p.lo, p.hi):
             if _lt(h.lo, p.lo) or _lt(p.hi, h.hi):
                 out.append(p)
@@ -577,6 +579,8 @@ def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:
     """closure_in(s, x) == s: no excluded finite end of a piece of s lies in
     its host piece of x (no other piece of x can hold it)."""
     for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
+        if p is h:
+            continue  # a piece of x is clopen in x
         if not p.lo_closed and (_lt(h.lo, p.lo) or (h.lo_closed and _eq(h.lo, p.lo))):
             return False
         if not p.hi_closed and (_lt(p.hi, h.hi) or (h.hi_closed and _eq(h.hi, p.hi))):

@@ -24,8 +24,8 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     _frac,
-    _intersect_pieces,
     _mk_interval,
+    _mk_set,
     difference,
     intersect,
     is_finite,
@@ -140,14 +140,17 @@ def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> Interval:
     start = flt.start(n)
     sn, sd = start._numerator, start._denominator
     near = _frac(8 * sn - flt.side * j * sd, 8 * sd)
-    # start(n) lies in the component and in the block, so the cut is nonempty.
-    return _intersect_pieces(flt.toward_end(near, False), flt.component.piece)
+    comp = flt.component.piece
+    # near lies before the escape end, so the block lies inside the component
+    # when near is in it, and covers it otherwise.
+    return flt.toward_end(near, False) if comp.contains(near) else comp
 
 
 def random_p_neighborhood(ext: Extension, rng: random.Random, max_tail: int = 32) -> TypeII:
     """A valid type-II neighborhood of the extra point with random tails."""
     tails = tuple(rng.randint(0, max_tail) for _ in ext.filters)
-    trace = normalize(_escape_hull(flt, n, rng) for flt, n in zip(ext.filters, tails))
+    # One hull per component, in line order: canonical by construction.
+    trace = _mk_set(tuple(_escape_hull(flt, n, rng) for flt, n in zip(ext.filters, tails)))
     if rng.random() < 0.5:
         trace = union(trace, random_open_in(ext.space.ambient, rng))
     return TypeII(trace, tails)
@@ -200,7 +203,7 @@ def random_closed_in_extension(ext: Extension, rng: random.Random, include_p: bo
     trace = random_closed_in(ext.space.ambient, rng)
     if include_p:
         return ExtClosedSet(True, trace)
-    hulls = normalize(_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters)
+    hulls = _mk_set(tuple(_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters))
     return ExtClosedSet(False, difference(trace, hulls))
 
 

@@ -116,7 +116,7 @@ def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
 
 def closed_and_bounded(p: Interval) -> bool:
     """Heine-Borel on one interval: compact iff closed and bounded."""
-    return is_finite(p.lo) and is_finite(p.hi) and p.lo_closed and p.hi_closed
+    return p.lo_closed and p.hi_closed and is_finite(p.lo) and is_finite(p.hi)
 
 
 def is_compact(comp: Component) -> bool:

@@ -410,6 +410,25 @@ def test_argparse_words_what_the_table_declines(argv, ended, lines, out, err, ca
     assert outcome(argv, capsys) == (ended, lines, out, err)
 
 
+TRAILING_DASHES = [
+    ["components", "--", "(0,1)", "--"],
+    ["finite", "search", "--", "{},{0}", "--"],
+    ["witness", "hausdorff", "--", "(0,1)", "p", "--"],
+    ["--format", "records", "finite", "search", "--", "{},{0}", "--"],
+]
+
+
+@pytest.mark.parametrize("argv", TRAILING_DASHES, ids=" ".join)
+def test_a_trailing_double_dash_is_an_unrecognized_argument(argv, capsys, monkeypatch):
+    """Where a trailing `--` stands in for the last positional, argparse
+    binds that positional to an empty list; the request is refused as
+    argparse refuses a stray `--` (the first request), before a handler
+    sees the list."""
+    monkeypatch.setenv("COLUMNS", "80")
+    err = USAGE + "onepoint: error: unrecognized arguments: --\n"
+    assert outcome(argv, capsys) == (("exits", 2), [], "", err)
+
+
 # One well-formed request of each of the nine shapes.
 NINE = [
     ["components", "(0,1)"],

@@ -1,6 +1,7 @@
 """Point location and per-component slices, against the per-component
 formulas they replaced, plus sweep counts that show every per-component
-loop stays linear in the number of components."""
+loop stays linear in the number of components, and verifying a witness from
+the extra point sub-linear."""
 
 import random
 import re
@@ -27,7 +28,7 @@ from onepoint import (
     verify_local_connectedness,
 )
 from onepoint import intervals
-from onepoint.connectify import _escape_piece, _escape_pieces, hausdorff_witness
+from onepoint.connectify import _escape_piece, _escape_pieces, hausdorff_witness, verify_hausdorff
 from onepoint.sampling import random_open_in, random_point_in, random_real_open
 from onepoint.space import LocalConnectednessCertificate, component_index, component_slices
 
@@ -85,6 +86,25 @@ def pool_set(rng, pool, count):
     return intervals.normalize(ivs)
 
 
+def endpoint_pool(x):
+    """The finite ends of x, the midpoints between them and points one unit
+    beyond the outer ones, between the two infinities."""
+    ends = sorted({e for iv in x.pieces for e in (iv.lo, iv.hi) if isinstance(e, Fraction)})
+    pool = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    pool += [e + d for e in ends[:1] + ends[-1:] for d in (-1, 1)]
+    return [intervals.NEG_INF] + sorted(set(pool)) + [intervals.POS_INF]
+
+
+def replaced_mid_run(x, rng, pool):
+    """x with one piece swapped for a random interval with ends from `pool`;
+    every other piece stays the very same object."""
+    j = rng.randrange(len(x.pieces))
+    lo, hi = sorted(rng.sample(pool, 2))
+    lo_c = isinstance(lo, Fraction) and rng.random() < 0.5
+    hi_c = isinstance(hi, Fraction) and rng.random() < 0.5
+    return intervals.normalize(x.pieces[:j] + (Interval(lo, hi, lo_c, hi_c),) + x.pieces[j + 1 :])
+
+
 def test_escape_pieces_match_reference(extensions):
     rng = random.Random(64)
     texts = [
@@ -97,12 +117,10 @@ def test_escape_pieces_match_reference(extensions):
     checked = outside = 0
     for ext in exts:
         x = ext.space.ambient
-        ends = sorted({e for iv in x.pieces for e in (iv.lo, iv.hi) if isinstance(e, Fraction)})
-        pool = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
-        pool += [e + d for e in ends[:1] + ends[-1:] for d in (-1, 1)]
-        pool = [intervals.NEG_INF] + sorted(set(pool)) + [intervals.POS_INF]
+        pool = endpoint_pool(x)
         traces = [x, random_real_open(rng), random_open_in(x, rng)]
         traces += [pool_set(rng, pool, rng.randint(1, 6)) for _ in range(30)]
+        traces += [replaced_mid_run(x, rng, pool) for _ in range(8)]
         traces += [hausdorff_witness(ext, P, random_point_in(x, rng))[0].trace]
         for trace in traces:
             assert list(_escape_pieces(ext, trace)) == reference_escape_pieces(ext, trace), trace
@@ -231,3 +249,18 @@ def test_per_component_work_is_linear(monkeypatch, name):
     large = comparisons(monkeypatch, lambda: op(256))
     assert small > 0
     assert large <= 4.5 * small, (name, small, large)
+
+
+def test_verifying_a_witness_from_p_is_sublinear(monkeypatch):
+    """Verification pays for the component the witness changed: all others
+    are shared by identity with the space."""
+    counts = []
+    for k in (64, 1024):
+        ext = check_connectifiable(Space(S(spread(k)))).extension
+        z = Fraction(3 * (k // 2)) + Fraction(1, 2)
+        u, v = hausdorff_witness(ext, P, z)
+        ok = []
+        counts.append(comparisons(monkeypatch, lambda: ok.append(verify_hausdorff(ext, P, z, u, v))))
+        assert ok == [True]
+    small, large = counts
+    assert 0 < small and large <= 2 * small, counts
