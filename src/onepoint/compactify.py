@@ -10,8 +10,8 @@ from .errors import NotACover
 from .frozen import Frozen
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
-from .intervals import EMPTY, IntervalSet, _frac, _lt, _mk_interval, _mk_set, difference
-from .intervals import interior_in, is_finite, midpoint, union
+from .intervals import EMPTY, POS_INF, IntervalSet, _frac, _lo_key, _lt, _mk_interval, _mk_set
+from .intervals import difference, interior_in, is_finite, midpoint, union
 from .space import Space, closed_and_bounded, component_index
 
 
@@ -118,10 +118,7 @@ def verify_compact_hausdorff(
 
 def _frontier(s: IntervalSet) -> tuple:
     """Sort key for how far coverage has advanced; larger is better."""
-    if not s:
-        return (float("inf"), 2)
-    iv = s.pieces[0]
-    return (iv.lo, 0 if iv.lo_closed else 1)
+    return _lo_key(s.pieces[0]) if s else (POS_INF, 2)
 
 
 def finite_subcover(ce: CompactExtension, cover) -> list[CompOpenSet]:

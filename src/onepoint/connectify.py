@@ -608,19 +608,11 @@ class IsTrivial(Frozen):
 
 
 class NotClopenEvidence(Frozen):
-    __slots__ = ("side", "reason", "component", "boundary")
+    __slots__ = ("side", "check")
 
-    def __init__(
-        self,
-        side: str,  # "set" or "complement"
-        reason: str,  # "TraceNotOpen" or "MissingTail"
-        component: int | None = None,
-        boundary: Fraction | None = None,
-    ) -> None:
+    def __init__(self, side: str, check: OpenCheck) -> None:  # side: "set" or "complement"
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "check", check)
 
 
 def clopen_falsifier(ext: Extension, s: ExtOpenSet):
@@ -640,10 +632,10 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
         return IsTrivial("whole")
     chk = is_open_in_extension(ext, s)
     if not chk:
-        return NotClopenEvidence("set", chk.reason, chk.component, chk.boundary)
+        return NotClopenEvidence("set", chk)
     chk = is_open_in_extension(ext, _complement_open(ext, isinstance(s, TypeII), s.trace))
     if not chk:
-        return NotClopenEvidence("complement", chk.reason, chk.component, chk.boundary)
+        return NotClopenEvidence("complement", chk)
     raise InvalidExtension(f"found a proper nonempty clopen subset: {s}")
 
 

@@ -325,7 +325,7 @@ def parse_topology_literal(text: str) -> FiniteSpace:
     n = max(masks).bit_length()
     try:
         space = FiniteSpace(n, frozenset(masks))
-    except Exception as exc:
+    except ParseError as exc:  # n fits MAX_POINTS and every mask fits n bits
         raise ParseError(f"not a topology: {text!r} ({exc})") from exc
     if not validate_topology(n, space.opens):
         raise ParseError(f"family is not closed under union/intersection: {text!r}")

@@ -14,8 +14,8 @@ from operator import attrgetter
 
 
 class Frozen:
-    """Equal when of the same class with equal fields, hashed as the field
-    tuple, shown as ``Name(field=value, ...)``, and immutable."""
+    """Equal when of the same class with equal fields, hashed by the
+    fields, shown as ``Name(field=value, ...)``, and immutable."""
 
     __slots__ = ()
 
@@ -23,9 +23,7 @@ class Frozen:
         super().__init_subclass__()
         names = cls.__slots__
         # One C-level getter per class: equality runs in every set comparison.
-        # For one name it gives the bare value, so the hash wraps it.
         fields = attrgetter(*names) if names else (lambda obj: ())
-        key = (lambda obj: (fields(obj),)) if len(names) == 1 else fields
 
         def __eq__(self, other: object) -> bool:
             if other.__class__ is self.__class__:
@@ -33,7 +31,7 @@ class Frozen:
             return NotImplemented
 
         def __hash__(self) -> int:
-            return hash(key(self))
+            return hash(fields(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 

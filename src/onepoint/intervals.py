@@ -35,17 +35,12 @@ Value = Fraction | float
 def _coerce_value(v: object) -> Value:
     # Endpoints are stored as plain `Fraction`s or the two sentinels, which
     # is what the comparison kernel below reads them as.
-    if type(v) is Fraction:
-        return v
-    if isinstance(v, Fraction):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise MalformedInterval(f"not a rational endpoint: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, float) and (v == NEG_INF or v == POS_INF):
         return POS_INF if v > 0 else NEG_INF
-    raise MalformedInterval(f"not a rational endpoint: {v!r}")
+    try:
+        return as_point(v)
+    except TypeError:
+        raise MalformedInterval(f"not a rational endpoint: {v!r}") from None
 
 
 def as_point(q: object) -> Fraction:
@@ -359,7 +354,7 @@ def _merge_ordered(items) -> IntervalSet:
     for iv in items:
         if merged and not _gap_between(merged[-1], iv):
             prev = merged.pop()
-            if _lt(iv.hi, prev.hi) or (prev.hi_closed and _eq(prev.hi, iv.hi)):
+            if _ends_by(iv, prev):
                 hi, hi_closed = prev.hi, prev.hi_closed
             else:
                 hi, hi_closed = iv.hi, iv.hi_closed
@@ -523,7 +518,7 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         while True:
             if _lt(lo, y.lo) or (lo_closed and not y.lo_closed and _eq(lo, y.lo)):
                 out.append(_mk_interval(lo, y.lo, lo_closed, not y.lo_closed))
-            if _lt(x.hi, y.hi) or ((y.hi_closed or not x.hi_closed) and _eq(x.hi, y.hi)):
+            if _ends_by(x, y):
                 break  # y covers the rest of x, and may reach into the next piece
             lo, lo_closed = y.hi, not y.hi_closed
             bi += 1

@@ -118,9 +118,10 @@ def fmt_falsifier_outcome(outcome) -> str:
     if isinstance(outcome, IsTrivial):
         return f"trivial which={outcome.which}"
     assert isinstance(outcome, NotClopenEvidence)
-    parts = [f"not-clopen side={outcome.side} reason={outcome.reason}"]
-    if outcome.component is not None:
-        parts.append(f"component=C#{outcome.component}")
-    if outcome.boundary is not None:
-        parts.append(f"boundary={fmt_value(outcome.boundary)}")
+    chk = outcome.check
+    parts = [f"not-clopen side={outcome.side} reason={chk.reason}"]
+    if chk.component is not None:
+        parts.append(f"component=C#{chk.component}")
+    if chk.boundary is not None:
+        parts.append(f"boundary={fmt_value(chk.boundary)}")
     return " ".join(parts)

@@ -31,7 +31,6 @@ from .intervals import (
     is_closed_in,
     is_finite,
     midpoint,
-    normalize,
     only,
 )
 
@@ -147,23 +146,21 @@ def local_connectedness_certificate(space: Space) -> LocalConnectednessCertifica
     The witness for a component reaches from the previous piece's upper
     endpoint value (or one unit below an included finite end) to the next
     piece's lower endpoint value (or one unit above), open on both sides.
+    Only the first piece can start at -inf and only the last end at +inf,
+    and an infinite end is excluded, so it is its own window end.
     """
     pieces = space.ambient.pieces
     entries = []
     for comp in components(space):
         p, i = comp.piece, comp.index
-        if not is_finite(p.lo):
-            w_lo: object = NEG_INF
-        elif i > 0:
-            w_lo = pieces[i - 1].hi
+        if i > 0:
+            w_lo: object = pieces[i - 1].hi
         elif not p.lo_closed:
             w_lo = p.lo
         else:
             w_lo = inner_point(NEG_INF, p.lo)  # one unit below
-        if not is_finite(p.hi):
-            w_hi: object = POS_INF
-        elif i + 1 < len(pieces):
-            w_hi = pieces[i + 1].lo
+        if i + 1 < len(pieces):
+            w_hi: object = pieces[i + 1].lo
         elif not p.hi_closed:
             w_hi = p.hi
         else:
@@ -224,22 +221,18 @@ def separate_disjoint_closed(
             tagged.append((pf[fi], 0))
             fi += 1
     tagged += [(piece, 0) for piece in pf[fi:]] + [(piece, 1) for piece in pg[gi:]]
-    zones: tuple[list[Interval], list[Interval]] = ([], [])
-    run_start: object = NEG_INF
-    for idx, (piece, owner) in enumerate(tagged):
-        nxt = tagged[idx + 1] if idx + 1 < len(tagged) else None
-        if nxt is not None and nxt[1] == owner:
-            continue
-        if nxt is None:
-            run_end: object = POS_INF
-        else:
-            a, b = piece.hi, nxt[0].lo
+    # The zones between cuts alternate owners from the first piece's, so each
+    # owner's zones, parted by the other's, are canonical as listed.
+    cuts: list[object] = [NEG_INF]
+    for (a, owner), (b, nxt) in zip(tagged, tagged[1:]):
+        if nxt != owner:
             # Both are finite here: a has a successor, b a predecessor.
-            run_end = a if _eq(a, b) else midpoint(a, b)
-        zones[owner].append(_mk_interval(run_start, run_end, False, False))
-        run_start = run_end
-    u = intersect(normalize(zones[0]), x)
-    v = intersect(normalize(zones[1]), x)
+            cuts.append(a.hi if _eq(a.hi, b.lo) else midpoint(a.hi, b.lo))
+    cuts.append(POS_INF)
+    zones = [_mk_interval(lo, hi, False, False) for lo, hi in zip(cuts, cuts[1:])]
+    first = tagged[0][1]
+    u = intersect(_mk_set(tuple(zones[first::2])), x)
+    v = intersect(_mk_set(tuple(zones[1 - first::2])), x)
     return u, v
 
 

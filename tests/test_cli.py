@@ -276,6 +276,28 @@ def test_non_topology_literals_exit_2(capsys):
             )
 
 
+def test_only_a_non_topology_reads_as_bad_literal(monkeypatch, capsys):
+    """A family missing the empty or the full set is bad input (exit 2); any
+    other exception while the literal's space is built is a bug (exit 1)."""
+    from onepoint import finite
+
+    for literal in ("{0}", "{},{0},{1}"):
+        code, lines = run_cli("finite", "search", literal, "T0")
+        assert code == 2 and lines == []
+        assert capsys.readouterr().err == (
+            f"error: not a topology: {literal!r}"
+            " (a topology contains the empty set and the full set)\n"
+        )
+
+    def broken(self, size, opens):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(finite.FiniteSpace, "__init__", broken)
+    code, lines = run_cli("finite", "search", "{},{0}", "T0")
+    assert code == 1 and lines == []
+    assert capsys.readouterr().err == "internal error: RuntimeError: engine bug\n"
+
+
 def outcome(argv, capsys):
     """How `main` ends (it returns a code, or argparse raises SystemExit), the
     emitted lines, and what went to stdout and stderr."""

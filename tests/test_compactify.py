@@ -26,7 +26,7 @@ from onepoint import (
     union,
     verify_compact_hausdorff,
 )
-from onepoint.compactify import compactify
+from onepoint.compactify import _frontier, compactify
 from onepoint.sampling import random_open_in, random_point_in
 
 S = parse_set
@@ -107,6 +107,16 @@ def test_finite_subcover_examples():
         finite_subcover(ce, [TypeI(S("(0,1)"))])
     with pytest.raises(NotACover):
         finite_subcover(ce, [TypeInf(difference(S("(0,1)"), S("[1/4,3/4]")))])
+
+
+def test_frontier_is_the_first_lower_end_or_past_every_end():
+    """The greedy sweep's key: the first piece's lower end, an included end
+    first, and an empty remainder above every such key."""
+    assert _frontier(EMPTY) == (float("inf"), 2)
+    assert _frontier(S("[1,2] U [3,4]")) == (Fraction(1), 0)
+    assert _frontier(S("(1,2) U [3,4]")) == (Fraction(1), 1)
+    assert _frontier(S("(-inf,0)")) == (float("-inf"), 1)
+    assert _frontier(S("[1,2]")) < _frontier(S("(1,2)")) < _frontier(EMPTY)
 
 
 def test_subcover_union_is_whole(extensions):

@@ -493,7 +493,7 @@ def test_clopen_falsifier_examples():
     ext = ext_of("(0,1)")
     out = clopen_falsifier(ext, TypeI(S("(0,1)")))
     assert isinstance(out, NotClopenEvidence)
-    assert out.side == "complement" and out.reason == "MissingTail"
+    assert out.side == "complement" and out.check.reason == "MissingTail"
 
     out = clopen_falsifier(ext, ext.whole_open())
     assert isinstance(out, IsTrivial) and out.which == "whole"
@@ -502,8 +502,8 @@ def test_clopen_falsifier_examples():
 
     out = clopen_falsifier(ext, TypeI(S("(0,1/2)")))
     assert isinstance(out, NotClopenEvidence)
-    assert out.side == "complement" and out.reason == "TraceNotOpen"
-    assert out.boundary == Fraction(1, 2)
+    assert out.side == "complement" and out.check.reason == "TraceNotOpen"
+    assert out.check.boundary == Fraction(1, 2)
 
 
 def test_clopen_falsifier_generated(extensions):
@@ -535,9 +535,9 @@ def test_open_check_boundary_matches_reference(extensions):
             assert bool(chk) == (chk.boundary is None)
         for cand in clopen_candidates(ext, rng, 10):
             out = clopen_falsifier(ext, cand)
-            if isinstance(out, NotClopenEvidence) and out.reason == "TraceNotOpen":
+            if isinstance(out, NotClopenEvidence) and out.check.reason == "TraceNotOpen":
                 trace = cand.trace if out.side == "set" else difference(x, cand.trace)
-                assert out.boundary == reference_openness_boundary(x, trace)
+                assert out.check.boundary == reference_openness_boundary(x, trace)
 
 
 # --------------------------------------------------------------------------

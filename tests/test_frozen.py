@@ -29,7 +29,7 @@ from onepoint.connectify import (
 from onepoint.errors import NotACover
 from onepoint.finite import FiniteSpace
 from onepoint.frozen import Frozen
-from onepoint.intervals import Interval, parse_set as S
+from onepoint.intervals import Interval, IntervalSet, parse_set as S
 from onepoint.space import Space, components, local_connectedness_certificate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,8 +109,9 @@ CASES = [
     (lambda: connectedness_certificate(ext()).steps[0], STEP0),
     (lambda: IsTrivial("empty"), "IsTrivial(which='empty')"),
     (
-        lambda: NotClopenEvidence("set", "MissingTail", 0),
-        "NotClopenEvidence(side='set', reason='MissingTail', component=0, boundary=None)",
+        lambda: NotClopenEvidence("set", OpenCheck("MissingTail", 0)),
+        "NotClopenEvidence(side='set', "
+        "check=OpenCheck(reason='MissingTail', component=0, boundary=None))",
     ),
     (
         lambda: CompactExtension(Space(S("(0,1)"))),
@@ -154,6 +155,14 @@ def test_equal_fields_in_different_classes_are_unequal():
     s = S("(0,1)")
     assert TypeI(s) != TypeInf(s) and TypeI(s) != Space(s)
     assert DensityCertificate(()) != ConnectednessCertificate(())
+
+
+def test_one_field_classes_hash_with_equality():
+    """Equal values built apart hash alike, so a set keeps one of them."""
+    s, t = S("(0,1) U [2,3]"), IntervalSet((Interval(0, 1), Interval(2, 3, True, True)))
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert len({s, t}) == 1 and len({TypeI(s), TypeI(t), TypeInf(s)}) == 2
+    assert len({IsTrivial("empty"), IsTrivial("em" + "pty"), IsTrivial("whole")}) == 2
 
 
 def test_messages_that_print_a_value_are_unchanged():

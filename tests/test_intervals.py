@@ -131,6 +131,54 @@ def test_malformed_intervals_rejected():
         Interval(0.5, 1)
 
 
+class FractionSub(Fraction):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+#: A finite endpoint as given, and what Interval(...) stores for it: a
+#: plain Fraction, or the refusal's message.
+ENDPOINTS = [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (FractionSub(1, 2), Fraction(1, 2)),
+    (3, Fraction(3)),
+    (10**30, Fraction(10**30)),
+    (True, "not a rational endpoint: True"),
+    (False, "not a rational endpoint: False"),
+    (float("nan"), "not a rational endpoint: nan"),
+    (0.5, "not a rational endpoint: 0.5"),
+    ("1/2", "not a rational endpoint: '1/2'"),
+    (None, "not a rational endpoint: None"),
+]
+
+
+def test_endpoint_coercion_table():
+    """Python values are read as endpoints by `as_point`'s rule, with the two
+    infinities (a float subclass's too) mapped to their sentinels; a refusal
+    is one MalformedInterval that shows no other exception."""
+    for given, stored in ENDPOINTS:
+        for args, at in (((given, 10**31), "lo"), ((-10**31, given), "hi")):
+            if isinstance(stored, str):
+                with pytest.raises(MalformedInterval, match=f"^{re.escape(stored)}$") as exc:
+                    Interval(*args)
+                err = exc.value
+                assert err.__cause__ is None and (err.__suppress_context__ or not err.__context__)
+            else:
+                value = getattr(Interval(*args), at)
+                assert type(value) is Fraction and value == stored
+    for inf in (NEG_INF, FloatSub("-inf")):
+        assert Interval(inf, 0).lo is NEG_INF
+    for inf in (POS_INF, FloatSub("inf")):
+        assert Interval(0, inf).hi is POS_INF
+    with pytest.raises(MalformedInterval, match="^lower endpoint cannot be \\+inf$"):
+        Interval(POS_INF, 0)
+    with pytest.raises(MalformedInterval, match="^upper endpoint cannot be -inf$"):
+        Interval(0, NEG_INF)
+
+
 def test_truthy_closedness_is_stored_as_bool():
     """Closedness is kept as a bool, so a set built from truthy flags equals
     (and hashes as) the parsed set that prints the same."""

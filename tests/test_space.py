@@ -26,7 +26,18 @@ from onepoint import (
     union,
     verify_local_connectedness,
 )
-from onepoint.sampling import random_closed_in
+from onepoint.intervals import (
+    IntervalSet,
+    _eq,
+    _mk_interval,
+    _starts_before,
+    inner_point,
+    is_finite,
+    midpoint,
+    normalize,
+)
+from onepoint.sampling import random_closed_in, random_point_in
+from onepoint.space import split_points
 
 S = parse_set
 
@@ -152,6 +163,124 @@ def test_separate_random_pairs(corpus200):
             check_separation(sp, f, g)
             done += 1
     assert done > 150
+
+
+# --------------------------------------------------------------------------
+# separation and the local-connectedness windows against a per-owner zone
+# loop and an infinite-end-first ladder, kept here as references
+# --------------------------------------------------------------------------
+
+
+def reference_local_connectedness_entries(sp):
+    """Each component with its window, an infinite end tested first."""
+    pieces = sp.ambient.pieces
+    entries = []
+    for comp in components(sp):
+        p, i = comp.piece, comp.index
+        if not is_finite(p.lo):
+            w_lo = NEG_INF
+        elif i > 0:
+            w_lo = pieces[i - 1].hi
+        elif not p.lo_closed:
+            w_lo = p.lo
+        else:
+            w_lo = inner_point(NEG_INF, p.lo)
+        if not is_finite(p.hi):
+            w_hi = POS_INF
+        elif i + 1 < len(pieces):
+            w_hi = pieces[i + 1].lo
+        elif not p.hi_closed:
+            w_hi = p.hi
+        else:
+            w_hi = inner_point(p.hi, POS_INF)
+        entries.append((comp, Interval(w_lo, w_hi)))
+    return tuple(entries)
+
+
+def reference_separation(sp, f, g):
+    """Separate two disjoint closed sets by per-owner zone lists, each
+    normalized; the preconditions are the caller's."""
+    x = sp.ambient
+    if not f:
+        return EMPTY, x
+    if not g:
+        return x, EMPTY
+    pf, pg = f.pieces, g.pieces
+    tagged = []
+    fi = gi = 0
+    while fi < len(pf) and gi < len(pg):
+        if _starts_before(pg[gi], pf[fi]):
+            tagged.append((pg[gi], 1))
+            gi += 1
+        else:
+            tagged.append((pf[fi], 0))
+            fi += 1
+    tagged += [(piece, 0) for piece in pf[fi:]] + [(piece, 1) for piece in pg[gi:]]
+    zones = ([], [])
+    run_start = NEG_INF
+    for idx, (piece, owner) in enumerate(tagged):
+        nxt = tagged[idx + 1] if idx + 1 < len(tagged) else None
+        if nxt is not None and nxt[1] == owner:
+            continue
+        if nxt is None:
+            run_end = POS_INF
+        else:
+            a, b = piece.hi, nxt[0].lo
+            run_end = a if _eq(a, b) else midpoint(a, b)
+        zones[owner].append(_mk_interval(run_start, run_end, False, False))
+        run_start = run_end
+    return intersect(normalize(zones[0]), x), intersect(normalize(zones[1]), x)
+
+
+def missing_point_spaces(rng, count):
+    """Spaces with at least one infinite end whose pieces are parted by a
+    single missing point or by a gap of length 1/2."""
+    out = [space("(-inf,inf)"), space("(-inf,0) U (0,inf)"), space("(-inf,0] U [1,inf)")]
+    while len(out) < count:
+        cuts = sorted(rng.sample(range(-8, 9), rng.randint(1, 5)))
+        lo, lo_closed = (NEG_INF, False) if rng.random() < 0.7 else (Fraction(cuts[0] - 1), True)
+        pieces = []
+        for q in cuts:
+            if rng.random() < 0.6:  # q alone is missing
+                pieces.append(Interval(lo, q, lo_closed, False))
+                lo, lo_closed = Fraction(q), False
+            else:
+                pieces.append(Interval(lo, q, lo_closed, True))
+                lo, lo_closed = q + Fraction(1, 2), rng.random() < 0.5
+        if is_finite(pieces[0].lo) or rng.random() < 0.7:
+            pieces.append(Interval(lo, POS_INF, lo_closed, False))
+        else:
+            pieces.append(Interval(lo, cuts[-1] + 1, lo_closed, True))
+        out.append(Space(IntervalSet(tuple(pieces))))
+    return out
+
+
+def test_separation_and_windows_match_references(corpus200):
+    """On every corpus space and on spaces with infinite ends and single
+    missing points: the same certificate entries, and the same opens for
+    closed pairs drawn as the separation self-test draws them and for the
+    point pairs of split_points."""
+    rng = random.Random(2525)
+    pairs = points = 0
+    for sp in corpus200 + missing_point_spaces(rng, 100):
+        x = sp.ambient
+        entries = local_connectedness_certificate(sp).entries
+        assert entries == reference_local_connectedness_entries(sp)
+        for _ in range(4):
+            f = random_closed_in(x, rng)
+            g = difference(random_closed_in(x, rng), f.closure())
+            if intersect(f, g) or not is_closed_in(g, x):
+                continue
+            assert separate_disjoint_closed(sp, f, g) == reference_separation(sp, f, g)
+            pairs += 1
+        for _ in range(2):
+            y, z = random_point_in(x, rng), random_point_in(x, rng)
+            if y == z:
+                continue
+            f, g = S(f"[{y},{y}]"), S(f"[{z},{z}]")
+            assert split_points(sp, y, z) == reference_separation(sp, f, g)
+            points += 1
+    assert pairs > 700 and points > 500
 
 
 # --------------------------------------------------------------------------
