@@ -18,7 +18,6 @@ from functools import lru_cache
 from . import connectify as cn
 from . import finite as fin
 from . import records
-from . import selftest
 from .compactify import CompactRefused
 from .compactify import compactify as alexandroff_compactify
 from .errors import InvalidExtension, OnePointError
@@ -119,6 +118,8 @@ def _cmd_search(request, emit) -> int:
 
 
 def _cmd_selftest(request, emit) -> int:
+    from . import selftest  # and through it sampling: no other request loads them
+
     return selftest.run(emit)
 
 

@@ -26,9 +26,6 @@ class CompactExtension(Frozen):
 
     __slots__ = ("space",)
 
-    def __init__(self, space: Space) -> None:
-        object.__setattr__(self, "space", space)
-
 
 class CompactRefused(Frozen):
     """The space is already compact, so no point at infinity is added."""
@@ -54,9 +51,6 @@ class TypeInf(Frozen):
     """Open set containing infinity: the complement of its trace is compact."""
 
     __slots__ = ("trace",)
-
-    def __init__(self, trace: IntervalSet) -> None:
-        object.__setattr__(self, "trace", trace)
 
 
 CompOpenSet = TypeI | TypeInf

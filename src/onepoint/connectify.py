@@ -153,10 +153,7 @@ class EscapeFilter(Frozen):
 
 
 # See intervals._set_lo.
-_set_component = EscapeFilter.component.__set__
-_set_side = EscapeFilter.side.__set__
-_set_anchor = EscapeFilter.anchor.__set__
-_set_end = EscapeFilter.end.__set__
+_set_component, _set_side, _set_anchor, _set_end = EscapeFilter._setters
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +189,7 @@ class Extension(Frozen):
     __slots__ = ("space", "filters")
 
     def __init__(self, space: Space) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "filters", tuple(map(EscapeFilter, components(space))))
+        super().__init__(space, tuple(map(EscapeFilter, components(space))))
 
     def whole_open(self) -> TypeII:
         return TypeII(self.space.ambient, (0,) * len(self.filters))
@@ -203,9 +199,6 @@ class TypeI(Frozen):
     """Extension-open set not containing the extra point: a plain trace."""
 
     __slots__ = ("trace",)
-
-    def __init__(self, trace: IntervalSet) -> None:
-        object.__setattr__(self, "trace", trace)
 
 
 class TypeII(Frozen):
@@ -217,10 +210,6 @@ class TypeII(Frozen):
 
     __slots__ = ("trace", "tails")
 
-    def __init__(self, trace: IntervalSet, tails: tuple[int, ...]) -> None:
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "tails", tails)
-
 
 ExtOpenSet = TypeI | TypeII
 
@@ -230,23 +219,13 @@ class ExtClosedSet(Frozen):
 
     __slots__ = ("has_p", "trace")
 
-    def __init__(self, has_p: bool, trace: IntervalSet) -> None:
-        object.__setattr__(self, "has_p", has_p)
-        object.__setattr__(self, "trace", trace)
-
 
 class Connectifiable(Frozen):
     __slots__ = ("extension",)
 
-    def __init__(self, extension: Extension) -> None:
-        object.__setattr__(self, "extension", extension)
-
 
 class Refused(Frozen):
     __slots__ = ("witness",)
-
-    def __init__(self, witness: Component) -> None:
-        object.__setattr__(self, "witness", witness)
 
 
 Verdict = Connectifiable | Refused
@@ -284,9 +263,7 @@ class OpenCheck(Frozen):
         component: int | None = None,
         boundary: Fraction | None = None,  # a point of the trace where TraceNotOpen fails
     ) -> None:
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "boundary", boundary)
+        super().__init__(reason, component, boundary)
 
     def __bool__(self) -> bool:
         return self.reason is None
@@ -479,9 +456,6 @@ class DensityCertificate(Frozen):
 
     __slots__ = ("neighborhoods",)
 
-    def __init__(self, neighborhoods: tuple[TypeII, ...]) -> None:
-        object.__setattr__(self, "neighborhoods", neighborhoods)
-
 
 def density_check(ext: Extension, samples: int = 100, seed: int = 0) -> DensityCertificate:
     """Certify that the base space is dense in the extension.
@@ -516,12 +490,6 @@ class FidelityCertificate(Frozen):
     one extension open and one base open per sample."""
 
     __slots__ = ("extension_opens", "base_opens")
-
-    def __init__(
-        self, extension_opens: tuple[ExtOpenSet, ...], base_opens: tuple[IntervalSet, ...]
-    ) -> None:
-        object.__setattr__(self, "extension_opens", extension_opens)
-        object.__setattr__(self, "base_opens", base_opens)
 
 
 def subspace_fidelity(ext: Extension, samples: int = 100, seed: int = 0) -> FidelityCertificate:
@@ -560,11 +528,7 @@ def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
 
 
 class ConnectednessStep(Frozen):
-    __slots__ = ("component", "tail")
-
-    def __init__(self, component: Component, tail: IntervalSet) -> None:
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "tail", tail)  # representative filter element
+    __slots__ = ("component", "tail")  # tail: a representative filter element
 
 
 class ConnectednessCertificate(Frozen):
@@ -572,9 +536,6 @@ class ConnectednessCertificate(Frozen):
     component, hence meets it, hence swallows it whole, hence is everything."""
 
     __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[ConnectednessStep, ...]) -> None:
-        object.__setattr__(self, "steps", steps)
 
 
 def connectedness_certificate(ext: Extension) -> ConnectednessCertificate:
@@ -601,18 +562,11 @@ def verify_connectedness(ext: Extension, cert: ConnectednessCertificate) -> bool
 
 
 class IsTrivial(Frozen):
-    __slots__ = ("which",)
-
-    def __init__(self, which: str) -> None:  # "empty" or "whole"
-        object.__setattr__(self, "which", which)
+    __slots__ = ("which",)  # "empty" or "whole"
 
 
 class NotClopenEvidence(Frozen):
-    __slots__ = ("side", "check")
-
-    def __init__(self, side: str, check: OpenCheck) -> None:  # side: "set" or "complement"
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "check", check)
+    __slots__ = ("side", "check")  # side: "set" or "complement"
 
 
 def clopen_falsifier(ext: Extension, s: ExtOpenSet):

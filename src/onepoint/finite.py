@@ -44,12 +44,16 @@ class FiniteSpace(Frozen):
             raise ParseError("a topology contains the empty set and the full set")
         if min(opens) < 0 or max(opens) > full:
             raise ParseError("open masks must fit the point set")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "opens", opens)
+        _set_size(self, size)
+        _set_opens(self, opens)
 
     @property
     def full(self) -> int:
         return (1 << self.size) - 1
+
+
+# A search builds one per topology it finds: see intervals._set_lo.
+_set_size, _set_opens = FiniteSpace._setters
 
 
 def validate_topology(size: int, family) -> bool:

@@ -1,11 +1,15 @@
 """The base of the package's immutable value classes.
 
-A subclass names its fields in ``__slots__``, in order, and sets them in its
-own ``__init__`` with ``object.__setattr__``, or, in a hot constructor, through
-its slots' own bound setters (``_set_lo = Interval.lo.__set__``), which
+A subclass names its fields in ``__slots__``, in order, and that is its
+whole definition: `Frozen` binds the slots' own setters once per class, as
+``cls._setters``, and its constructor stores the fields by position through
+them.  A class that validates, derives or defaults a field first keeps its
+own ``__init__`` and ends it with ``super().__init__(...)``; a hot one
+writes through module-level names unpacked from ``_setters``
+(``_set_lo, _set_hi, ... = Interval._setters``), which
 tests/test_slot_setters.py keeps to the object being built.  Equality,
-hashing and ``repr`` read the fields; no attribute can be assigned or deleted
-afterwards.
+hashing, ``repr`` and pickling read the fields; no attribute can be assigned
+or deleted afterwards.
 """
 
 from __future__ import annotations
@@ -14,14 +18,16 @@ from operator import attrgetter
 
 
 class Frozen:
-    """Equal when of the same class with equal fields, hashed by the
-    fields, shown as ``Name(field=value, ...)``, and immutable."""
+    """Built from its fields in ``__slots__`` order, equal when of the same
+    class with equal fields, hashed by the fields, shown as
+    ``Name(field=value, ...)``, and immutable."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         names = cls.__slots__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
         # One C-level getter per class: equality runs in every set comparison.
         fields = attrgetter(*names) if names else (lambda obj: ())
 
@@ -34,6 +40,17 @@ class Frozen:
             return hash(fields(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *fields: object) -> None:
+        setters = self._setters
+        if len(fields) != len(setters):
+            n = len(setters)
+            raise TypeError(
+                f"{type(self).__qualname__}({', '.join(self.__slots__)}) takes "
+                f"{n} field{'' if n == 1 else 's'}, {len(fields)} given"
+            )
+        for set_field, value in zip(setters, fields):
+            set_field(self, value)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -49,5 +66,4 @@ class Frozen:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        Frozen.__init__(self, *state)

@@ -151,13 +151,10 @@ class Interval(Frozen):
         return f"{left}{fmt_value(self.lo)},{fmt_value(self.hi)}{right}"
 
 
-# The slots' own setters, bound once: a write through one skips the lookup
-# `object.__setattr__` makes.  Only constructors call them, so an Interval
+# The slots' own setters, bound by `Frozen` and named here: a call skips the
+# generic constructor's loop.  Only constructors call them, so an Interval
 # stays immutable once built.
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
-_set_lo_closed = Interval.lo_closed.__set__
-_set_hi_closed = Interval.hi_closed.__set__
+_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = Interval._setters
 
 
 def _interval_fault(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> str | None:
@@ -281,7 +278,7 @@ class IntervalSet(Frozen):
         return f"IntervalSet[{self}]"
 
 
-_set_pieces = IntervalSet.pieces.__set__
+(_set_pieces,) = IntervalSet._setters
 EMPTY = IntervalSet(())
 REALS = IntervalSet((Interval(NEG_INF, POS_INF),))
 

@@ -52,8 +52,7 @@ class Component(Frozen):
 
 
 # See intervals._set_lo.
-_set_piece = Component.piece.__set__
-_set_index = Component.index.__set__
+_set_piece, _set_index = Component._setters
 
 
 class Space(Frozen):
@@ -64,7 +63,7 @@ class Space(Frozen):
     def __init__(self, ambient: IntervalSet) -> None:
         if not ambient.pieces:
             raise EmptySpace("a space needs at least one point")
-        object.__setattr__(self, "ambient", ambient)
+        super().__init__(ambient)
 
     def __str__(self) -> str:
         return str(self.ambient)
@@ -135,9 +134,6 @@ class LocalConnectednessCertificate(Frozen):
     """Per component, a line-open interval whose trace is exactly that component."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Component, Interval], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
 
 
 def local_connectedness_certificate(space: Space) -> LocalConnectednessCertificate:

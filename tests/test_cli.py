@@ -560,10 +560,15 @@ def test_the_table_reads_as_argparse_or_declines(argv):
 
 def test_well_formed_requests_load_no_argparse():
     """A fresh interpreter answers one request of each shape without
-    importing argparse or gettext; a malformed one imports argparse and exits 2."""
+    importing argparse or gettext, and the eight shapes before `selftest`
+    without importing `selftest` or `sampling`; a malformed one imports
+    argparse and exits 2."""
+    assert NINE[-1] == ["selftest"]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from onepoint import cli\n"
-        f"codes = [cli.main(argv, emit=[].append) for argv in {NINE!r}]\n"
+        f"codes = [cli.main(argv, emit=[].append) for argv in {NINE[:-1]!r}]\n"
+        "print(sorted({'onepoint.selftest', 'onepoint.sampling'} & set(sys.modules)))\n"
+        f"codes.append(cli.main({NINE[-1]!r}, emit=[].append))\n"
         "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
         "try:\n"
         "    cli.main(['components'])\n"
@@ -574,5 +579,5 @@ def test_well_formed_requests_load_no_argparse():
         [sys.executable, "-I", "-c", code, str(Path(__file__).resolve().parents[1] / "src")],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "2 True"]
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "2 True"]
     assert out.stderr.endswith("error: the following arguments are required: set\n")

@@ -4,6 +4,7 @@ none of the standard library's code-introspection modules."""
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -149,6 +150,27 @@ def test_value_semantics(build, text):
     with pytest.raises(TypeError):
         iter(a)
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def test_the_generic_constructor_takes_every_field_by_position():
+    """A class on `Frozen`'s constructor is built from all its fields, in
+    `__slots__` order, and refuses one field too few, one too many, and a
+    keyword, with a `TypeError`; a wrong count names the class and its fields."""
+    generic = [build() for build, _ in CASES if type(build()).__init__ is Frozen.__init__]
+    assert len(generic) == 15
+    for value in generic:
+        cls, fields = type(value), value.__getstate__()
+        assert cls(*fields) == value
+        shape = re.escape(f"{cls.__qualname__}({', '.join(cls.__slots__)})")
+        for wrong in [fields[:-1], fields + (None,)] if fields else [(None,)]:
+            with pytest.raises(TypeError, match=rf"^{shape} takes {len(fields)} field"):
+                cls(*wrong)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            cls(*fields[:-1], **{(cls.__slots__ or ("extra",))[-1]: None})
+    with pytest.raises(TypeError, match=r"^TypeII\(trace, tails\) takes 2 fields, 1 given$"):
+        TypeII(S("(0,1)"))
+    with pytest.raises(TypeError, match=r"^IsTrivial\(which\) takes 1 field, 0 given$"):
+        IsTrivial()
 
 
 def test_equal_fields_in_different_classes_are_unequal():

@@ -1,12 +1,15 @@
 """A bound slot setter is called only while its object is being built.
 
-The hot constructors write their slots through setters bound once at module
-level (``_set_lo = Interval.lo.__set__``).  Such a setter skips
+`Frozen` binds each class's slot setters once, as ``cls._setters``, and the
+hot constructors name them at module level
+(``_set_lo, _set_hi, ... = Interval._setters``).  Such a setter skips
 `Frozen.__setattr__`, so a call anywhere else could change a value after it
-was built.  Every name bound from ``<Class>.<slot>.__set__`` in `src/` must be
-called only inside an ``__init__`` on ``self``, or inside a ``_mk_*`` function
-on a name that function bound from ``object.__new__(...)``, and used in no
-other way.
+was built.  Every name bound from ``<Class>._setters`` or
+``<Class>.<slot>.__set__`` in `src/` must be called only inside an
+``__init__`` on ``self``, or inside a ``_mk_*`` function on a name that
+function bound from ``object.__new__(...)``, and used in no other way.  No
+module writes a field through ``object.__setattr__``: `Frozen` is the one
+place that knows how a field is written.
 """
 
 import ast
@@ -47,14 +50,18 @@ def objects_built(func) -> set[str]:
 
 
 def setter_names(tree) -> set[str]:
-    """Names bound anywhere from an expression ``<Class>.<slot>.__set__``."""
+    """Names bound anywhere from ``<Class>.<slot>.__set__``, or unpacked from
+    ``<Class>._setters``."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
             v = node.value
-            slot = isinstance(v, ast.Attribute) and isinstance(v.value, ast.Attribute)
-            if slot and v.attr == "__set__":
+            if isinstance(v.value, ast.Attribute) and v.attr == "__set__":
                 names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif v.attr == "_setters":
+                for t in node.targets:
+                    if isinstance(t, (ast.Tuple, ast.List)):
+                        names |= {e.id for e in t.elts if isinstance(e, ast.Name)}
     return names
 
 
@@ -90,6 +97,7 @@ def stray_uses(source: str) -> list[tuple[str | None, int]]:
 def test_the_check_sees_every_stray_use():
     source = (
         "_set_x = Thing.x.__set__\n"
+        "_set_y, _set_z = Thing._setters\n"
         "class Thing:\n"
         "    def __init__(self, x, other):\n"
         "        _set_x(self, x)\n"
@@ -112,11 +120,17 @@ def test_the_check_sees_every_stray_use():
         "    def inner():\n"
         "        u = object.__new__(Thing)\n"
         "    _set_x(u, x)\n"
+        "def _mk_pair(y, old):\n"
+        "    t = object.__new__(Thing)\n"
+        "    _set_y(t, y)\n"
+        "    _set_z(old, y)\n"
+        "    return t, _set_z\n"
     )
-    assert setter_names(ast.parse(source)) == {"_set_x"}
+    assert setter_names(ast.parse(source)) == {"_set_x", "_set_y", "_set_z"}
     want = [
-        ("__init__", 5), ("__init__", 6), ("move", 8), ("_mk_thing", 12), ("helper", 15),
-        ("<lambda>", 16), (None, 17), ("__init__", 19), ("_mk_other", 23),
+        ("__init__", 6), ("__init__", 7), ("move", 9), ("_mk_thing", 13), ("helper", 16),
+        ("<lambda>", 17), (None, 18), ("__init__", 20), ("_mk_other", 24),
+        ("_mk_pair", 28), ("_mk_pair", 29),
     ]
     assert stray_uses(source) == want
 
@@ -128,8 +142,42 @@ def test_the_package_binds_setters_for_the_hot_constructors():
     }
     assert bound["space.py"] == {"_set_piece", "_set_index"}
     assert bound["connectify.py"] == {"_set_component", "_set_side", "_set_anchor", "_set_end"}
+    assert bound["finite.py"] == {"_set_size", "_set_opens"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_slot_setters_are_called_only_by_builders(path):
     assert stray_uses(path.read_text()) == []
+
+
+def object_setattr_calls(source: str) -> list[int]:
+    """The line of every call ``object.__setattr__(...)``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+
+
+def test_the_guard_sees_every_object_setattr_call():
+    source = (
+        "object.__setattr__(t, 'x', 1)\n"
+        "class Thing(Frozen):\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        super().__init__(x)\n"
+        "        Frozen.__setattr__(self, 'x', x)\n"
+        "def helper(t):\n"
+        "    f = object.__setattr__\n"
+        "    return lambda: object.__setattr__(t, 'x', 0)\n"
+    )
+    assert object_setattr_calls(source) == [1, 4, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_writes_a_field_through_object_setattr(path):
+    assert object_setattr_calls(path.read_text()) == []
