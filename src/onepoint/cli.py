@@ -1,9 +1,10 @@
 """Batch command-line front-end.
 
-Thin by design: every verb reads its arguments, calls one library operation,
-and prints the stable record lines.  One table, `_SHAPES`, lists the nine
-request shapes: a well-formed request is read from it directly, and argparse,
-built from the same table, reads the rest and words usage, help and errors.
+Thin by design: each handler is a function of its request that calls one
+library operation and returns the exit code with the stable record lines;
+`main` alone prints them.  One table, `_SHAPES`, lists the nine request
+shapes: a well-formed request is read from it directly, and argparse, built
+from the same table, reads the rest and words usage, help and errors.
 
 Exit codes: 0 success, 1 internal invariant violation or any other unexpected
 exception (a bug), 2 parse or argument error, 3 mathematical refusal (the
@@ -40,87 +41,67 @@ def _parse_closed_spec(token: str) -> cn.ExtClosedSet:
     return cn.ExtClosedSet(False, parse_set(flat))
 
 
-def _require_extension(text: str, emit) -> cn.Extension | None:
-    verdict = cn.check_connectifiable(Space(parse_set(text)))
+def _space(request) -> Space:
+    return Space(parse_set(request["set"]))
+
+
+def _cmd_components(request):
+    return 0, [str(c) for c in components(_space(request))]
+
+
+def _cmd_check(request):
+    return 0, records.fmt_check(_space(request))
+
+
+def _cmd_connectify(request):
+    verdict = cn.check_connectifiable(_space(request))
+    return 3 if isinstance(verdict, cn.Refused) else 0, records.fmt_verdict(verdict)
+
+
+# Per witness kind: the names of its two positionals after the set, how each
+# is read, the builder, its verifier, and the name a failed verification gives.
+_WITNESSES = {
+    "hausdorff": (("y", "z"), _parse_ext_point, cn.hausdorff_witness, cn.verify_hausdorff, "hausdorff"),
+    "normal": (
+        ("fspec", "gspec"), _parse_closed_spec, cn.normality_witness, cn.verify_normality, "normality"
+    ),
+}
+
+
+def _cmd_witness(request):
+    verdict = cn.check_connectifiable(_space(request))
     if isinstance(verdict, cn.Refused):
-        for line in records.fmt_verdict(verdict):
-            emit(line)
-        return None
-    return verdict.extension
+        return 3, records.fmt_verdict(verdict)
+    names, read, build, verify, name = _WITNESSES[request["kind"]]
+    ext = verdict.extension
+    a, b = (read(request[n]) for n in names)
+    u, v = build(ext, a, b)
+    if not verify(ext, a, b, u, v):
+        raise InvalidExtension(f"{name} witness failed its own verification")
+    return 0, records.fmt_witness_pair(u, v)
 
 
-def _cmd_components(request, emit) -> int:
-    space = Space(parse_set(request["set"]))
-    for c in components(space):
-        emit(str(c))
-    return 0
-
-
-def _cmd_check(request, emit) -> int:
-    for line in records.fmt_check(Space(parse_set(request["set"]))):
-        emit(line)
-    return 0
-
-
-def _cmd_connectify(request, emit) -> int:
-    verdict = cn.check_connectifiable(Space(parse_set(request["set"])))
-    for line in records.fmt_verdict(verdict):
-        emit(line)
-    return 3 if isinstance(verdict, cn.Refused) else 0
-
-
-def _cmd_hausdorff(request, emit) -> int:
-    ext = _require_extension(request["set"], emit)
-    if ext is None:
-        return 3
-    y, z = _parse_ext_point(request["y"]), _parse_ext_point(request["z"])
-    u, v = cn.hausdorff_witness(ext, y, z)
-    if not cn.verify_hausdorff(ext, y, z, u, v):
-        raise InvalidExtension("hausdorff witness failed its own verification")
-    for line in records.fmt_witness_pair(u, v):
-        emit(line)
-    return 0
-
-
-def _cmd_normal(request, emit) -> int:
-    ext = _require_extension(request["set"], emit)
-    if ext is None:
-        return 3
-    f, g = _parse_closed_spec(request["fspec"]), _parse_closed_spec(request["gspec"])
-    u, v = cn.normality_witness(ext, f, g)
-    if not cn.verify_normality(ext, f, g, u, v):
-        raise InvalidExtension("normality witness failed its own verification")
-    for line in records.fmt_witness_pair(u, v):
-        emit(line)
-    return 0
-
-
-def _cmd_compactify(request, emit) -> int:
-    space = Space(parse_set(request["set"]))
+def _cmd_compactify(request):
+    space = _space(request)
     verdict = alexandroff_compactify(space)
-    for line in records.fmt_compact_verdict(space, verdict):
-        emit(line)
-    return 3 if isinstance(verdict, CompactRefused) else 0
+    return 3 if isinstance(verdict, CompactRefused) else 0, records.fmt_compact_verdict(space, verdict)
 
 
-def _cmd_enumerate(request, emit) -> int:
-    emit(f"count={fin.count_topologies(request['n'], 'preorder')}")
-    return 0
+def _cmd_enumerate(request):
+    return 0, [f"count={fin.count_topologies(request['n'], 'preorder')}"]
 
 
-def _cmd_search(request, emit) -> int:
+def _cmd_search(request):
     base = fin.parse_topology_literal(request["literal"])
     found = fin.search_one_point_connectifications(base, request["axiom"])
-    emit(f"found={len(found)}")
-    for line in sorted(fin.topology_literal(t) for t in found):
-        emit(line)
-    return 0
+    return 0, [f"found={len(found)}", *sorted(fin.topology_literal(t) for t in found)]
 
 
-def _cmd_selftest(request, emit) -> int:
+def _cmd_selftest(request):
     from . import selftest  # and through it sampling: no other request loads them
 
-    return selftest.run(emit)
+    lines = []
+    return selftest.run(lines.append), lines
 
 
 # The nine request shapes, in the order `--help` lists them: the command
@@ -132,8 +113,8 @@ _SHAPES = (
     (("components",), _SET, _cmd_components),
     (("check",), _SET, _cmd_check),
     (("connectify",), _SET, _cmd_connectify),
-    (("witness", "hausdorff"), (("set", {}), ("y", {}), ("z", {})), _cmd_hausdorff),
-    (("witness", "normal"), (("set", {}), ("fspec", {}), ("gspec", {})), _cmd_normal),
+    (("witness", "hausdorff"), (("set", {}), ("y", {}), ("z", {})), _cmd_witness),
+    (("witness", "normal"), (("set", {}), ("fspec", {}), ("gspec", {})), _cmd_witness),
     (("compactify",), _SET, _cmd_compactify),
     (("finite", "enumerate"), (("n", {"type": int}),), _cmd_enumerate),
     (("finite", "search"), (("literal", {}), ("axiom", {"choices": fin.AXIOMS})), _cmd_search),
@@ -237,7 +218,10 @@ def main(argv=None, emit=print) -> int:
         read = _BY_WORDS[words][2], request
     handler, request = read
     try:
-        return handler(request, emit)
+        code, lines = handler(request)
+        for line in lines:
+            emit(line)
+        return code
     except InvalidExtension as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -41,13 +41,14 @@ class Frozen:
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
-    def __init__(self, *fields: object) -> None:
+    def __init__(self, *fields: object, **named: object) -> None:
         setters = self._setters
-        if len(fields) != len(setters):
+        if len(fields) != len(setters) or named:
             n = len(setters)
+            got = f" by position, got keyword {', '.join(named)}" if named else f", {len(fields)} given"
             raise TypeError(
                 f"{type(self).__qualname__}({', '.join(self.__slots__)}) takes "
-                f"{n} field{'' if n == 1 else 's'}, {len(fields)} given"
+                f"{n} field{'' if n == 1 else 's'}{got}"
             )
         for set_field, value in zip(setters, fields):
             set_field(self, value)

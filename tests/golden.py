@@ -10,23 +10,36 @@ The requests are:
   changed);
 - ``--format records selftest``, run in process;
 - ``finite search`` on every topology of at most 4 points (390 bases) under
-  each of the six axioms.
+  each of the six axioms;
+- a fixed list of command lines over the nine request shapes, valid and
+  corrupted, drawn from a seeded ``random`` with the token pools and
+  corruptions of ``tests/test_cli_fuzz.py``, run in process at COLUMNS
+  columns;
+- ``--help`` of the parser and of every subcommand, the same way.
 
 An op's digest covers its kind, its arguments, its exit code, its stdout
-lines, its stderr and the type of any exception it raised.  The file keeps
-one short digest per perfbench op, one digest per search axiom, and one
-digest and line count per op kind, so ``tests/test_golden_outputs.py`` can
-name the op that changed.  Rewrite the file only in a change that means to
-alter output, and list there each op kind that changed and why.
+lines, its stderr and the type of any exception it raised; a command line's
+covers its argv, exit code, stdout and stderr.  The file keeps one short
+digest per perfbench op, per command line and per ``--help`` text, one
+digest per search axiom, and one digest and line count per op kind, so
+``tests/test_golden_outputs.py`` can name the op or request that changed.
+Rewrite the file only in a change that means to alter output, and list
+there each op kind that changed and why.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
+import os
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_outputs.json"
@@ -34,10 +47,14 @@ sys.path.insert(0, str(HERE.parent / "perfbench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+import test_cli_fuzz as fuzz  # noqa: E402
+
 SEED = 7
 WORKLOADS = ("corpus", "large", "finite")
 SEARCH_POINTS = 4
 DIGEST_HEX = 8
+REQUESTS = 2000
+COLUMNS = "80"
 
 
 def modules():
@@ -72,6 +89,143 @@ def search_runs(m) -> dict:
     }
 
 
+# The command words of the nine request shapes, in `--help` order.
+SHAPE_WORDS = [
+    ("components",), ("check",), ("connectify",), ("witness", "hausdorff"),
+    ("witness", "normal"), ("compactify",), ("finite", "enumerate"),
+    ("finite", "search"), ("selftest",),
+]
+
+# Spaces with a compact component, which `connectify` and a witness refuse;
+# the fuzz grammar seldom draws one, since its rays swallow bounded pieces.
+REFUSED = ["[0,1]", "(0,1) U [2,3]", "[-1,0] U (1,inf)", "(-inf,-1) U [0,0] U (1,2)"]
+
+# Command lines no draw is sure to reach: a refused space whose points or
+# closed specs are malformed (the verdict comes first), and `--` before,
+# after and in place of the positionals.
+FIXED_REQUESTS = [
+    ["witness", "hausdorff", "[0,1]", "p", "garbage"],
+    ["witness", "normal", "[0,1]", "bad", "]["],
+    ["witness", "hausdorff", "(0,1)", "p", "garbage"],
+    ["witness", "normal", "(0,1)", "bad", "]["],
+    ["witness", "hausdorff", "--", "(0,1) U [2,3]", "q", "1/0"],
+    ["witness", "normal", "--", "[-1,0] U (1,inf)", "p+[", "p"],
+    ["--", "components", "(0,1)"],
+    ["components", "--", "(0,1)", "--"],
+    ["components", "(0,1)", "--"],
+    ["witness", "--", "hausdorff", "(0,1)", "p", "1"],
+    ["witness", "hausdorff", "--", "(0,1)", "p", "--"],
+    ["witness", "hausdorff", "(0,1)", "p", "1/2", "--"],
+    ["witness", "hausdorff", "--", "(0,1)", "p", "1/2", "--"],
+    ["witness", "hausdorff", "--", "--", "p", "1"],
+    ["finite", "search", "--", "{},{0}", "--"],
+    ["--format", "records", "finite", "search", "--", "{},{0}", "--"],
+    ["selftest", "--"],
+    ["selftest", "x"],
+    ["selftest", "-h"],
+    ["--format", "bogus", "selftest"],
+    ["frobnicate"],
+    [],
+]
+
+
+def cli_requests(seed: int = SEED, count: int = REQUESTS) -> list[list[str]]:
+    """FIXED_REQUESTS, then `count` command lines drawn by a seeded `random`:
+    a shape other than a bare `selftest` (which the selftest digest covers),
+    its positionals from the fuzz grammar (a space is one with a compact
+    component a time in four, a closed spec a closed interval half the
+    time), half of them with one token corrupted as the fuzz test corrupts
+    it, and a few with an option, a `--` or a token count argparse must
+    word."""
+    rng = random.Random(seed)
+
+    def interval():
+        a, b = sorted((rng.choice(fuzz.NUMBERS), rng.choice(fuzz.NUMBERS)), key=Fraction)
+        lo, hi = rng.choice([a, "-inf"]), rng.choice([b, "inf"])
+        left = "(" if lo == "-inf" else rng.choice("[(")
+        right = ")" if hi == "inf" else rng.choice("])")
+        return f"{left}{lo},{hi}{right}"
+
+    def drawn():
+        return "empty" if rng.random() < 0.1 else " U ".join(interval() for _ in range(rng.randint(1, 4)))
+
+    def space():
+        return rng.choice(REFUSED) if rng.random() < 0.25 else drawn()
+
+    def point():
+        return rng.choice([*fuzz.NUMBERS, "p", "p", fuzz.WIDE])
+
+    def closed():
+        if rng.random() < 0.5:
+            a, b = sorted((rng.choice(fuzz.NUMBERS), rng.choice(fuzz.NUMBERS)), key=Fraction)
+            return rng.choice(["", "p+"]) + f"[{a},{b}]"
+        return rng.choice([drawn, lambda: "p", lambda: "p+" + drawn()])()
+
+    shapes = [
+        *((words, lambda: [space()], list) for words in fuzz.SPACE_VERBS),
+        (("witness", "hausdorff"), lambda: [space(), point(), point()], list),
+        (("witness", "normal"), lambda: [space(), closed(), closed()], list),
+        (("finite", "search"), lambda: [rng.choice(fuzz.LITERALS)], lambda: [rng.choice(fuzz.AXIOMS)]),
+        (("finite", "enumerate"), list, lambda: [rng.choice(fuzz.ENUMERATE_SIZES)]),
+        (("selftest",), list, lambda: [rng.choice(["--", "x", "-h"])]),
+    ]
+    out = [list(argv) for argv in FIXED_REQUESTS]
+    for _ in range(count):
+        words, free, fixed = rng.choice(shapes)
+        free, fixed = free(), fixed()
+        if free and rng.random() < 0.5:
+            k = rng.randrange(len(free))
+            kind = rng.choice(fuzz.KINDS)
+            places = fuzz.spots(free[k], kind)
+            if places:
+                filler = rng.choice(fuzz.FILLERS)
+                free[k] = fuzz.corrupt(free[k], kind, rng.choice(places), filler)
+        fmt = rng.choice([[], [], ["--format", "text"], ["--format", "records"]])
+        dashes = rng.choice([[], ["--"], ["--"]]) if free else []
+        argv = [*fmt, *words, *dashes, *free, *fixed]
+        edit = rng.random() if words != ("selftest",) else 1
+        if edit < 0.05:
+            argv.append("--")
+        elif edit < 0.1:
+            argv.pop()
+        elif edit < 0.15:
+            argv.append(rng.choice(fuzz.NUMBERS))
+        out.append(argv)
+    return out
+
+
+def help_requests() -> list[list[str]]:
+    """`--help` of the parser and of every subcommand, in `--help` order."""
+    words = [()]
+    for shape in SHAPE_WORDS:
+        for n in range(1, len(shape) + 1):
+            if shape[:n] not in words:
+                words.append(shape[:n])
+    return [[*w, "--help"] for w in words]
+
+
+def cli_run(m, argv) -> tuple:
+    """(argv, exit code, stdout, stderr) of one in-process command line;
+    argparse's SystemExit is read as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = m.cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return argv, code, out.getvalue(), err.getvalue()
+
+
+def cli_runs(m, requests) -> list:
+    """Each request run at COLUMNS columns, where argparse wraps usage and help."""
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS):
+        return [cli_run(m, argv) for argv in requests]
+
+
+def cli_digest(result) -> str:
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()[:DIGEST_HEX]
+
+
 def op_args(op) -> list:
     return list(op.argv) if op.argv is not None else list(op.ctx)
 
@@ -97,19 +251,28 @@ def by_kind(rounds: dict) -> dict:
     return {k: summary(rs) for k, rs in sorted(kinds.items())}
 
 
-def build(rounds: dict, selftest: list, searches: dict) -> dict:
+def help_key(argv) -> str:
+    return " ".join(["onepoint", *argv])
+
+
+def build(rounds: dict, selftest: list, searches: dict, requests: list, helps: list) -> dict:
     return {
         "seed": SEED,
         "ops": {w: [digest(r) for r in rounds[w]] for w in WORKLOADS},
         "kinds": by_kind(rounds),
         "selftest": summary(selftest),
         "search": {ax: summary(rs) for ax, rs in searches.items()},
+        "cli": [cli_digest(r) for r in requests],
+        "help": {help_key(r[0]): cli_digest(r) for r in helps},
     }
 
 
-def differences(golden: dict, rounds: dict, selftest: list, searches: dict) -> list[str]:
-    """One line per op, kind, axiom or selftest whose output differs."""
-    now = build(rounds, selftest, searches)
+def differences(
+    golden: dict, rounds: dict, selftest: list, searches: dict, requests: list, helps: list
+) -> list[str]:
+    """One line per op, kind, axiom, selftest, command line or `--help`
+    text whose output differs."""
+    now = build(rounds, selftest, searches, requests, helps)
     out = []
     for w in WORKLOADS:
         want = golden["ops"][w]
@@ -124,21 +287,34 @@ def differences(golden: dict, rounds: dict, selftest: list, searches: dict) -> l
                 out.append(f"{section} {key}: golden {golden[section].get(key)}, now {now[section].get(key)}")
     if golden["selftest"] != now["selftest"]:
         out.append(f"selftest: golden {golden['selftest']}, now {now['selftest']}")
+    if len(golden["cli"]) != len(requests):
+        out.append(f"cli: {len(requests)} requests, golden has {len(golden['cli'])}")
+    for i, (r, d) in enumerate(zip(requests, golden["cli"])):
+        if cli_digest(r) != d:
+            out.append(f"cli request {i} {r[0]!r:.200}: output changed")
+    for key in sorted(golden["help"].keys() | now["help"].keys()):
+        if golden["help"].get(key) != now["help"].get(key):
+            out.append(f"help {key!r}: output changed")
     return out
+
+
+def cli_gate(m) -> tuple:
+    """The command lines and the `--help` texts, run."""
+    return cli_runs(m, cli_requests()), cli_runs(m, help_requests())
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     m = modules()
-    rounds, selftest, searches = perfbench_rounds(m), selftest_run(m), search_runs(m)
+    runs = (perfbench_rounds(m), selftest_run(m), search_runs(m), *cli_gate(m))
     if argv == ["--write"]:
-        GOLDEN.write_text(json.dumps(build(rounds, selftest, searches), indent=1) + "\n")
+        GOLDEN.write_text(json.dumps(build(*runs), indent=1) + "\n")
         print(f"wrote {GOLDEN.name}")
         return 0
     if argv:
         print("usage: golden.py [--write]", file=sys.stderr)
         return 2
-    diffs = differences(json.loads(GOLDEN.read_text()), rounds, selftest, searches)
+    diffs = differences(json.loads(GOLDEN.read_text()), *runs)
     for line in diffs:
         print(line)
     return 1 if diffs else 0

@@ -111,6 +111,45 @@ def test_witness_on_refused_space():
     assert code == 3 and lines == ["Refused component=[0,1]"]
 
 
+def test_a_refused_space_decides_a_witness_before_its_arguments(capsys):
+    """The verdict comes first: on a refused space a witness request exits 3
+    however malformed its points or closed specs, and on a connectifiable
+    one the same malformed point is an input error."""
+    for argv in (
+        ("witness", "hausdorff", "[0,1]", "p", "garbage"),
+        ("witness", "normal", "[0,1]", "bad", "]["),
+    ):
+        code, lines = run_cli(*argv)
+        assert (code, lines, capsys.readouterr().err) == (3, ["Refused component=[0,1]"], "")
+    code, lines = run_cli("witness", "hausdorff", "(0,1)", "p", "garbage")
+    assert (code, lines) == (2, [])
+    assert capsys.readouterr().err == "error: bad rational point: 'garbage'\n"
+
+
+def test_a_witness_that_fails_its_own_verification_exits_1(monkeypatch, capsys):
+    """Break what each witness builder calls, so that it returns two opens
+    that meet: the request prints nothing and exits 1 naming its kind.  The
+    verifiers themselves are left alone; the handler checks with them."""
+    from onepoint import connectify
+
+    def whole_line_twice(ext, z):
+        x = ext.space.ambient
+        return connectify.TypeII(x, (0,) * len(ext.filters)), connectify.TypeI(x)
+
+    monkeypatch.setattr(connectify, "_hausdorff_from_p", whole_line_twice)
+    code, lines = run_cli("witness", "hausdorff", "(0,1)", "p", "1/2")
+    assert (code, lines) == (1, [])
+    assert capsys.readouterr().err == (
+        "internal invariant violation: hausdorff witness failed its own verification\n"
+    )
+    monkeypatch.setattr(connectify, "separate_disjoint_closed", lambda space, f, g: (space.ambient,) * 2)
+    code, lines = run_cli("witness", "normal", "(0,1)", "[1/4,1/3]", "[1/2,3/4]")
+    assert (code, lines) == (1, [])
+    assert capsys.readouterr().err == (
+        "internal invariant violation: normality witness failed its own verification\n"
+    )
+
+
 def test_compactify_verb():
     code, lines = run_cli("compactify", "[0,1]")
     assert code == 3 and lines[0].startswith("Refused space=[0,1]")

@@ -68,6 +68,7 @@ def requests():
 
 
 KINDS = ("bracket", "U", "zero", "long", "big token", "delete", "insert")
+FILLERS = ["U", " U ", ",", "/", "-", "p", "{", "}", "9"]  # what an "insert" puts in
 
 
 def spots(token, kind):
@@ -100,7 +101,7 @@ def mutated(draw, token):
     places = spots(token, kind)
     if not places:
         return token
-    filler = draw(st.sampled_from(["U", " U ", ",", "/", "-", "p", "{", "}", "9"]))
+    filler = draw(st.sampled_from(FILLERS))
     return corrupt(token, kind, draw(st.sampled_from(places)), filler)
 
 

@@ -155,7 +155,7 @@ def test_value_semantics(build, text):
 def test_the_generic_constructor_takes_every_field_by_position():
     """A class on `Frozen`'s constructor is built from all its fields, in
     `__slots__` order, and refuses one field too few, one too many, and a
-    keyword, with a `TypeError`; a wrong count names the class and its fields."""
+    keyword, with a `TypeError` that names the class and its fields."""
     generic = [build() for build, _ in CASES if type(build()).__init__ is Frozen.__init__]
     assert len(generic) == 15
     for value in generic:
@@ -165,12 +165,16 @@ def test_the_generic_constructor_takes_every_field_by_position():
         for wrong in [fields[:-1], fields + (None,)] if fields else [(None,)]:
             with pytest.raises(TypeError, match=rf"^{shape} takes {len(fields)} field"):
                 cls(*wrong)
-        with pytest.raises(TypeError, match="unexpected keyword argument"):
-            cls(*fields[:-1], **{(cls.__slots__ or ("extra",))[-1]: None})
+        keyword = (cls.__slots__ or ("extra",))[-1]
+        refusal = rf"^{shape} takes {len(fields)} fields? by position, got keyword {keyword}$"
+        with pytest.raises(TypeError, match=refusal):
+            cls(*fields[:-1], **{keyword: None})
     with pytest.raises(TypeError, match=r"^TypeII\(trace, tails\) takes 2 fields, 1 given$"):
         TypeII(S("(0,1)"))
     with pytest.raises(TypeError, match=r"^IsTrivial\(which\) takes 1 field, 0 given$"):
         IsTrivial()
+    with pytest.raises(TypeError, match=r"^TypeI\(trace\) takes 1 field by position, got keyword trace$"):
+        TypeI(trace=S("(0,1)"))
 
 
 def test_equal_fields_in_different_classes_are_unequal():

@@ -7,9 +7,11 @@ hot constructors name them at module level
 was built.  Every name bound from ``<Class>._setters`` or
 ``<Class>.<slot>.__set__`` in `src/` must be called only inside an
 ``__init__`` on ``self``, or inside a ``_mk_*`` function on a name that
-function bound from ``object.__new__(...)``, and used in no other way.  No
-module writes a field through ``object.__setattr__``: `Frozen` is the one
-place that knows how a field is written.
+function bound from ``object.__new__(...)``, and used in no other way.
+Outside `frozen.py` the tuple ``<Class>._setters`` itself is read only as the
+whole value of a module-level unpacking into names, so no setter reaches a
+module unnamed.  No module writes a field through ``object.__setattr__``:
+`Frozen` is the one place that knows how a field is written.
 """
 
 import ast
@@ -148,6 +150,48 @@ def test_the_package_binds_setters_for_the_hot_constructors():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_slot_setters_are_called_only_by_builders(path):
     assert stray_uses(path.read_text()) == []
+
+
+def stray_setter_tuple_reads(source: str) -> list[int]:
+    """The line of every use of ``<expr>._setters`` that is not the whole
+    value of a module-level assignment to one tuple of names."""
+    tree = ast.parse(source)
+    unpacked = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Tuple)
+        and all(isinstance(e, ast.Name) for e in node.targets[0].elts)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "_setters"
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_setters" and id(node) not in unpacked
+    )
+
+
+def test_the_guard_sees_every_stray_setter_tuple_read():
+    source = (
+        "_set_lo, _set_hi = Interval._setters\n"
+        "(_set_pieces,) = IntervalSet._setters\n"
+        "Interval._setters[0](iv, 5)\n"
+        "s = Interval._setters\n"
+        "def build(self, lo):\n"
+        "    set_lo, set_hi = type(self)._setters\n"
+        "lo, hi = Interval._setters[:2]\n"
+        "[lo, hi] = Interval._setters\n"
+        "a, b = c, d = Interval._setters\n"
+        "f(Interval._setters)\n"
+    )
+    assert stray_setter_tuple_reads(source) == [3, 4, 6, 7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "frozen.py"], ids=lambda p: p.name)
+def test_setter_tuples_are_only_unpacked_into_names(path):
+    assert stray_setter_tuple_reads(path.read_text()) == []
 
 
 def object_setattr_calls(source: str) -> list[int]:
