@@ -235,6 +235,13 @@ def main(argv=None, emit=print) -> int:
 
 
 def console_main() -> None:
+    import signal
+
+    # A reader that stops early (`onepoint selftest | head -1`) ends this
+    # process by SIGPIPE, as it ends any other writer of a pipeline, and not
+    # through a failed write that `main` would report as a bug.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -90,7 +90,7 @@ class EscapeFilter(Frozen):
         # non-compact and the inner point lies strictly inside.
         p = component.piece
         if is_compact(component):
-            raise CompactComponent(f"{p} has no non-compact end")
+            raise CompactComponent(component)
         side = -1 if p.hi_closed else 1
         _set_component(self, component)
         _set_side(self, side)
@@ -184,15 +184,36 @@ ExtPoint = Fraction | NamedPoint
 
 class Extension(Frozen):
     """The space plus the extra point, one escape filter per component; a
-    space with a compact component raises ``CompactComponent``."""
+    space with a compact component raises ``CompactComponent``.
 
-    __slots__ = ("space", "filters")
+    The filters are a function of the space, built on first read: equality
+    and hashing read the space alone."""
+
+    __slots__ = ("space", "_filters")
 
     def __init__(self, space: Space) -> None:
-        super().__init__(space, tuple(map(EscapeFilter, components(space))))
+        comp = has_compact_component(space)
+        if comp is not None:
+            raise CompactComponent(comp)
+        super().__init__(space)
+
+    @property
+    def filters(self) -> tuple[EscapeFilter, ...]:
+        filters = self._filters
+        if filters is None:
+            filters = tuple(map(EscapeFilter, components(self.space)))
+            _set_filters(self, filters)
+        return filters
+
+    def __repr__(self) -> str:
+        return f"Extension(space={self.space!r}, filters={self.filters!r})"
 
     def whole_open(self) -> TypeII:
         return TypeII(self.space.ambient, (0,) * len(self.filters))
+
+
+# See intervals._set_lo; only the `filters` getter writes the slot.
+_set_filters = Extension._filters.__set__
 
 
 class TypeI(Frozen):
@@ -235,10 +256,13 @@ def check_connectifiable(space: Space) -> Verdict:
     """Connectifiable iff no component is compact.
 
     A compact component would stay clopen and proper in any one-point
-    Hausdorff extension, so it is returned as the refusal witness.
+    Hausdorff extension, so the first one, which `Extension` refuses, is
+    returned as the refusal witness.
     """
-    comp = has_compact_component(space)
-    return Connectifiable(Extension(space)) if comp is None else Refused(comp)
+    try:
+        return Connectifiable(Extension(space))
+    except CompactComponent as refusal:
+        return Refused(refusal.component)
 
 
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:

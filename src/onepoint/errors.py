@@ -30,7 +30,12 @@ class NotDisjoint(OnePointError):
 
 
 class CompactComponent(OnePointError):
-    """Escape filters exist only along non-compact components."""
+    """Escape filters exist only along non-compact components; ``component``
+    is the compact one that has none."""
+
+    def __init__(self, component) -> None:
+        super().__init__(f"{component.piece} has no non-compact end")
+        self.component = component
 
 
 class PointOutsideComponent(OnePointError):

@@ -10,6 +10,15 @@ writes through module-level names unpacked from ``_setters``
 tests/test_slot_setters.py keeps to the object being built.  Equality,
 hashing, ``repr`` and pickling read the fields; no attribute can be assigned
 or deleted afterwards.
+
+A slot whose name starts with ``_`` is not a field: the constructor and
+unpickling store ``None`` in it, and equality, hashing, ``repr`` and
+pickling ignore it.  Two such slots keep what a value would otherwise
+recompute, and each has one writer besides ``__init__``:
+``Interval._text``, the text a piece of `parse_set`'s scan was read from,
+stored by `intervals._mk_interval` (the builder that bypasses
+``__init__``), and ``Extension._filters``, stored by the
+``Extension.filters`` getter on first read.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ class Frozen:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        names = cls.__slots__
+        names = cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        cls._blanks = tuple(getattr(cls, name).__set__ for name in cls.__slots__ if name[0] == "_")
         # One C-level getter per class: equality runs in every set comparison.
         fields = attrgetter(*names) if names else (lambda obj: ())
 
@@ -47,14 +57,16 @@ class Frozen:
             n = len(setters)
             got = f" by position, got keyword {', '.join(named)}" if named else f", {len(fields)} given"
             raise TypeError(
-                f"{type(self).__qualname__}({', '.join(self.__slots__)}) takes "
+                f"{type(self).__qualname__}({', '.join(self._fields)}) takes "
                 f"{n} field{'' if n == 1 else 's'}{got}"
             )
         for set_field, value in zip(setters, fields):
             set_field(self, value)
+        for set_blank in self._blanks:
+            set_blank(self, None)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -64,7 +76,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setstate__(self, state: tuple) -> None:
         Frozen.__init__(self, *state)

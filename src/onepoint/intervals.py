@@ -115,9 +115,12 @@ def fmt_value(v: Value) -> str:
 
 
 class Interval(Frozen):
-    """One nonempty interval; degenerate single points are ``[a,a]``."""
+    """One nonempty interval; degenerate single points are ``[a,a]``.
 
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    ``_text`` is not a field: it holds the text a piece parsed from
+    canonical text was read from, which is what it prints, or None."""
+
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed", "_text")
 
     def __init__(
         self, lo: Value, hi: Value, lo_closed: bool = False, hi_closed: bool = False
@@ -131,6 +134,7 @@ class Interval(Frozen):
         _set_hi(self, hi)
         _set_lo_closed(self, lo_closed)
         _set_hi_closed(self, hi_closed)
+        _set_text(self, None)
 
     @property
     def degenerate(self) -> bool:
@@ -146,6 +150,8 @@ class Interval(Frozen):
         return _mk_interval(self.lo, self.hi, is_finite(self.lo), is_finite(self.hi))
 
     def __str__(self) -> str:
+        if self._text is not None:
+            return self._text
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{fmt_value(self.lo)},{fmt_value(self.hi)}{right}"
@@ -155,6 +161,7 @@ class Interval(Frozen):
 # generic constructor's loop.  Only constructors call them, so an Interval
 # stays immutable once built.
 _set_lo, _set_hi, _set_lo_closed, _set_hi_closed = Interval._setters
+_set_text = Interval._text.__set__
 
 
 def _interval_fault(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> str | None:
@@ -177,13 +184,17 @@ def _interval_fault(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> s
     return None
 
 
-def _mk_interval(lo: Value, hi: Value, lo_closed: bool, hi_closed: bool) -> Interval:
-    # Internal fast path: endpoints already coerced, invariants already known.
+def _mk_interval(
+    lo: Value, hi: Value, lo_closed: bool, hi_closed: bool, text: str | None = None
+) -> Interval:
+    # Internal fast path: endpoints already coerced, invariants already known;
+    # `text`, if given, is exactly what the piece prints.
     iv = object.__new__(Interval)
     _set_lo(iv, lo)
     _set_hi(iv, hi)
     _set_lo_closed(iv, lo_closed)
     _set_hi_closed(iv, hi_closed)
+    _set_text(iv, text)
     return iv
 
 
@@ -272,7 +283,7 @@ class IntervalSet(Frozen):
     def __str__(self) -> str:
         if not self.pieces:
             return "empty"
-        return " U ".join(str(p) for p in self.pieces)
+        return " U ".join(map(str, self.pieces))
 
     def __repr__(self) -> str:
         return f"IntervalSet[{self}]"
@@ -610,6 +621,13 @@ def pick_point(s: IntervalSet) -> Fraction:
 _ENDPOINT = r"-inf|inf|-?\d+(?:/\d+)?"
 _INTERVAL_RE = re.compile(rf"([\[(])({_ENDPOINT}),({_ENDPOINT})([\])])\Z")
 _POINT_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+# One piece of canonical text and the separator after it: an endpoint is an
+# infinity or a numeral of ASCII digits with no leading zero and no minus
+# zero, over a denominator with no leading zero.  Groups: the piece's own text, its left
+# bracket, per endpoint the infinity or the numerator and the denominator,
+# and its right bracket.
+_CANON_END = r"(-?inf)|(-?[1-9][0-9]*|0)(?:/([1-9][0-9]*))?"
+_CANON_RE = re.compile(rf"(([\[(])(?:{_CANON_END}),(?:{_CANON_END})([\])]))(?: U |\Z)")
 
 
 def _parse_rational(text: str, what: str, shown: str) -> Fraction:
@@ -634,19 +652,70 @@ def _parse_endpoint(text: str) -> Value:
     return _parse_rational(text, "endpoint", text)
 
 
+def _scan_canonical(flat: str) -> IntervalSet | None:
+    """The set that canonical text reads as, in one scan, or None to leave
+    the text to `parse_set`'s general reader.
+
+    The scan reads pieces matching `_CANON_RE`, joined by exactly ``" U "``
+    and tiling the whole text, each a valid interval.  Pieces in canonical
+    order, each with a gap before the next, are the set; pieces out of
+    order, touching or overlapping go through `normalize`.  A piece keeps
+    its text when both of its endpoints print as read: an infinity, an
+    integer, or a fraction in lowest terms over a denominator other than 1.
+    """
+    found = _CANON_RE.findall(flat)
+    if sum(len(m[0]) for m in found) + 3 * len(found) - 3 != len(flat):
+        return None
+    pieces: list[Interval] = []
+    ordered = True
+    try:
+        for text, lo_b, lo_inf, lo_n, lo_d, hi_inf, hi_n, hi_d, hi_b in found:
+            if lo_inf:
+                lo = NEG_INF if lo_inf == "-inf" else POS_INF
+            elif lo_d:
+                d = int(lo_d)
+                lo = _frac(int(lo_n), d)
+                if d == 1 or lo._denominator != d:
+                    text = None
+            else:
+                lo = _frac(int(lo_n), 1)
+            if hi_inf:
+                hi = NEG_INF if hi_inf == "-inf" else POS_INF
+            elif hi_d:
+                d = int(hi_d)
+                hi = _frac(int(hi_n), d)
+                if d == 1 or hi._denominator != d:
+                    text = None
+            else:
+                hi = _frac(int(hi_n), 1)
+            lo_closed, hi_closed = lo_b == "[", hi_b == "]"
+            if _interval_fault(lo, hi, lo_closed, hi_closed):
+                return None
+            iv = _mk_interval(lo, hi, lo_closed, hi_closed, text)
+            if ordered and pieces and not _gap_between(pieces[-1], iv):
+                ordered = False
+            pieces.append(iv)
+    except ValueError:  # beyond the interpreter's text-to-integer digit limit
+        return None
+    return _mk_set(tuple(pieces)) if ordered else normalize(pieces)
+
+
 def parse_set(text: str) -> IntervalSet:
     """Parse the SET grammar (or the word ``empty``) into canonical form.
 
-    Text already in canonical order, each piece with a gap before the next,
-    is taken as it reads; any other text goes through `normalize`.
+    Text of canonical pieces joined by ``" U "`` is read in one scan
+    (`_scan_canonical`).  Any other text is read part by part, by the one
+    reader of every parse error, and goes through `normalize`.
     """
     flat = text.strip()
     if flat == "empty":
         return EMPTY
     if not flat:
         raise ParseError("empty interval-set text")
+    scanned = _scan_canonical(flat)
+    if scanned is not None:
+        return scanned
     intervals: list[Interval] = []
-    canonical = True
     for part in flat.split("U"):
         squeezed = "".join(part.split())
         m = _INTERVAL_RE.match(squeezed)
@@ -657,11 +726,8 @@ def parse_set(text: str) -> IntervalSet:
         fault = _interval_fault(*ends)
         if fault:
             raise ParseError(fault)
-        iv = _mk_interval(*ends)
-        if canonical and intervals and not _gap_between(intervals[-1], iv):
-            canonical = False
-        intervals.append(iv)
-    return _mk_set(tuple(intervals)) if canonical else normalize(intervals)
+        intervals.append(_mk_interval(*ends))
+    return normalize(intervals)
 
 
 def parse_point(text: str) -> Fraction:

@@ -15,13 +15,19 @@ The requests are:
   corrupted, drawn from a seeded ``random`` with the token pools and
   corruptions of ``tests/test_cli_fuzz.py``, run in process at COLUMNS
   columns;
-- ``--help`` of the parser and of every subcommand, the same way.
+- ``--help`` of the parser and of every subcommand, the same way;
+- ``components``, ``connectify`` and ``witness hausdorff <set> p <point>``
+  on each set text of TEXTS, which covers what a reader of canonical text
+  must decline or read as the general reader does;
+- every op of the seed-8 round of the three workloads;
+- ``finite enumerate 6``.
 
 An op's digest covers its kind, its arguments, its exit code, its stdout
 lines, its stderr and the type of any exception it raised; a command line's
 covers its argv, exit code, stdout and stderr.  The file keeps one short
 digest per perfbench op, per command line and per ``--help`` text, one
-digest per search axiom, and one digest and line count per op kind, so
+digest per search axiom, per text request and for ``finite enumerate 6``,
+and one digest and line count per op kind of each seed's rounds, so
 ``tests/test_golden_outputs.py`` can name the op or request that changed.
 Rewrite the file only in a change that means to alter output, and list
 there each op kind that changed and why.
@@ -50,6 +56,7 @@ import workloads  # noqa: E402
 import test_cli_fuzz as fuzz  # noqa: E402
 
 SEED = 7
+SEED8 = 8
 WORKLOADS = ("corpus", "large", "finite")
 SEARCH_POINTS = 4
 DIGEST_HEX = 8
@@ -127,6 +134,52 @@ FIXED_REQUESTS = [
     ["frobnicate"],
     [],
 ]
+
+
+def _pieces(n: int, last: str | None = None) -> str:
+    """n canonical pieces (3i,3i+1/2], the last one written as `last`."""
+    pieces = [f"({3 * i},{6 * i + 1}/2]" for i in range(n)]
+    if last is not None:
+        pieces[-1] = last
+    return " U ".join(pieces)
+
+
+# (set text, a point for the witness from p): non-canonical numerals,
+# spacing, separators and piece order, faulty pieces, digit limits, and
+# canonical text of every numeral form.  `[1 2,3 0]` reads as [12,30].
+TEXTS = [
+    ("(0,2/4)", "1/4"), ("[3/1,4)", "7/2"), ("(-0,1)", "1/2"), ("(007,8)", "15/2"),
+    ("(0/5,1)", "1/2"), ("[ 1 , 2 ]", "3/2"), ("[1 2,3 0]", "20"), ("[0,1]U[2,3]", "5/2"),
+    ("(0,1)  U  (2,3)", "5/2"), ("(0,1) U\t(2,3)", "1/2"), ("(0,1)U (2,3)", "1/2"),
+    ("(2,3) U (0,1)", "1/2"), ("(0,1] U (1,2)", "3/2"), ("(0,1) U (1,2)", "3/2"),
+    ("[0,1] U [1,2)", "1"), ("(0,2) U (1,3)", "5/2"), ("(0,1) U [1,2]", "1"),
+    ("[inf,2)", "1"), ("(-inf,-inf)", "1"), ("(1,0)", "1/2"), ("(1,1]", "1"),
+    ("(0,1) U ", "1/2"), (" U (0,1)", "1/2"), ("(0,1) U U (2,3)", "1/2"), ("(0,1/0)", "1/2"),
+    ("(0," + "1" * 4301 + ")", "1"), ("(0," + "1" * 4300 + ")", "1"),
+    ("(0,1/" + "1" * 4301 + ")", "0"), ("(" + "-" + "1" * 4301 + ",0) U (1,2)", "3/2"),
+    ("(0,+1)", "1/2"), ("(0,1.5)", "1"), ("(-1/2,-1/3) U [1/2,inf)", "-2/5"),
+    ("(-inf,-7/3] U (0,1) U (1,inf)", "2"), ("(-inf,inf)", "0"), ("[5,5] U (6,7)", "13/2"),
+    ("[-1/2,0) U (0,1]", "1/2"), ("(1/2,2/2)", "3/4"), ("(-3/6,0)", "-1/4"),
+    ("(0,10/4)", "1"), ("(0,1/1)", "1/2"), ("(00,1)", "1/2"), ("(0,01/2)", "1/4"),
+    ("(-inf, inf)", "0"), ("( -inf,0)", "-1"), ("(0,1)U(2,3)U(4,5)", "9/2"),
+    ("(0,9" + "9" * 2999 + "/1" + "0" * 3000 + ")", "1/2"), ("empty", "0"), (" empty ", "0"),
+    ("", "0"), ("   ", "0"), ("(0,1) U empty", "1/2"), ("((0,1)", "1/2"), ("(0,1))", "1/2"),
+    ("(0;1)", "1/2"), ("[0,1] U (2,3)", "5/2"), ("(0,1) u (2,3)", "1/2"), ("(0,1\u0661)", "1/2"),
+    (_pieces(128), "1/2"), (_pieces(128, "(381,763/2)"), "1/2"),
+    (_pieces(128, "(381,1526/4]"), "1/2"), (_pieces(128, "(381,763/2] U "), "1/2"),
+]
+
+
+def text_requests() -> list[list[str]]:
+    """`components`, `connectify` and the witness from p on each of TEXTS."""
+    return [
+        argv
+        for text, point in TEXTS
+        for argv in (["components", text], ["connectify", text], ["witness", "hausdorff", text, "p", point])
+    ]
+
+
+ENUMERATE = ["finite", "enumerate", "6"]
 
 
 def cli_requests(seed: int = SEED, count: int = REQUESTS) -> list[list[str]]:
@@ -255,7 +308,10 @@ def help_key(argv) -> str:
     return " ".join(["onepoint", *argv])
 
 
-def build(rounds: dict, selftest: list, searches: dict, requests: list, helps: list) -> dict:
+def build(
+    rounds: dict, selftest: list, searches: dict, requests: list, helps: list,
+    texts: list, enumerate6: tuple, rounds8: dict,
+) -> dict:
     return {
         "seed": SEED,
         "ops": {w: [digest(r) for r in rounds[w]] for w in WORKLOADS},
@@ -264,15 +320,19 @@ def build(rounds: dict, selftest: list, searches: dict, requests: list, helps: l
         "search": {ax: summary(rs) for ax, rs in searches.items()},
         "cli": [cli_digest(r) for r in requests],
         "help": {help_key(r[0]): cli_digest(r) for r in helps},
+        "texts": [cli_digest(r) for r in texts],
+        "enumerate": {help_key(enumerate6[0]): cli_digest(enumerate6)},
+        "kinds8": by_kind(rounds8),
     }
 
 
 def differences(
-    golden: dict, rounds: dict, selftest: list, searches: dict, requests: list, helps: list
+    golden: dict, rounds: dict, selftest: list, searches: dict, requests: list, helps: list,
+    texts: list, enumerate6: tuple, rounds8: dict,
 ) -> list[str]:
-    """One line per op, kind, axiom, selftest, command line or `--help`
-    text whose output differs."""
-    now = build(rounds, selftest, searches, requests, helps)
+    """One line per op, kind, axiom, selftest, command line, `--help` text,
+    text request or `finite enumerate 6` whose output differs."""
+    now = build(rounds, selftest, searches, requests, helps, texts, enumerate6, rounds8)
     out = []
     for w in WORKLOADS:
         want = golden["ops"][w]
@@ -281,26 +341,35 @@ def differences(
         for i, (r, d) in enumerate(zip(rounds[w], want)):
             if digest(r) != d:
                 out.append(f"{w} op {i} ({r[0].kind}) {op_args(r[0])!r:.200}: output changed")
-    for section in ("kinds", "search"):
+    for section in ("kinds", "kinds8", "search"):
         for key in sorted(golden[section].keys() | now[section].keys()):
             if golden[section].get(key) != now[section].get(key):
                 out.append(f"{section} {key}: golden {golden[section].get(key)}, now {now[section].get(key)}")
     if golden["selftest"] != now["selftest"]:
         out.append(f"selftest: golden {golden['selftest']}, now {now['selftest']}")
-    if len(golden["cli"]) != len(requests):
-        out.append(f"cli: {len(requests)} requests, golden has {len(golden['cli'])}")
-    for i, (r, d) in enumerate(zip(requests, golden["cli"])):
-        if cli_digest(r) != d:
-            out.append(f"cli request {i} {r[0]!r:.200}: output changed")
-    for key in sorted(golden["help"].keys() | now["help"].keys()):
-        if golden["help"].get(key) != now["help"].get(key):
-            out.append(f"help {key!r}: output changed")
+    for section, runs in (("cli", requests), ("texts", texts)):
+        if len(golden[section]) != len(runs):
+            out.append(f"{section}: {len(runs)} requests, golden has {len(golden[section])}")
+        for i, (r, d) in enumerate(zip(runs, golden[section])):
+            if cli_digest(r) != d:
+                out.append(f"{section} request {i} {r[0]!r:.200}: output changed")
+    for section in ("help", "enumerate"):
+        for key in sorted(golden[section].keys() | now[section].keys()):
+            if golden[section].get(key) != now[section].get(key):
+                out.append(f"{section} {key!r}: output changed")
     return out
 
 
 def cli_gate(m) -> tuple:
-    """The command lines and the `--help` texts, run."""
-    return cli_runs(m, cli_requests()), cli_runs(m, help_requests())
+    """The command lines, the `--help` texts, the text requests and
+    `finite enumerate 6`, run, and the seed-8 rounds."""
+    return (
+        cli_runs(m, cli_requests()),
+        cli_runs(m, help_requests()),
+        cli_runs(m, text_requests()),
+        cli_run(m, ENUMERATE),
+        perfbench_rounds(m, SEED8),
+    )
 
 
 def main(argv=None) -> int:

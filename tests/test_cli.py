@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -620,3 +622,26 @@ def test_well_formed_requests_load_no_argparse():
     )
     assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0, 0, 0, 0] []", "2 True"]
     assert out.stderr.endswith("error: the following arguments are required: set\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_stops_early_ends_the_process_by_sigpipe():
+    """`onepoint components ... | head -1`: the output (about 140 KB) is far
+    more than a pipe holds, so the process is still writing when the reader
+    closes after one line.  It dies by SIGPIPE and says nothing, rather than
+    exiting 1 with an internal error."""
+    text = " U ".join(f"[{i},{i}]" for i in range(8000))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "onepoint", "components", text],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"C#0=[0,0]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b"" and code == -signal.SIGPIPE

@@ -78,8 +78,9 @@ from onepoint.connectify import (
     _escape_piece,
     _least_tail,
 )
+from onepoint import cli
 from onepoint.frozen import Frozen
-from onepoint.intervals import closure_in, difference, is_finite, only, pick_point, union
+from onepoint.intervals import closure_in, difference, inner_point, is_finite, only, pick_point, union
 from onepoint.sampling import (
     clopen_candidates,
     random_disjoint_closed_pair,
@@ -378,7 +379,9 @@ def test_certificates_are_never_empty():
 
 
 #: Per value class, the fields its constructor works out instead of taking.
-#: Every other field is a constructor parameter, in field order.
+#: Every other field is a constructor parameter, in field order.  An
+#: extension's filters are no field at all: `Extension.filters` builds them
+#: from the space on first read.
 DERIVED_FIELDS = {
     "intervals.Interval": (),
     "intervals.IntervalSet": (),
@@ -386,7 +389,7 @@ DERIVED_FIELDS = {
     "space.Space": (),
     "space.LocalConnectednessCertificate": (),
     "connectify.EscapeFilter": ("side", "anchor", "end"),
-    "connectify.Extension": ("filters",),
+    "connectify.Extension": (),
     "connectify.TypeI": (),
     "connectify.TypeII": (),
     "connectify.ExtClosedSet": (),
@@ -426,12 +429,19 @@ def test_derivable_fields_are_not_passed_in():
     assert sorted(classes) == sorted(DERIVED_FIELDS)
     for name, cls in classes.items():
         derived = DERIVED_FIELDS[name]
-        assert set(derived) <= set(cls.__slots__), name
+        assert set(derived) <= set(cls._fields), name
         if cls.__init__ is Frozen.__init__:
             assert derived == (), name
             continue
-        kept = [f for f in cls.__slots__ if f not in derived]
+        kept = [f for f in cls._fields if f not in derived]
         assert list(inspect.signature(cls).parameters) == kept, name
+    # The two slots that are not fields, each written once after `__init__`.
+    blanks = {name: set(cls.__slots__) - set(cls._fields) for name, cls in classes.items()}
+    assert {name: b for name, b in blanks.items() if b} == {
+        "intervals.Interval": {"_text"},
+        "connectify.Extension": {"_filters"},
+    }
+    assert isinstance(Extension.filters, property)
     (c,) = components(Space(S("(0,1)")))
     with pytest.raises(TypeError):
         EscapeFilter(c, -1, Fraction(1, 2))
@@ -951,23 +961,104 @@ def test_subspace_fidelity_returns_only_verified_certificates(monkeypatch):
 
 
 def test_check_connectifiable_builds_the_components_once(corpus200, monkeypatch):
+    """At most once: the verdict scans the pieces for a compact one once
+    and builds no component list and no filter.  The first read of
+    `filters` builds the components once and each filter once, in line
+    order, and later reads build nothing; a refused space builds neither."""
     import onepoint.connectify as connectify_module
     import onepoint.space as space_module
 
-    expected = [check_connectifiable(sp) for sp in corpus200[:60]]
-    calls = []
+    spaces = corpus200[:60]
+    expected = [check_connectifiable(sp) for sp in spaces]
+    filters = [v.extension.filters if isinstance(v, Connectifiable) else None for v in expected]
+    calls, built, scans = [], [], []
 
     def counted(sp):
         calls.append(sp)
         return components(sp)
 
+    def counted_scan(sp):
+        scans.append(sp)
+        return has_compact_component(sp)
+
+    init = EscapeFilter.__init__
+
+    def counted_filter(self, component):
+        built.append(component)
+        init(self, component)
+
     for module in (connectify_module, space_module):
         monkeypatch.setattr(module, "components", counted)
-    for sp, verdict in zip(corpus200[:60], expected):
+    monkeypatch.setattr(EscapeFilter, "__init__", counted_filter)
+    monkeypatch.setattr(connectify_module, "has_compact_component", counted_scan)
+    for sp, verdict, want in zip(spaces, expected, filters):
         calls.clear()
-        assert check_connectifiable(sp) == verdict
-        assert calls == ([] if isinstance(verdict, Refused) else [sp])
-    assert any(isinstance(v, Refused) for v in expected)
+        built.clear()
+        scans.clear()
+        got = check_connectifiable(sp)
+        assert got == verdict and calls == [] and built == [] and scans == [sp]
+        if want is None:
+            continue
+        ext = got.extension
+        assert ext.filters == want and ext.filters is ext.filters and ext == verdict.extension
+        assert calls == [sp] and built == list(components(sp))
+    assert sum(f is None for f in filters) > 10 and sum(f is not None for f in filters) > 10
+
+
+def test_a_witness_builds_only_the_filters_it_reads(monkeypatch):
+    """On 128 components, `witness hausdorff` between two base points
+    builds no filter, and from p (or `connectify`) builds each filter once."""
+    space = perfbench_large_spaces(7)[-1]
+    pieces = space.ambient.pieces
+    assert len(pieces) == 128
+    y, z, q = (str(inner_point(pieces[i].lo, pieces[i].hi)) for i in (3, 90, 64))
+    built = []
+    init = EscapeFilter.__init__
+
+    def counted_filter(self, component):
+        built.append(component.index)
+        init(self, component)
+
+    monkeypatch.setattr(EscapeFilter, "__init__", counted_filter)
+    for argv, want in [
+        (["witness", "hausdorff", "--", str(space), y, z], []),
+        (["witness", "hausdorff", "--", str(space), y, "p"], list(range(128))),
+        (["witness", "hausdorff", "--", str(space), "p", q], list(range(128))),
+        (["connectify", "--", str(space)], list(range(128))),
+    ]:
+        built.clear()
+        lines = []
+        assert cli.main(argv, emit=lines.append) == 0 and lines
+        assert built == want, argv
+
+
+def test_an_extension_is_a_function_of_its_space_alone(corpus200):
+    """Equality and hashing read the space, whether or not the filters were
+    read; `repr` shows the filters; a pickled extension comes back equal,
+    with its filters built again on first read.  A space with a compact
+    component raises what `EscapeFilter` raises for the first one."""
+    import pickle
+
+    refused = 0
+    for sp in corpus200:
+        comp = has_compact_component(sp)
+        if comp is not None:
+            refused += 1
+            with pytest.raises(CompactComponent) as want:
+                EscapeFilter(comp)
+            with pytest.raises(CompactComponent) as got:
+                Extension(sp)
+            assert str(got.value) == str(want.value) == f"{comp.piece} has no non-compact end"
+            assert got.value.component == want.value.component == comp
+            continue
+        fresh, read = Extension(sp), Extension(sp)
+        filters = read.filters
+        assert fresh == read and hash(fresh) == hash(read)
+        assert fresh._filters is None and read._filters is filters
+        assert repr(fresh) == f"Extension(space={sp!r}, filters={filters!r})"
+        twin = pickle.loads(pickle.dumps(read))
+        assert twin == read and twin._filters is None and twin.filters == filters
+    assert refused > 10
 
 
 def perfbench_large_spaces(seed):

@@ -884,3 +884,112 @@ def test_canonical_text_is_not_normalized(monkeypatch):
         S("(1,2) U (0,1)")
     with pytest.raises(pytest.fail.Exception):
         S("(0,1] U (1,2)")
+
+
+# --------------------------------------------------------------------------
+# canonical text read in one scan, and a parsed piece printing its own text
+# --------------------------------------------------------------------------
+
+
+def field_text(iv):
+    """An interval's text built from its fields, as formatting prints it."""
+    left, right = "[" if iv.lo_closed else "(", "]" if iv.hi_closed else ")"
+    return f"{left}{fmt_value(iv.lo)},{fmt_value(iv.hi)}{right}"
+
+
+def scan_inputs(corpus200):
+    """Set texts: the corpus, perfbench's `large` spaces of seeds 7 and 8,
+    and the byte-identity gate's text list."""
+    import golden
+    import workloads
+
+    texts = [str(sp) for sp in corpus200]
+    for seed in (7, 8):
+        rng = random.Random(seed)
+        texts += [workloads.rs.fmt_set(workloads.large_pieces(rng, n)) for n in workloads.LARGE_COMPONENTS]
+    return texts, [text for text, _ in golden.TEXTS]
+
+
+def read_by_parts(text, monkeypatch):
+    """What the part-by-part reader makes of the text: its set, or its error."""
+    with monkeypatch.context() as m:
+        m.setattr(intervals, "_scan_canonical", lambda flat: None)
+        try:
+            return S(text)
+        except ParseError as exc:
+            return str(exc)
+
+
+def test_every_parsed_piece_prints_the_text_of_its_fields(corpus200):
+    canonical, gate = scan_inputs(corpus200)
+    kept = 0
+    for text in canonical + gate:
+        try:
+            s = S(text)
+        except ParseError:
+            continue
+        for p in s.pieces:
+            assert str(p) == field_text(p), text
+            kept += p._text is not None
+        if s.pieces:
+            assert str(s) == " U ".join(map(field_text, s.pieces)), text
+    assert kept > 1500
+
+
+def test_the_scan_reads_as_the_part_reader_or_declines(corpus200, monkeypatch):
+    """The scan returns the part reader's set, piece by piece, or None.  It
+    reads every canonical text and canonical pieces in any order, and
+    declines only text that the part reader refuses or reads as a set
+    printing otherwise."""
+    canonical, gate = scan_inputs(corpus200)
+    canonical = [t for t in canonical if t != "empty"]  # parse_set reads the word itself
+    gate = [t for t in gate if t.strip() not in ("", "empty")]
+    declined = []
+    for text in canonical + gate:
+        got = intervals._scan_canonical(text.strip())
+        want = read_by_parts(text, monkeypatch)
+        if got is None:
+            assert isinstance(want, str) or str(want) != text, text
+            declined.append(text)
+            continue
+        assert not isinstance(want, str) and len(got.pieces) == len(want.pieces), text
+        for a, b in zip(got.pieces, want.pieces):
+            assert a.__getstate__() == b.__getstate__(), text
+            assert type(a.lo) is type(b.lo) and type(a.hi) is type(b.hi)
+    assert not set(canonical) & set(declined)
+    must_decline = [
+        "(-0,1)", "(007,8)", "[ 1 , 2 ]", "[1 2,3 0]", "[0,1]U[2,3]", "(0,1)  U  (2,3)",
+        "[inf,2)", "(0,1) U ", "(0,1/0)", "(0," + "1" * 4301 + ")", "(0,1\u0661)",
+    ]
+    assert set(must_decline) <= set(declined)
+    must_read = ["(2,3) U (0,1)", "(0,1] U (1,2)", "[0,1] U [1,2)", "(0,2) U (1,3)"]
+    assert set(must_read) <= set(gate) - set(declined)
+
+
+def test_a_piece_keeps_its_text_only_when_it_prints_as_read():
+    cases = {
+        "(0,1/2)": "(0,1/2)", "[-3/4,inf)": "[-3/4,inf)", "(-inf,0]": "(-inf,0]",
+        "(0,2/4)": None, "[3/1,4)": None, "(0/5,1)": None, "(-6/4,0)": None,
+    }
+    for text, kept in cases.items():
+        (p,) = S(text).pieces
+        assert p._text == kept and str(p) == field_text(p), text
+    (a, b) = S("(0,2/4) U (1,3/2)").pieces
+    assert (a._text, b._text) == (None, "(1,3/2)")
+
+
+def test_the_text_slot_is_no_field():
+    """Equality, hashing, `repr`, pickling and copying ignore a piece's text,
+    and an unpickled or built piece has none."""
+    import copy
+    import pickle
+
+    (parsed,) = S("(0,1/2]").pieces
+    built = Interval(0, Fraction(1, 2), False, True)
+    assert parsed._text == "(0,1/2]" and built._text is None
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert parsed.__getstate__() == built.__getstate__()
+    for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed), copy.copy(parsed)):
+        assert twin == parsed and twin._text is None and str(twin) == "(0,1/2]"
+    with pytest.raises(AttributeError):
+        parsed._text = "(0,1)"

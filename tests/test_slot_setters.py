@@ -7,7 +7,9 @@ hot constructors name them at module level
 was built.  Every name bound from ``<Class>._setters`` or
 ``<Class>.<slot>.__set__`` in `src/` must be called only inside an
 ``__init__`` on ``self``, or inside a ``_mk_*`` function on a name that
-function bound from ``object.__new__(...)``, and used in no other way.
+function bound from ``object.__new__(...)``, and used in no other way.  One
+slot is filled on first read: the property named in FIRST_READS may call
+that slot's setter, and no other, on ``self``.
 Outside `frozen.py` the tuple ``<Class>._setters`` itself is read only as the
 whole value of a module-level unpacking into names, so no setter reaches a
 module unnamed.  No module writes a field through ``object.__setattr__``:
@@ -21,6 +23,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "onepoint"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+#: A property that fills a slot on first read, and that slot's setter.
+FIRST_READS = {"filters": "_set_filters"}
 
 
 def own_nodes(func):
@@ -39,6 +45,9 @@ def objects_built(func) -> set[str]:
     name = getattr(func, "name", "")
     if name == "__init__":
         return {"self"}
+    if name in FIRST_READS:
+        getter = any(isinstance(d, ast.Name) and d.id == "property" for d in func.decorator_list)
+        return {"self"} if getter else set()
     if not name.startswith("_mk_"):
         return set()
     built = set()
@@ -81,7 +90,12 @@ def stray_uses(source: str) -> list[tuple[str | None, int]]:
                 continue
             if isinstance(child, ast.Call) and child.args:
                 target = child.args[0]
-                if isinstance(target, ast.Name) and target.id in built:
+                setter = child.func.id if isinstance(child.func, ast.Name) else None
+                if (
+                    isinstance(target, ast.Name)
+                    and target.id in built
+                    and FIRST_READS.get(func, setter) == setter
+                ):
                     writes.add(id(child.func))
             if (
                 isinstance(child, ast.Name)
@@ -127,12 +141,25 @@ def test_the_check_sees_every_stray_use():
         "    _set_y(t, y)\n"
         "    _set_z(old, y)\n"
         "    return t, _set_z\n"
+        "_set_filters = Thing._filters.__set__\n"
+        "class Lazy:\n"
+        "    @property\n"
+        "    def filters(self, other):\n"
+        "        _set_filters(self, 1)\n"
+        "        _set_x(self, 1)\n"
+        "        _set_filters(other, 1)\n"
+        "    def filters(self):\n"
+        "        _set_filters(self, 1)\n"
+        "    @property\n"
+        "    def other(self):\n"
+        "        _set_filters(self, 1)\n"
     )
-    assert setter_names(ast.parse(source)) == {"_set_x", "_set_y", "_set_z"}
+    assert setter_names(ast.parse(source)) == {"_set_x", "_set_y", "_set_z", "_set_filters"}
     want = [
         ("__init__", 6), ("__init__", 7), ("move", 9), ("_mk_thing", 13), ("helper", 16),
         ("<lambda>", 17), (None, 18), ("__init__", 20), ("_mk_other", 24),
-        ("_mk_pair", 28), ("_mk_pair", 29),
+        ("_mk_pair", 28), ("_mk_pair", 29), ("filters", 35), ("filters", 36),
+        ("filters", 38), ("other", 41),
     ]
     assert stray_uses(source) == want
 
@@ -140,10 +167,12 @@ def test_the_check_sees_every_stray_use():
 def test_the_package_binds_setters_for_the_hot_constructors():
     bound = {p.name: setter_names(ast.parse(p.read_text())) for p in MODULES}
     assert bound["intervals.py"] == {
-        "_set_lo", "_set_hi", "_set_lo_closed", "_set_hi_closed", "_set_pieces"
+        "_set_lo", "_set_hi", "_set_lo_closed", "_set_hi_closed", "_set_text", "_set_pieces"
     }
     assert bound["space.py"] == {"_set_piece", "_set_index"}
-    assert bound["connectify.py"] == {"_set_component", "_set_side", "_set_anchor", "_set_end"}
+    assert bound["connectify.py"] == {
+        "_set_component", "_set_side", "_set_anchor", "_set_end", "_set_filters"
+    }
     assert bound["finite.py"] == {"_set_size", "_set_opens"}
 
 
