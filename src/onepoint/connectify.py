@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CompactComponent,
@@ -39,6 +40,7 @@ from .intervals import (
     EMPTY,
     Interval,
     IntervalSet,
+    Value,
     _ends_by,
     _eq,
     _frac,
@@ -53,7 +55,6 @@ from .intervals import (
     intersect,
     is_closed_in,
     is_finite,
-    normalize,
     not_interior_in,
     pick_point,
     union,
@@ -85,17 +86,16 @@ class EscapeFilter(Frozen):
     __slots__ = ("component", "side", "anchor", "end")
 
     def __init__(self, component: Component) -> None:
-        # A non-compact piece is not a single point and has an excluded end,
-        # and an infinite end is never included, so an open right end is
-        # non-compact and the inner point lies strictly inside.
+        # A non-compact piece is not a single point, so the inner point lies
+        # strictly inside.
         p = component.piece
         if is_compact(component):
             raise CompactComponent(component)
-        side = -1 if p.hi_closed else 1
+        side, end = _escape_end(p)
         _set_component(self, component)
         _set_side(self, side)
         _set_anchor(self, inner_point(p.lo, p.hi))
-        _set_end(self, p.hi if side > 0 else p.lo)
+        _set_end(self, end)
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
@@ -156,6 +156,16 @@ class EscapeFilter(Frozen):
 _set_component, _set_side, _set_anchor, _set_end = EscapeFilter._setters
 
 
+def _escape_end(piece: Interval) -> tuple[int, Value]:
+    """The side and end a filter on a non-compact piece escapes toward: the
+    right end unless it is included, else the left end.  A non-compact piece
+    has an excluded end, and an infinite end is never included, so an
+    included right end leaves the left end open."""
+    if piece.hi_closed:
+        return -1, piece.lo
+    return 1, piece.hi
+
+
 # --------------------------------------------------------------------------
 # the extension and its open sets
 # --------------------------------------------------------------------------
@@ -187,7 +197,8 @@ class Extension(Frozen):
     space with a compact component raises ``CompactComponent``.
 
     The filters are a function of the space, built on first read: equality
-    and hashing read the space alone."""
+    and hashing read the space alone.  `filter_at` gives one filter without
+    building the others."""
 
     __slots__ = ("space", "_filters")
 
@@ -205,11 +216,19 @@ class Extension(Frozen):
             _set_filters(self, filters)
         return filters
 
+    def filter_at(self, i: int) -> EscapeFilter:
+        """The filter of component i: read from `filters` once those are
+        built, else built alone and not kept."""
+        filters = self._filters
+        if filters is None:
+            return EscapeFilter(Component(self.space.ambient.pieces[i], i))
+        return filters[i]
+
     def __repr__(self) -> str:
         return f"Extension(space={self.space!r}, filters={self.filters!r})"
 
     def whole_open(self) -> TypeII:
-        return TypeII(self.space.ambient, (0,) * len(self.filters))
+        return TypeII(self.space.ambient, (0,) * len(self.space.ambient.pieces))
 
 
 # See intervals._set_lo; only the `filters` getter writes the slot.
@@ -319,8 +338,6 @@ def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None
 
 def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
     """Least index whose element fits inside an escape-end piece."""
-    if piece is flt.component.piece:
-        return 0  # element(0) starts at the anchor, inside the component
     near, closed = (piece.lo, piece.lo_closed) if flt.side > 0 else (piece.hi, piece.hi_closed)
     return flt._index_past(near, closed) if is_finite(near) else 0
 
@@ -328,7 +345,8 @@ def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
 def _escape_pieces(ext: Extension, trace: IntervalSet):
     """Per component, in line order, the piece of a trace reaching its escape end.
 
-    One merge sweep of the trace against the filters.  Past the pieces that
+    One merge sweep of the trace against the components, which builds no
+    filter: `_escape_end` gives each component's end.  Past the pieces that
     end before the escape end (or at it, for a left end), the next piece
     alone can reach the end inside the component, and does when it starts
     before the end (or at it, for a left end); it is clipped to the
@@ -339,14 +357,13 @@ def _escape_pieces(ext: Extension, trace: IntervalSet):
     pieces = trace.pieces
     n = len(pieces)
     i = 0
-    for flt in ext.filters:
-        comp = flt.component.piece
+    for comp in ext.space.ambient.pieces:
         if i < n and pieces[i] is comp:
             yield comp  # the whole component reaches its own escape end
             i += 1
             continue
-        end = flt.end
-        if flt.side > 0:
+        side, end = _escape_end(comp)
+        if side > 0:
             while i < n and _lt(pieces[i].hi, end):
                 i += 1
             hit = i < n and _lt(pieces[i].lo, end)
@@ -387,7 +404,7 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
 
 def _check_tails_shape(ext: Extension, u: TypeII) -> None:
     """One natural tail index per component; else an input error (exit 2), not an engine bug."""
-    if len(u.tails) != len(ext.filters) or any(t < 0 for t in u.tails):
+    if len(u.tails) != len(ext.space.ambient.pieces) or any(t < 0 for t in u.tails):
         raise MalformedInterval(
             f"type-II set needs one natural tail index per component, got {u.tails}"
         )
@@ -407,12 +424,16 @@ def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
 
 
 def least_valid_tails(ext: Extension, trace: IntervalSet) -> tuple[int, ...] | None:
-    """Smallest witnessing tail indices for a trace, or None if one is missing."""
+    """Smallest witnessing tail indices for a trace, or None if one is missing.
+
+    A component's own piece takes 0, as element(0) starts at the anchor
+    inside it; only a component whose escape piece is cut short builds its
+    filter."""
     tails = []
-    for flt, piece in zip(ext.filters, _escape_pieces(ext, trace)):
+    for i, (comp, piece) in enumerate(zip(ext.space.ambient.pieces, _escape_pieces(ext, trace))):
         if piece is None:
             return None
-        tails.append(_least_tail(flt, piece))
+        tails.append(0 if piece is comp else _least_tail(ext.filter_at(i), piece))
     return tuple(tails)
 
 
@@ -454,7 +475,7 @@ def union_open(ext: Extension, opens) -> ExtOpenSet:
 def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpenSet:
     """Complement of a set with this trace: type I if the set holds p, else type II."""
     rest = difference(ext.space.ambient, trace)
-    return TypeI(rest) if has_p else TypeII(rest, (0,) * len(ext.filters))
+    return TypeI(rest) if has_p else TypeII(rest, (0,) * len(ext.space.ambient.pieces))
 
 
 def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
@@ -627,25 +648,41 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
 
     Pick the first filter element avoiding z, keep a symmetric open box of
     radius min(1, distance) around z, and give the extra point everything
-    beyond the box toward the escape end plus all other components.
+    beyond the box toward the escape end plus all other components.  Only
+    z's filter is built, and the box comes in lowest terms from z's and the
+    element's own integers, so its arithmetic is the size of its answer.
     """
     x = ext.space.ambient
     i = component_index(ext.space, z)
-    flt = ext.filters[i]
-    c_set = flt.component.as_set()
-    start = flt.start(flt.avoid_index(z))  # first point of the escape block, past z
+    flt = ext.filter_at(i)
+    comp = x.pieces[i]
+    n = flt.avoid_index(z)
+    start = flt.start(n)  # first point of the escape block, past z
+    side = flt.side
     zn, zd = z._numerator, z._denominator
-    # The radius min(1, distance from z to start) as dn/dd, with dd > 0.
-    dn, dd = flt.side * (start._numerator * zd - zn * start._denominator), start._denominator * zd
-    if dn >= dd:
-        dn = dd = 1
-    lo, hi = _frac(zn * dd - dn * zd, zd * dd), _frac(zn * dd + dn * zd, zd * dd)
+    sn, sd = start._numerator, start._denominator
+    if side * (sn * zd - zn * sd) >= sd * zd:
+        # radius 1: z -+ 1 over z's own denominator
+        lo, hi = _frac(zn - zd, zd), _frac(zn + zd, zd)
+        edge = hi if side > 0 else lo
+        tail = flt._index_past(edge, False)
+    else:
+        # The box runs from start to its mirror 2z - start.  Reduce 2z first,
+        # then subtract as Knuth 4.5.1 does: the gcd of the denominators
+        # first, so no product is wider than the two denominators.
+        tn, td = (zn, zd >> 1) if zd & 1 == 0 else (zn << 1, zd)
+        d1 = gcd(td, sd)
+        t = tn * (sd // d1) - sn * (td // d1)
+        d2 = gcd(t, d1)
+        mirror = _frac(t // d2, (td // d1) * (sd // d2))
+        lo, hi = (mirror, start) if side > 0 else (start, mirror)
+        edge, tail = start, n + 1  # start(n + 1) is the first start past start(n)
     # z < edge <= start < end along the side, so (edge, end) lies in the component.
-    edge = hi if flt.side > 0 else lo
-    v_trace = _mk_set((_intersect_pieces(_mk_interval(lo, hi, False, False), flt.component.piece),))
-    tails = tuple(flt._index_past(edge, False) if j == i else 0 for j in range(len(ext.filters)))
-    u_trace = union(difference(x, c_set), _mk_set((flt.toward_end(edge, False),)))
-    return TypeII(u_trace, tails), TypeI(v_trace)
+    v_trace = _mk_set((_intersect_pieces(_mk_interval(lo, hi, False, False), comp),))
+    tails = [0] * len(x.pieces)
+    tails[i] = tail
+    u_trace = union(difference(x, _mk_set((comp,))), _mk_set((flt.toward_end(edge, False),)))
+    return TypeII(u_trace, tuple(tails)), TypeI(v_trace)
 
 
 def separate_points(space: Space, added: NamedPoint, from_added, y, z):
@@ -721,22 +758,29 @@ def normality_witness(
     if not f.has_p:
         u0, v0 = separate_disjoint_closed(ext.space, f.trace, g.trace)
         return TypeI(u0), TypeI(v0)
-    tails = least_valid_tails(ext, difference(ext.space.ambient, g.trace))
+    x = ext.space.ambient
+    tails = least_valid_tails(ext, difference(x, g.trace))
     if tails is None:
         raise InvalidExtension("no tail avoids G although G is closed")
     u_pieces, v_pieces = [], []
     slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
-    for flt, n_c, (f_c, g_c) in zip(ext.filters, tails, slices):
-        c = Space(flt.component.as_set())
+    for i, (comp, n_c, (f_c, g_c)) in enumerate(zip(x.pieces, tails, slices)):
+        if not g_c:
+            u_pieces.append(comp)  # G misses the component: U takes it whole
+            continue
+        flt = ext.filter_at(i)
         # Closed and disjoint when F and G are and the tail avoids G, so a
         # refusal here is the engine's fault, not the input's.
+        c = Space(_mk_set((comp,)))
         try:
             u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
         except (NotClosed, NotDisjoint) as exc:
             raise InvalidExtension(f"F with tail {n_c} in {flt.component}: {exc}") from exc
         u_pieces.extend(u_c.pieces)
         v_pieces.extend(v_c.pieces)
-    return TypeII(normalize(u_pieces), tails), TypeI(normalize(v_pieces))
+    # Each component's pieces come in line order, inside it, and the
+    # ambient's gaps part the pieces of different components: no normalize.
+    return TypeII(_mk_set(tuple(u_pieces)), tails), TypeI(_mk_set(tuple(v_pieces)))
 
 
 def verify_normality(

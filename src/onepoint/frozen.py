@@ -18,7 +18,8 @@ recompute, and each has one writer besides ``__init__``:
 ``Interval._text``, the text a piece of `parse_set`'s scan was read from,
 stored by `intervals._mk_interval` (the builder that bypasses
 ``__init__``), and ``Extension._filters``, stored by the
-``Extension.filters`` getter on first read.
+``Extension.filters`` getter on first read; ``Extension.filter_at`` reads
+that slot, or builds the one filter it is asked for without storing it.
 """
 
 from __future__ import annotations

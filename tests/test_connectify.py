@@ -80,7 +80,17 @@ from onepoint.connectify import (
 )
 from onepoint import cli
 from onepoint.frozen import Frozen
-from onepoint.intervals import closure_in, difference, inner_point, is_finite, only, pick_point, union
+from onepoint.intervals import (
+    _mk_set,
+    closure_in,
+    difference,
+    inner_point,
+    is_finite,
+    normalize,
+    only,
+    pick_point,
+    union,
+)
 from onepoint.sampling import (
     clopen_candidates,
     random_disjoint_closed_pair,
@@ -89,7 +99,7 @@ from onepoint.sampling import (
     random_real_open,
 )
 from onepoint.records import fmt_check
-from onepoint.space import component_index
+from onepoint.space import component_index, component_slices, separate_disjoint_closed
 
 S = parse_set
 
@@ -693,6 +703,69 @@ def test_normality_random_pairs(extensions):
     assert count >= 150
 
 
+def reference_normal_from_p(ext, f, g):
+    """Reference: separate every component, G-free ones included, then
+    normalize the pieces."""
+    tails = least_valid_tails(ext, difference(ext.space.ambient, g.trace))
+    u_pieces, v_pieces = [], []
+    slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
+    for flt, n_c, (f_c, g_c) in zip(ext.filters, tails, slices):
+        c = Space(flt.component.as_set())
+        u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
+        u_pieces.extend(u_c.pieces)
+        v_pieces.extend(v_c.pieces)
+    return TypeII(normalize(u_pieces), tails), TypeI(normalize(v_pieces))
+
+
+def boxes_near_open_ends(ext, k, rng, at_most):
+    """Up to ``at_most`` closed boxes 2^-k inside an excluded finite
+    endpoint of a component, drawn from all such ends: from end - s/2^k to
+    end - s/2^(k+1), with s the distance from the end to the component's
+    inner point."""
+    boxes = []
+    for piece in ext.space.ambient.pieces:
+        mid = inner_point(piece.lo, piece.hi)
+        for end, closed, inward in ((piece.lo, piece.lo_closed, 1), (piece.hi, piece.hi_closed, -1)):
+            if is_finite(end) and not closed:
+                step = abs(end - mid) / 2**k
+                a, b = sorted((end + inward * step, end + inward * step / 2))
+                boxes.append(only(Interval(a, b, True, True)))
+    return rng.sample(boxes, min(at_most, len(boxes)))
+
+
+def test_normal_from_p_separates_only_the_components_g_meets(extensions):
+    """With p in F the witness equals the reference that separates every
+    component, and U holds, as the very same object, the piece of every
+    component G misses.  Pairs come from `random_disjoint_closed_pair`
+    (with p moved into F), and G also sits 2^-k inside an open end."""
+    rng = random.Random(2901)
+    exts = list(extensions) + [Extension(sp) for sp in perfbench_large_spaces(7)]
+    count = 0
+    for ext in exts:
+        x = ext.space.ambient
+        cases = []
+        for _ in range(3):
+            f, g = random_disjoint_closed_pair(ext, rng)
+            if g.has_p:
+                f, g = g, f
+            cases.append((ExtClosedSet(True, f.trace), g))
+        for k in (1, 64, 4096):
+            for box in boxes_near_open_ends(ext, k, rng, 3):
+                g = ExtClosedSet(False, box)
+                cases.append((ExtClosedSet(True, EMPTY), g))
+                if not intersect(cases[0][0].trace, box):
+                    cases.append((cases[0][0], g))
+        for f, g in cases:
+            u, v = normality_witness(ext, f, g)
+            assert (u, v) == reference_normal_from_p(ext, f, g), (x, f, g)
+            assert verify_normality(ext, f, g, u, v)
+            for comp in x.pieces:
+                if not intersect(g.trace, only(comp)):
+                    assert any(piece is comp for piece in u.trace.pieces), (x, g, comp)
+            count += 1
+    assert count > 1500
+
+
 def test_normality_displayed_shape(extensions):
     # p-side witness has the advertised per-component anatomy
     rng = random.Random(111)
@@ -944,6 +1017,47 @@ def test_hausdorff_from_p_matches_interior_reference(extensions):
     assert count > 1000
 
 
+def test_hausdorff_from_p_arithmetic_is_the_size_of_its_answer(monkeypatch):
+    """Running time is bounded by the input size, not by 1/distance to an
+    open end: with z 2^-4096 inside an open end, on either side and in the
+    radius-1 case, no integer handed to `_frac` is wider than the widest
+    integer of z or of an endpoint of the witness, plus a small slack, so
+    no reduction is wider than its answer.  Reducing products of two such
+    numbers (about 8,200 bits here) or three (about 12,300) fails it."""
+    from onepoint import connectify, intervals
+
+    widths = []
+    frac = intervals._frac
+
+    def recording(n, d):
+        widths.append(max(n.bit_length(), d.bit_length()))
+        return frac(n, d)
+
+    eps = Fraction(1, 2**4096)
+    large = perfbench_large_spaces(7)[0].ambient.pieces
+    mid = large[len(large) // 2]
+    cases = [
+        ("(0,1)", 1 - eps, 1, False),  # escapes right, toward 1
+        ("(0,1]", eps, -1, False),  # escapes left, toward 0
+        ("(0,10)", eps, 1, True),  # start is 5, so the radius is 1
+        (str(_mk_set(large)), mid.hi - (mid.hi - mid.lo) / 2 * eps, 1, False),
+    ]
+    for text, z, side, radius_one in cases:
+        ext = ext_of(text)
+        flt = ext.filters[component_index(ext.space, z)]
+        start = flt.start(flt.avoid_index(z))
+        assert flt.side == side and (abs(start - z) >= 1) == radius_one
+        widths.clear()
+        with monkeypatch.context() as m:
+            m.setattr(connectify, "_frac", recording)
+            m.setattr(intervals, "_frac", recording)
+            u, v = hausdorff_witness(ext, P, z)
+        assert verify_hausdorff(ext, P, z, u, v)
+        ends = [e for w in (u, v) for iv in w.trace.pieces for e in (iv.lo, iv.hi)]
+        answer = [z] + [e for e in ends if is_finite(e)]
+        bound = 16 + max(max(abs(q.numerator), q.denominator).bit_length() for q in answer)
+        assert bound > 4096 and widths and max(widths) <= bound, (text, max(widths), bound)
+
 def test_density_check_returns_only_verified_certificates(monkeypatch):
     ext = ext_of("[5,inf)")
     short = TypeII(S("(21,inf)"), (15,))
@@ -1007,11 +1121,16 @@ def test_check_connectifiable_builds_the_components_once(corpus200, monkeypatch)
 
 def test_a_witness_builds_only_the_filters_it_reads(monkeypatch):
     """On 128 components, `witness hausdorff` between two base points
-    builds no filter, and from p (or `connectify`) builds each filter once."""
+    builds no filter; from p it builds z's filter alone, once for the
+    witness and once for its verification, and `witness normal` with p in F
+    builds only the filter of the component G meets.  `connectify` builds
+    each filter once, in line order."""
     space = perfbench_large_spaces(7)[-1]
     pieces = space.ambient.pieces
     assert len(pieces) == 128
     y, z, q = (str(inner_point(pieces[i].lo, pieces[i].hi)) for i in (3, 90, 64))
+    lo, hi = pieces[90].lo, pieces[90].hi
+    g = f"[{lo + (hi - lo) / 3},{lo + (hi - lo) / 2}]"  # closed, inside C#90
     built = []
     init = EscapeFilter.__init__
 
@@ -1022,8 +1141,9 @@ def test_a_witness_builds_only_the_filters_it_reads(monkeypatch):
     monkeypatch.setattr(EscapeFilter, "__init__", counted_filter)
     for argv, want in [
         (["witness", "hausdorff", "--", str(space), y, z], []),
-        (["witness", "hausdorff", "--", str(space), y, "p"], list(range(128))),
-        (["witness", "hausdorff", "--", str(space), "p", q], list(range(128))),
+        (["witness", "hausdorff", "--", str(space), y, "p"], [3, 3]),
+        (["witness", "hausdorff", "--", str(space), "p", q], [64, 64]),
+        (["witness", "normal", "--", str(space), "p", g], [90] * 3),
         (["connectify", "--", str(space)], list(range(128))),
     ]:
         built.clear()
