@@ -41,9 +41,12 @@ from .intervals import (
     Interval,
     IntervalSet,
     Value,
+    _closed_in_host,
+    _ends_before,
     _ends_by,
     _eq,
     _frac,
+    _gallop,
     _intersect_pieces,
     _lt,
     _mk_interval,
@@ -53,14 +56,13 @@ from .intervals import (
     difference,
     inner_point,
     intersect,
-    is_closed_in,
     is_finite,
     not_interior_in,
     pick_point,
     union,
 )
 from .space import Component, Space, components, has_compact_component, is_compact
-from .space import component_index, component_slices, separate_disjoint_closed, split_points
+from .space import component_index, separate_disjoint_closed, split_points
 
 
 # --------------------------------------------------------------------------
@@ -99,6 +101,8 @@ class EscapeFilter(Frozen):
 
     def start(self, n: int) -> Fraction:
         """The near endpoint of element(n), the one away from the escape end."""
+        if n == 0:
+            return self.anchor  # both formulas give it; a rebuilt element shares its ends
         an, ad = self.anchor._numerator, self.anchor._denominator
         if not is_finite(self.end):
             return _frac(an + self.side * n * ad, ad)
@@ -592,16 +596,24 @@ def connectedness_certificate(ext: Extension) -> ConnectednessCertificate:
 
 
 def verify_connectedness(ext: Extension, cert: ConnectednessCertificate) -> bool:
-    """Replay each step as exact set algebra against its component's filter."""
+    """Replay each step against its component's filter: the tail is the
+    filter's element 0, each of its pieces lies inside the component's
+    piece and is closed in it, decided on their endpoints, and it has a
+    piece reaching the filter's escape end, so it is nonempty."""
     if len(cert.steps) != len(ext.filters):
         return False
     for step, flt in zip(cert.steps, ext.filters):
-        if step.component != flt.component or step.tail != flt.element(0):
+        comp = flt.component
+        if step.component is not comp and step.component != comp:
             return False
-        c = step.component.as_set()
-        if not step.tail or not step.tail.issubset(c) or not is_closed_in(step.tail, c):
+        tail = step.tail
+        if tail != flt.element(0):
             return False
-        if _escape_piece(flt, step.tail) is None:
+        c = comp.piece
+        for t in tail.pieces:
+            if _starts_before(t, c) or not _ends_by(t, c) or not _closed_in_host(t, c):
+                return False
+        if _escape_piece(flt, tail) is None:
             return False
     return True
 
@@ -762,13 +774,24 @@ def normality_witness(
     tails = least_valid_tails(ext, difference(x, g.trace))
     if tails is None:
         raise InvalidExtension("no tail avoids G although G is closed")
+    # F and G lie in X, so each of their pieces lies inside one component:
+    # the components G meets come from G's pieces, and F is sliced there.
+    pc, pf, pg = x.pieces, f.trace.pieces, g.trace.pieces
+    nc, nf, ng = len(pc), len(pf), len(pg)
     u_pieces, v_pieces = [], []
-    slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
-    for i, (comp, n_c, (f_c, g_c)) in enumerate(zip(x.pieces, tails, slices)):
-        if not g_c:
-            u_pieces.append(comp)  # G misses the component: U takes it whole
-            continue
-        flt = ext.filter_at(i)
+    ci = fi = gi = 0
+    while gi < ng:
+        i = _gallop(pc, ci, nc, _ends_before, pg[gi])
+        u_pieces.extend(pc[ci:i])  # G misses these components: U takes them whole
+        comp, ci = pc[i], i + 1
+        run = _gallop(pg, gi + 1, ng, _ends_by, comp)
+        g_c = _mk_set(pg[gi:run])
+        gi = run
+        fi = _gallop(pf, fi, nf, _ends_before, comp)
+        run = _gallop(pf, fi, nf, _ends_by, comp)
+        f_c = _mk_set(pf[fi:run])
+        fi = run
+        flt, n_c = ext.filter_at(i), tails[i]
         # Closed and disjoint when F and G are and the tail avoids G, so a
         # refusal here is the engine's fault, not the input's.
         c = Space(_mk_set((comp,)))
@@ -778,6 +801,7 @@ def normality_witness(
             raise InvalidExtension(f"F with tail {n_c} in {flt.component}: {exc}") from exc
         u_pieces.extend(u_c.pieces)
         v_pieces.extend(v_c.pieces)
+    u_pieces.extend(pc[ci:])
     # Each component's pieces come in line order, inside it, and the
     # ambient's gaps part the pieces of different components: no normalize.
     return TypeII(_mk_set(tuple(u_pieces)), tails), TypeI(_mk_set(tuple(v_pieces)))

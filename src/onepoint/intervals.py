@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import MalformedInterval, NotASubset, ParseError, SizeTooLarge
 from .frozen import Frozen
@@ -352,8 +353,13 @@ def normalize(intervals) -> IntervalSet:
     """
     items = list(intervals)
     if any(_starts_before(y, x) for x, y in zip(items, items[1:])):
-        items.sort(key=_lo_key)
+        items.sort(key=_BY_START)
     return _merge_ordered(items)
+
+
+# The sort reads only "<", which is `_starts_before`: the order of `_lo_key`
+# on the comparison kernel, so the stable sort gives the same list.
+_BY_START = cmp_to_key(lambda x, y: -_starts_before(x, y))
 
 
 def _merge_ordered(items) -> IntervalSet:
@@ -579,16 +585,19 @@ def is_open_in(s: IntervalSet, x: IntervalSet) -> bool:
 
 
 def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:
-    """closure_in(s, x) == s: no excluded finite end of a piece of s lies in
-    its host piece of x (no other piece of x can hold it)."""
-    for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
-        if p is h:
-            continue  # a piece of x is clopen in x
-        if not p.lo_closed and (_lt(h.lo, p.lo) or (h.lo_closed and _eq(h.lo, p.lo))):
-            return False
-        if not p.hi_closed and (_lt(p.hi, h.hi) or (h.hi_closed and _eq(h.hi, p.hi))):
-            return False
-    return True
+    """closure_in(s, x) == s: each piece of s is closed in its host piece of
+    x (no other piece of x can hold an end of it)."""
+    return all(map(_closed_in_host, s.pieces, _hosts_or_raise(s, x)))
+
+
+def _closed_in_host(p: Interval, h: Interval) -> bool:
+    """A piece is closed in a piece h holding it: no excluded finite end of
+    p lies in h."""
+    if p is h:
+        return True  # a piece of x is clopen in x
+    if not p.lo_closed and (_lt(h.lo, p.lo) or (h.lo_closed and _eq(h.lo, p.lo))):
+        return False
+    return p.hi_closed or not (_lt(p.hi, h.hi) or (h.hi_closed and _eq(h.hi, p.hi)))
 
 
 def midpoint(a: Fraction, b: Fraction) -> Fraction:

@@ -166,17 +166,25 @@ def local_connectedness_certificate(space: Space) -> LocalConnectednessCertifica
 
 
 def verify_local_connectedness(space: Space, cert: LocalConnectednessCertificate) -> bool:
-    """Replay the certificate with the set algebra alone.  A window is an
-    interval, so one that holds its component and misses both neighbours
-    misses every other piece too."""
-    if tuple(c for c, _ in cert.entries) != components(space):
-        return False
+    """Replay the certificate on each window's endpoints.  Each entry names
+    component i, checked by identity of its piece first and then by
+    equality, and its window is open.  A window is an interval, so one that
+    holds its component's piece and misses both neighbours misses every
+    other piece too: its trace is exactly the component."""
     pieces = space.ambient.pieces
-    for comp, w in cert.entries:
-        if w.lo_closed or w.hi_closed:
+    if len(cert.entries) != len(pieces):
+        return False
+    last = len(pieces) - 1
+    for i, (comp, w) in enumerate(cert.entries):
+        p = pieces[i]
+        same = comp.__class__ is Component and comp.piece is p and comp.index == i
+        if not (same or comp == Component(p, i)) or w.lo_closed or w.hi_closed:
             return False
-        near = _mk_set(pieces[max(0, comp.index - 1) : comp.index + 2])
-        if intersect(only(w), near) != comp.as_set():
+        if _starts_before(p, w) or not _ends_by(p, w):
+            return False
+        if (i > 0 and not _ends_before(pieces[i - 1], w)) or (
+            i < last and not _ends_before(w, pieces[i + 1])
+        ):
             return False
     return True
 
