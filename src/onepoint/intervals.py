@@ -333,11 +333,6 @@ def _mk_set(pieces: tuple[Interval, ...]) -> IntervalSet:
     return s
 
 
-def point(a) -> Interval:
-    """The degenerate interval holding a single rational."""
-    return Interval(a, a, True, True)
-
-
 def only(iv: Interval) -> IntervalSet:
     """The set with exactly one piece."""
     return IntervalSet((iv,))
@@ -481,21 +476,6 @@ def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _mk_set(tuple(out))
 
 
-def complement(a: IntervalSet) -> IntervalSet:
-    """Complement within the whole line."""
-    if not a.pieces:
-        return REALS
-    out: list[Interval] = []
-    first, last = a.pieces[0], a.pieces[-1]
-    if is_finite(first.lo):
-        out.append(_mk_interval(NEG_INF, first.lo, False, not first.lo_closed))
-    for left, right in zip(a.pieces, a.pieces[1:]):
-        out.append(_mk_interval(left.hi, right.lo, not left.hi_closed, not right.lo_closed))
-    if is_finite(last.hi):
-        out.append(_mk_interval(last.hi, POS_INF, not last.hi_closed, False))
-    return _mk_set(tuple(out))
-
-
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     """The points of ``a`` outside ``b``, in one merge sweep.
 
@@ -503,8 +483,8 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     and the run of pieces of ``a`` ending before the current piece of ``b``
     is copied as it is.  Any other piece of ``a`` is cut, in line order, by
     the pieces of ``b`` that overlap it; a piece of ``b`` reaching past its
-    end may cut the next one too.  No complement or other intermediate set
-    is built, and the cuts come out in line order, hence canonical.
+    end may cut the next one too.  No intermediate set is built, and the
+    cuts come out in line order, hence canonical.
     """
     pa, pb = a.pieces, b.pieces
     if not pa or not pb:
@@ -527,30 +507,25 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             out += pa[ai:run]
             ai = run
             continue
-        # y overlaps x: cut x by y and by the next pieces of b that overlap it.
-        lo, lo_closed = x.lo, x.lo_closed  # start of what is left of x
-        while True:
-            if _lt(lo, y.lo) or (lo_closed and not y.lo_closed and _eq(lo, y.lo)):
-                out.append(_mk_interval(lo, y.lo, lo_closed, not y.lo_closed))
-            if _ends_by(x, y):
-                break  # y covers the rest of x, and may reach into the next piece
-            lo, lo_closed = y.hi, not y.hi_closed
+        # y overlaps x: cut x by y and by the next pieces of b that overlap it,
+        # up to one covering the rest of x (it may reach into the next piece).
+        # Only the first cut can be empty: every later one runs from one piece
+        # of b to the next, and canonical form puts a gap between those two.
+        if _starts_before(x, y):
+            out.append(_mk_interval(x.lo, y.lo, x.lo_closed, not y.lo_closed))
+        while not _ends_by(x, y):
+            lo, lo_closed = y.hi, not y.hi_closed  # start of what is left of x
             bi += 1
             if bi == nb or _ends_before(x, pb[bi]):
                 out.append(_mk_interval(lo, x.hi, lo_closed, x.hi_closed))
                 break
             y = pb[bi]
+            out.append(_mk_interval(lo, y.lo, lo_closed, not y.lo_closed))
         ai += 1
         if bi == nb:
             out += pa[ai:]
             break
     return _mk_set(tuple(out))
-
-
-def closure_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
-    """Closure of ``s`` in the subspace ``x``: the line closure traced on x."""
-    _hosts_or_raise(s, x)
-    return intersect(s.closure(), x)
 
 
 def not_interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
@@ -585,7 +560,7 @@ def is_open_in(s: IntervalSet, x: IntervalSet) -> bool:
 
 
 def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:
-    """closure_in(s, x) == s: each piece of s is closed in its host piece of
+    """s is closed in x when each piece of s is closed in its host piece of
     x (no other piece of x can hold an end of it)."""
     return all(map(_closed_in_host, s.pieces, _hosts_or_raise(s, x)))
 

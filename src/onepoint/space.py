@@ -22,7 +22,6 @@ from .intervals import (
     _ends_before,
     _ends_by,
     _eq,
-    _gallop,
     _mk_interval,
     _mk_set,
     _starts_before,
@@ -81,35 +80,6 @@ def component_index(space: Space, z: Fraction) -> int:
     if i < 0 or not pieces[i].contains(z):
         raise PointOutsideComponent(f"{z} is not a point of {space.ambient}")
     return i
-
-
-def component_slices(space: Space, s: IntervalSet) -> tuple[IntervalSet, ...]:
-    """s ∩ C for every component C, in line order, from one merge sweep of s
-    against the components.
-
-    Past the pieces of s that end before C, the run of pieces ending inside
-    C is copied, its first piece clipped to C when it starts before C; the
-    next piece, ending past C, meets C in a piece running to C's end, or in
-    C itself when it also starts no later than C.
-    """
-    pa = s.pieces
-    na = len(pa)
-    ai = 0
-    slices = []
-    for c in space.ambient.pieces:
-        ai = _gallop(pa, ai, na, _ends_before, c)
-        run = _gallop(pa, ai, na, _ends_by, c)
-        sl = list(pa[ai:run])
-        if sl and _starts_before(sl[0], c):
-            sl[0] = _mk_interval(c.lo, sl[0].hi, c.lo_closed, sl[0].hi_closed)
-        if run < na and not _ends_before(c, pa[run]):
-            x = pa[run]
-            sl.append(
-                _mk_interval(x.lo, c.hi, x.lo_closed, c.hi_closed) if _starts_before(c, x) else c
-            )
-        slices.append(_mk_set(tuple(sl)))
-        ai = run
-    return tuple(slices)
 
 
 def closed_and_bounded(p: Interval) -> bool:

@@ -1,4 +1,4 @@
-"""Point location and per-component slices, against the per-component
+"""Point location and per-component escape pieces, against the per-component
 formulas they replaced, plus sweep counts that show every per-component
 loop stays linear in the number of components, and verifying a witness from
 the extra point sub-linear."""
@@ -30,14 +30,11 @@ from onepoint import (
 from onepoint import intervals
 from onepoint.connectify import _escape_piece, _escape_pieces, hausdorff_witness, verify_hausdorff
 from onepoint.sampling import random_open_in, random_point_in, random_real_open
-from onepoint.space import LocalConnectednessCertificate, component_index, component_slices
+from onepoint.space import LocalConnectednessCertificate, component_index
+
+import references
 
 S = parse_set
-
-
-def reference_slices(space, s):
-    """One intersection with each whole component, as the loops used to do."""
-    return tuple(intersect(s, c.as_set()) for c in components(space))
 
 
 def reference_index(space, z):
@@ -58,16 +55,9 @@ def reference_window_check(space, cert):
     )
 
 
-def test_slices_match_reference(corpus200):
-    rng = random.Random(61)
-    for sp in corpus200:
-        for s in (sp.ambient, random_real_open(rng), random_open_in(sp.ambient, rng)):
-            assert component_slices(sp, s) == reference_slices(sp, s)
-
-
 def reference_escape_pieces(ext, trace):
     """The per-component formula the sweep replaced: slice, then look at the end."""
-    return list(map(_escape_piece, ext.filters, reference_slices(ext.space, trace)))
+    return list(map(_escape_piece, ext.filters, references.reference_slices(ext.space, trace)))
 
 
 def pool_set(rng, pool, count):

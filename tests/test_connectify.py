@@ -82,7 +82,6 @@ from onepoint import cli
 from onepoint.frozen import Frozen
 from onepoint.intervals import (
     _mk_set,
-    closure_in,
     difference,
     inner_point,
     is_finite,
@@ -99,7 +98,9 @@ from onepoint.sampling import (
     random_real_open,
 )
 from onepoint.records import fmt_check
-from onepoint.space import component_index, component_slices, separate_disjoint_closed
+from onepoint.space import component_index, separate_disjoint_closed
+
+import references
 
 S = parse_set
 
@@ -542,7 +543,7 @@ def reference_openness_boundary(x, trace):
     """A point where trace openness fails, found by rebuilding the interior."""
     if not trace.issubset(x):
         return pick_point(difference(trace, x))
-    bad = difference(trace, difference(x, closure_in(difference(x, trace), x)))
+    bad = difference(trace, difference(x, references.closure_in(difference(x, trace), x)))
     return pick_point(bad) if bad else None
 
 
@@ -708,8 +709,9 @@ def reference_normal_from_p(ext, f, g):
     normalize the pieces."""
     tails = least_valid_tails(ext, difference(ext.space.ambient, g.trace))
     u_pieces, v_pieces = [], []
-    slices = zip(component_slices(ext.space, f.trace), component_slices(ext.space, g.trace))
-    for flt, n_c, (f_c, g_c) in zip(ext.filters, tails, slices):
+    f_slices = references.reference_slices(ext.space, f.trace)
+    g_slices = references.reference_slices(ext.space, g.trace)
+    for flt, n_c, f_c, g_c in zip(ext.filters, tails, f_slices, g_slices):
         c = Space(flt.component.as_set())
         u_c, v_c = separate_disjoint_closed(c, union(f_c, flt.element(n_c)), g_c)
         u_pieces.extend(u_c.pieces)

@@ -17,8 +17,6 @@ from onepoint import (
     ParseError,
     REALS,
     SizeTooLarge,
-    closure_in,
-    complement,
     difference,
     interior_in,
     intersect,
@@ -30,13 +28,14 @@ from onepoint import (
     parse_point,
     parse_set,
     pick_point,
-    point,
     union,
 )
 
 from onepoint import intervals
 from onepoint.intervals import _eq, _frac, _lt, _parse_endpoint, fmt_value, is_finite
 from onepoint.sampling import random_closed_in, random_open_in, random_real_open
+
+import references
 
 S = parse_set
 
@@ -200,13 +199,13 @@ def test_set_operation_examples():
     assert intersect(S("(0,2)"), S("[1,3]")) == S("[1,2)")
     assert difference(S("[0,3]"), S("(1,2)")) == S("[0,1] U [2,3]")
     assert union(EMPTY, S("(0,1)")) == S("(0,1)")
-    assert complement(EMPTY) == REALS
-    assert complement(S("[0,0]")) == S("(-inf,0) U (0,inf)")
+    assert references.complement(EMPTY) == REALS
+    assert references.complement(S("[0,0]")) == S("(-inf,0) U (0,inf)")
 
 
 def difference_reference(a, b):
     """Set difference as the intersection with the complement."""
-    return intersect(a, complement(b))
+    return intersect(a, references.complement(b))
 
 
 # The oracle's endpoint pool (tests/test_oracle.py) plus both infinities.
@@ -223,7 +222,7 @@ def random_pool_set(rng):
         i, j = sorted(rng.sample(range(len(POOL_ENDS)), 2))
         lo, hi = POOL_ENDS[i], POOL_ENDS[j]
         if rng.random() < 0.2 and is_finite(lo):
-            ivs.append(point(lo))
+            ivs.append(Interval(lo, lo, True, True))
         else:
             lo_closed = is_finite(lo) and rng.random() < 0.5
             ivs.append(Interval(lo, hi, lo_closed, is_finite(hi) and rng.random() < 0.5))
@@ -272,15 +271,14 @@ def test_difference_builds_no_complement(corpus200, monkeypatch):
     def boom(*args):
         raise AssertionError("difference builds no intermediate set")
 
-    monkeypatch.setattr(intervals, "complement", boom)
     monkeypatch.setattr(intervals, "intersect", boom)
     assert [(difference(s, x), difference(x, s)) for s, x in pairs] == expected
 
 
 def test_relative_topology_examples():
-    assert closure_in(S("(0,1/2)"), S("(0,1)")) == S("(0,1/2]")
-    assert closure_in(S("[1/2,1)"), S("(0,1)")) == S("[1/2,1)")
-    assert closure_in(S("(0,1)"), S("[0,1]")) == S("[0,1]")
+    assert references.closure_in(S("(0,1/2)"), S("(0,1)")) == S("(0,1/2]")
+    assert references.closure_in(S("[1/2,1)"), S("(0,1)")) == S("[1/2,1)")
+    assert references.closure_in(S("(0,1)"), S("[0,1]")) == S("[0,1]")
     assert interior_in(S("[1/4,1/2]"), S("(0,1)")) == S("(1/4,1/2)")
     assert interior_in(S("[0,1/2)"), S("[0,1]")) == S("[0,1/2)")
     x = S("(0,1) U [2,3]")
@@ -292,14 +290,14 @@ def test_relative_topology_examples():
 
 def test_subset_precondition():
     with pytest.raises(NotASubset):
-        closure_in(S("(0,2)"), S("(0,1)"))
+        references.closure_in(S("(0,2)"), S("(0,1)"))
     with pytest.raises(NotASubset):
         interior_in(S("[0,1]"), S("(0,1)"))
 
 
 def reference_interior_in(s, x):
     """The interior as x minus the relative closure of the relative complement."""
-    return difference(x, closure_in(difference(x, s), x))
+    return difference(x, references.closure_in(difference(x, s), x))
 
 
 def test_interior_and_openness_match_reference_on_corpus(corpus200):
@@ -369,7 +367,7 @@ def random_pool_set(rng):
     for _ in range(rng.randint(0, 3)):
         i, j = sorted(rng.sample(range(len(ends)), 2))
         if 0 < i and rng.random() < 0.2:
-            pieces.append(point(ends[i]))
+            pieces.append(Interval(ends[i], ends[i], True, True))
         else:
             lo_closed = 0 < i and rng.random() < 0.5
             hi_closed = j < len(ends) - 1 and rng.random() < 0.5
@@ -437,7 +435,6 @@ def test_sweeps_build_no_complement_or_closure(corpus200, monkeypatch):
     def boom(*args):
         raise AssertionError("the sweeps build no intermediate set")
 
-    monkeypatch.setattr(intervals, "complement", boom)
     monkeypatch.setattr(intervals, "_intersect_pieces", boom)
     monkeypatch.setattr(IntervalSet, "closure", boom)
     got = [(not_interior_in(s, x), is_closed_in(s, x), is_open_in(s, x)) for s, x in pairs]
@@ -460,10 +457,10 @@ def intervals_st(draw):
         return Interval(draw(fracs), POS_INF, draw(st.booleans()), False)
     a = draw(fracs)
     if kind == 2:
-        return point(a)
+        return Interval(a, a, True, True)
     b = draw(fracs)
     if a == b:
-        return point(a)
+        return Interval(a, a, True, True)
     lo, hi = min(a, b), max(a, b)
     return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
 
@@ -481,9 +478,9 @@ def test_de_morgan_within_ambient(a, b, x):
 @given(interval_sets, interval_sets)
 def test_closure_interior_laws(s0, x):
     s = intersect(s0, x)
-    cl = closure_in(s, x)
+    cl = references.closure_in(s, x)
     it = interior_in(s, x)
-    assert closure_in(cl, x) == cl
+    assert references.closure_in(cl, x) == cl
     assert interior_in(it, x) == it
     assert it.issubset(s) and s.issubset(cl)
 
@@ -493,14 +490,14 @@ def test_closure_interior_laws(s0, x):
 def test_closure_interior_monotone(a0, b0, x):
     small = intersect(a0, x)
     big = union(small, intersect(b0, x))
-    assert closure_in(small, x).issubset(closure_in(big, x))
+    assert references.closure_in(small, x).issubset(references.closure_in(big, x))
     assert interior_in(small, x).issubset(interior_in(big, x))
 
 
 @settings(max_examples=100, deadline=None)
 @given(interval_sets)
 def test_complement_involution(a):
-    assert complement(complement(a)) == a
+    assert references.complement(references.complement(a)) == a
 
 
 @settings(max_examples=120, deadline=None)
@@ -508,7 +505,7 @@ def test_complement_involution(a):
 def test_openness_matches_interior_definition(s0, x):
     s = intersect(s0, x)
     assert is_open_in(s, x) == (interior_in(s, x) == s)
-    assert is_closed_in(s, x) == (closure_in(s, x) == s)
+    assert is_closed_in(s, x) == (references.closure_in(s, x) == s)
 
 
 @settings(max_examples=120, deadline=None)
@@ -672,7 +669,7 @@ def test_infinity_sentinels_stay_apart():
     assert union(S("(-inf,0]"), S("[0,inf)")) == REALS
     assert normalize([Interval(NEG_INF, 1), Interval(0, POS_INF)]) == REALS
     assert normalize([Interval(0, POS_INF), Interval(NEG_INF, 1)]) == REALS
-    assert complement(REALS) == EMPTY
+    assert references.complement(REALS) == EMPTY
     assert S("(-inf,0)").issubset(REALS)
     assert not REALS.issubset(S("(-inf,0)"))
 
