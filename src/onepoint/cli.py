@@ -242,6 +242,11 @@ def console_main() -> None:
     # through a failed write that `main` would report as a bug.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # Every "too long" refusal is the interpreter's integer-text digit limit:
+    # pin it to its default, so that no setting of the environment
+    # (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits) changes a verdict.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     raise SystemExit(main())
 
 

@@ -10,7 +10,7 @@ from .errors import NotACover
 from .frozen import Frozen
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
-from .intervals import EMPTY, POS_INF, IntervalSet, _frac, _lo_key, _lt, _mk_interval, _mk_set
+from .intervals import EMPTY, _lt, _mk_interval, _mk_set, _plus, _starts_before
 from .intervals import difference, interior_in, is_finite, midpoint, union
 from .space import Space, closed_and_bounded, component_index
 
@@ -79,19 +79,18 @@ def _witness_from_infinity(ce: CompactExtension, z: Fraction) -> tuple[TypeInf, 
     """
     x = ce.space.ambient
     piece = x.pieces[component_index(ce.space, z)]
-    zn, zd = z._numerator, z._denominator
-    k_lo, k_hi = _frac(zn - zd, zd), _frac(zn + zd, zd)
+    k_lo, k_hi = _plus(z, -1, 1), _plus(z, 1, 1)
     if is_finite(piece.lo):
         if piece.lo_closed:
             if _lt(k_lo, piece.lo):
                 k_lo = piece.lo
-        elif _lt(_frac(zn - 2 * zd, zd), piece.lo):
+        elif _lt(_plus(z, -2, 1), piece.lo):
             k_lo = midpoint(piece.lo, z)
     if is_finite(piece.hi):
         if piece.hi_closed:
             if _lt(piece.hi, k_hi):
                 k_hi = piece.hi
-        elif _lt(piece.hi, _frac(zn + 2 * zd, zd)):
+        elif _lt(piece.hi, _plus(z, 2, 1)):
             k_hi = midpoint(z, piece.hi)
     box = _mk_set((_mk_interval(k_lo, k_hi, True, True),))
     return TypeInf(difference(x, box)), TypeI(interior_in(box, x))
@@ -110,17 +109,13 @@ def verify_compact_hausdorff(
     return verify_separated(comp_contains, lambda w: is_open_in_compactification(ce, w), y, z, u, v)
 
 
-def _frontier(s: IntervalSet) -> tuple:
-    """Sort key for how far coverage has advanced; larger is better."""
-    return _lo_key(s.pieces[0]) if s else (POS_INF, 2)
-
-
 def finite_subcover(ce: CompactExtension, cover) -> list[CompOpenSet]:
     """Greedy subcover of a finite open cover of the compactification.
 
     The first infinity member leaves a compact remainder, which a left-to-right
     sweep covers by always choosing the member that pushes the uncovered
-    frontier farthest.
+    frontier farthest: the first piece of what it leaves uncovered starts
+    latest, an empty rest past every end, and a tie keeps the earlier member.
     """
     cover = list(cover)
     x = ce.space.ambient
@@ -138,14 +133,13 @@ def finite_subcover(ce: CompactExtension, cover) -> list[CompOpenSet]:
     chosen = [inf_members[0]]
     remaining = difference(x, cover[inf_members[0]].trace)
     while remaining:
-        best_i, best_key, best_rest = None, _frontier(remaining), remaining
+        best_i, best_rest = None, remaining
         for i, m in enumerate(cover):
             if i in chosen:
                 continue
             rest = difference(remaining, m.trace)
-            key = _frontier(rest)
-            if key > best_key:
-                best_i, best_key, best_rest = i, key, rest
+            if best_rest and (not rest or _starts_before(best_rest.pieces[0], rest.pieces[0])):
+                best_i, best_rest = i, rest
         if best_i is None:
             raise NotACover("greedy sweep stalled")
         chosen.append(best_i)

@@ -51,6 +51,7 @@ from .intervals import (
     _lt,
     _mk_interval,
     _mk_set,
+    _plus,
     _starts_before,
     as_point,
     difference,
@@ -529,7 +530,7 @@ def verify_density(ext: Extension, cert: DensityCertificate) -> bool:
     if not cert.neighborhoods:
         return False
     for nb in cert.neighborhoods:
-        if not nb.trace or not _open_as_declared(ext, nb):
+        if not isinstance(nb, TypeII) or not nb.trace or not _open_as_declared(ext, nb):
             return False
     return True
 
@@ -566,7 +567,7 @@ def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
         if not _open_as_declared(ext, u):
             return False
     for w in cert.base_opens:
-        if not is_open_in_extension(ext, TypeI(w)):
+        if not _open_as_declared(ext, TypeI(w)):
             return False
     return True
 
@@ -674,8 +675,7 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     zn, zd = z._numerator, z._denominator
     sn, sd = start._numerator, start._denominator
     if side * (sn * zd - zn * sd) >= sd * zd:
-        # radius 1: z -+ 1 over z's own denominator
-        lo, hi = _frac(zn - zd, zd), _frac(zn + zd, zd)
+        lo, hi = _plus(z, -1, 1), _plus(z, 1, 1)  # radius 1
         edge = hi if side > 0 else lo
         tail = flt._index_past(edge, False)
     else:
@@ -693,7 +693,9 @@ def _hausdorff_from_p(ext: Extension, z: Fraction) -> tuple[TypeII, TypeI]:
     v_trace = _mk_set((_intersect_pieces(_mk_interval(lo, hi, False, False), comp),))
     tails = [0] * len(x.pieces)
     tails[i] = tail
-    u_trace = union(difference(x, _mk_set((comp,))), _mk_set((flt.toward_end(edge, False),)))
+    # The block lies inside z's component, which gaps part from its neighbours,
+    # so the splice is canonical and keeps every other component's own piece.
+    u_trace = _mk_set(x.pieces[:i] + (flt.toward_end(edge, False),) + x.pieces[i + 1 :])
     return TypeII(u_trace, tuple(tails)), TypeI(v_trace)
 
 

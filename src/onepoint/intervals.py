@@ -72,6 +72,12 @@ def _frac(n: int, d: int) -> Fraction:
     return f
 
 
+def _plus(q: Fraction, n: int, d: int) -> Fraction:
+    """q + n/d from integers; d must be positive."""
+    qn, qd = q._numerator, q._denominator
+    return _frac(qn * d + n * qd, qd * d)
+
+
 def _lt(a: Value, b: Value) -> bool:
     """a < b on the extended line, exactly.
 
@@ -199,12 +205,8 @@ def _mk_interval(
     return iv
 
 
-def _lo_key(iv: Interval) -> tuple[Value, int]:
-    return (iv.lo, 0 if iv.lo_closed else 1)
-
-
 def _starts_before(x: Interval, y: Interval) -> bool:
-    # Strict line order of lower ends, an included end first: _lo_key(x) < _lo_key(y).
+    # Strict line order of lower ends, an included end first.
     return _lt(x.lo, y.lo) or (x.lo_closed and not y.lo_closed and _eq(x.lo, y.lo))
 
 
@@ -352,8 +354,8 @@ def normalize(intervals) -> IntervalSet:
     return _merge_ordered(items)
 
 
-# The sort reads only "<", which is `_starts_before`: the order of `_lo_key`
-# on the comparison kernel, so the stable sort gives the same list.
+# The sort key of the lower-end order: the sort reads only "<", which is
+# `_starts_before`.
 _BY_START = cmp_to_key(lambda x, y: -_starts_before(x, y))
 
 

@@ -26,6 +26,7 @@ from .intervals import (
     _frac,
     _mk_interval,
     _mk_set,
+    _plus,
     difference,
     intersect,
     is_finite,
@@ -34,12 +35,6 @@ from .intervals import (
     union,
 )
 from .space import Space
-
-
-def _plus(q: Fraction, n: int, d: int) -> Fraction:
-    """q + n/d from integers; d must be positive."""
-    qn, qd = q._numerator, q._denominator
-    return _frac(qn * d + n * qd, qd * d)
 
 
 def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 6) -> Fraction:

@@ -19,6 +19,7 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _BY_START,
     _ends_before,
     _ends_by,
     _eq,
@@ -183,18 +184,10 @@ def separate_disjoint_closed(
     if not g:
         return x, EMPTY
 
-    # Both are canonical, hence in line order: merge them as `union` does.
-    pf, pg = f.pieces, g.pieces
-    tagged: list[tuple[Interval, int]] = []
-    fi = gi = 0
-    while fi < len(pf) and gi < len(pg):
-        if _starts_before(pg[gi], pf[fi]):
-            tagged.append((pg[gi], 1))
-            gi += 1
-        else:
-            tagged.append((pf[fi], 0))
-            fi += 1
-    tagged += [(piece, 0) for piece in pf[fi:]] + [(piece, 1) for piece in pg[gi:]]
+    # F and G are disjoint, so no two of their pieces start together: the
+    # lower-end order puts the tagged pieces in line order.
+    tagged = [(piece, 0) for piece in f.pieces] + [(piece, 1) for piece in g.pieces]
+    tagged.sort(key=lambda t: _BY_START(t[0]))
     # The zones between cuts alternate owners from the first piece's, so each
     # owner's zones, parted by the other's, are canonical as listed.
     cuts: list[object] = [NEG_INF]

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import signal
 import subprocess
@@ -645,3 +646,52 @@ def test_a_reader_that_stops_early_ends_the_process_by_sigpipe():
         proc.kill()
         proc.stderr.close()
     assert err == b"" and code == -signal.SIGPIPE
+
+
+# Requests whose verdict rests on the interpreter's integer-text digit limit:
+# perfbench's two `oversized` requests, a 1,000-digit endpoint, and
+# numerators of 4,300 and 4,301 digits, with their exit codes.
+DIGIT_LIMIT_REQUESTS = [
+    (["connectify", "(0,1) U [1" + "0" * 4400 + ",inf)"], 2),
+    (["witness", "hausdorff", "(0,inf)", "p", "1" + "0" * 4400], 2),
+    (["components", "(0,1" + "0" * 1000 + ")"], 0),
+    (["components", "(0," + "1" * 4300 + ")"], 0),
+    (["witness", "hausdorff", "(0," + "1" * 4300 + ")", "p", "1"], 0),
+    (["components", "(0," + "1" * 4301 + ")"], 2),
+    (["witness", "hausdorff", "(0," + "1" * 4301 + ")", "p", "1"], 2),
+]
+
+
+def test_the_environment_decides_no_verdict():
+    """`console_main` pins the digit limit to the interpreter's default, so
+    with the setting unset, at 0, at 640 and under `-X int_max_str_digits=0`
+    each request prints the same bytes and exits the same.  One interpreter
+    per setting runs every request through `console_main`, with a marker
+    after each on both streams."""
+    driver = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from onepoint import cli\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    sys.argv = ['onepoint', *argv]\n"
+        "    try:\n"
+        "        cli.console_main()\n"
+        "    except SystemExit as exc:\n"
+        "        print('exit', exc.code, flush=True)\n"
+        "        print('end', file=sys.stderr, flush=True)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    requests = json.dumps([argv for argv, _ in DIGIT_LIMIT_REQUESTS])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    runs = []
+    for setting, flags in ((None, []), ("0", []), ("640", []), (None, ["-X", "int_max_str_digits=0"])):
+        run_env = env if setting is None else {**env, "PYTHONINTMAXSTRDIGITS": setting}
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", driver, src, requests],
+            capture_output=True, env=run_env, timeout=60,
+        )
+        runs.append((out.returncode, out.stdout, out.stderr))
+    assert runs[0][0] == 0
+    codes = [line.split()[1] for line in runs[0][1].decode().splitlines() if line.startswith("exit ")]
+    assert codes == [str(code) for _, code in DIGIT_LIMIT_REQUESTS]
+    assert all(run == runs[0] for run in runs[1:])

@@ -9,6 +9,7 @@ from onepoint import (
     CompactExtension,
     CompactRefused,
     EqualPoints,
+    Interval,
     NotACover,
     Refused,
     Space,
@@ -22,12 +23,16 @@ from onepoint import (
     intersect,
     is_open_in_compactification,
     is_space_compact,
+    only,
     parse_set,
     union,
     verify_compact_hausdorff,
 )
-from onepoint.compactify import _frontier, compactify
-from onepoint.sampling import random_open_in, random_point_in
+from onepoint import compactify as cp
+from onepoint.compactify import compactify
+from onepoint.sampling import _open_expansion, random_open_in, random_point_in
+
+import references
 
 S = parse_set
 
@@ -109,19 +114,61 @@ def test_finite_subcover_examples():
         finite_subcover(ce, [TypeInf(difference(S("(0,1)"), S("[1/4,3/4]")))])
 
 
-def test_frontier_is_the_first_lower_end_or_past_every_end():
-    """The greedy sweep's key: the first piece's lower end, an included end
-    first, and an empty remainder above every such key."""
-    assert _frontier(EMPTY) == (float("inf"), 2)
-    assert _frontier(S("[1,2] U [3,4]")) == (Fraction(1), 0)
-    assert _frontier(S("(1,2) U [3,4]")) == (Fraction(1), 1)
-    assert _frontier(S("(-inf,0)")) == (float("-inf"), 1)
-    assert _frontier(S("[1,2]")) < _frontier(S("(1,2)")) < _frontier(EMPTY)
+def test_subcover_ties_keep_the_earlier_member():
+    """Two members leaving rests that start together: the greedy keeps the
+    one listed first, whichever that is."""
+    ce = compactify(space("(0,3)"))
+    inf = TypeInf(S("(0,1/2) U (5/2,3)"))  # leaves [1/2,5/2]
+    a, b, c = TypeI(S("(1/4,1)")), TypeI(S("(1/3,1)")), TypeI(S("(3/4,3)"))
+    assert finite_subcover(ce, [inf, a, b, c]) == [inf, a, c]
+    assert finite_subcover(ce, [inf, b, a, c]) == [inf, b, c]
+
+
+def test_subcover_keeps_a_rest_past_an_included_end(monkeypatch):
+    """Rests starting at [1 and at (1: the second starts later, so the greedy
+    keeps the member leaving it.  A compact remainder always starts at an
+    included end, so a stub `difference` hands the greedy these two rests."""
+    ce = compactify(space("(0,3)"))
+    inf = TypeInf(S("(0,1/2) U (5/2,3)"))
+    a, b, c = TypeI(S("(1/4,1)")), TypeI(S("(1/3,6/5)")), TypeI(S("(3/4,3)"))
+    rests = {a.trace: S("[1,5/2]"), b.trace: S("(1,5/2]")}
+    real = cp.difference
+    monkeypatch.setattr(cp, "difference", lambda r, t: rests[t] if t in rests else real(r, t))
+    assert finite_subcover(ce, [inf, a, b, c]) == [inf, b, c]
+
+
+def test_subcover_matches_the_tuple_key_reference(corpus200):
+    """On every compactifiable corpus space: random covers, with a twin of
+    one member that leaves the same rests so that ties occur, pick what the
+    greedy comparing the old Python-tuple key picks."""
+    rng = random.Random(3232)
+    count = 0
+    for sp in corpus200:
+        ce = compactify(sp)
+        if not isinstance(ce, CompactExtension):
+            continue
+        x = sp.ambient
+        for _ in range(3):
+            u, v = compactification_hausdorff_witness(ce, INFINITY, random_point_in(x, rng))
+            (box,) = difference(x, u.trace).pieces
+            # a chain of m overlapping opens across the box, so that the
+            # sweep takes several steps
+            m = rng.randint(1, 4)
+            cuts = [box.lo + (box.hi - box.lo) * Fraction(j, m) for j in range(m + 1)]
+            eps = (box.hi - box.lo) / (4 * m) or Fraction(1, 4)  # a box may be one point
+            pieces = [TypeI(random_open_in(x, rng)) for _ in range(rng.randint(0, 3))]
+            for a, b in zip(cuts, cuts[1:]):
+                pieces.append(TypeI(intersect(only(Interval(a - eps, b + eps)), x)))
+            twin = pieces[rng.randrange(len(pieces))]
+            pieces.append(TypeI(union(twin.trace, u.trace)))  # u's trace is covered
+            rng.shuffle(pieces)
+            cover = [u] + pieces
+            assert finite_subcover(ce, cover) == references.subcover(ce, cover)
+            count += 1
+    assert count > 250
 
 
 def test_subcover_union_is_whole(extensions):
-    from onepoint.sampling import _open_expansion
-
     rng = random.Random(220)
     checked = 0
     for ext in extensions:

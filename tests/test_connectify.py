@@ -346,6 +346,17 @@ def test_density_examples():
         assert verify_density(ext, cert)
 
 
+def test_density_takes_only_neighbourhoods_of_p():
+    """An open trace without the extra point is no neighbourhood of it, and
+    a type-II open over the same trace, reaching every escape end, is."""
+    ext = ext_of("(0,1) U [2,inf)")
+    assert not verify_density(ext, DensityCertificate((TypeI(S("(0,1/2)")),)))
+    trace = S("(0,1/2) U (3/4,1) U (3,inf)")
+    twin = TypeII(trace, least_valid_tails(ext, trace))
+    assert verify_density(ext, DensityCertificate((twin,)))
+    assert not verify_density(ext, DensityCertificate((twin, TypeI(trace))))
+
+
 def test_fidelity_examples():
     for text in ["(0,1)", "(0,1) U [5,inf)"]:
         ext = ext_of(text)
@@ -1015,6 +1026,33 @@ def test_hausdorff_from_p_matches_interior_reference(extensions):
             u, v = reference_hausdorff_from_p(ext, z)
             assert hausdorff_witness(ext, P, z) == (u, v)
             assert hausdorff_witness(ext, z, P) == (v, u)
+            count += 1
+    assert count > 1000
+
+
+def test_u_around_p_is_the_two_sweep_form(extensions):
+    """U around the added point, spliced from the ambient, against the
+    `union(difference(...))` form it replaced, on the corpus and the `large`
+    spaces with z 2^-k inside open ends (k = 1, 64, 4096): the same set, and
+    every other component the ambient's own piece."""
+    rng = random.Random(3232)
+    large = [Extension(sp) for sp in perfbench_large_spaces(7)]
+    count = 0
+    for ext in list(extensions) + large:
+        x = ext.space.ambient
+        points = [random_point_in(x, rng) for _ in range(4)] + list(points_near_open_ends(ext))
+        if len(x.pieces) > 8:
+            points = rng.sample(points, 24)
+        for z in points:
+            u, v = hausdorff_witness(ext, P, z)
+            i = component_index(ext.space, z)
+            flt = ext.filter_at(i)
+            # V runs to the block's near end on the escape side
+            edge = v.trace.pieces[0].hi if flt.side > 0 else v.trace.pieces[0].lo
+            ref = references.u_around_p(x, i, flt.toward_end(edge, False))
+            assert u.trace == ref and str(u.trace) == str(ref), (x, z)
+            others = [j for j in range(len(x.pieces)) if j != i]
+            assert all(u.trace.pieces[j] is x.pieces[j] is ref.pieces[j] for j in others)
             count += 1
     assert count > 1000
 

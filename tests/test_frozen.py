@@ -15,7 +15,6 @@ import pytest
 from onepoint.compactify import CompactExtension, CompactRefused, TypeInf, finite_subcover
 from onepoint.connectify import (
     ConnectednessCertificate,
-    ConnectednessStep,
     DensityCertificate,
     ExtClosedSet,
     FidelityCertificate,

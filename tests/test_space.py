@@ -30,7 +30,6 @@ from onepoint.intervals import (
     IntervalSet,
     _eq,
     _mk_interval,
-    _starts_before,
     inner_point,
     is_finite,
     midpoint,
@@ -38,6 +37,8 @@ from onepoint.intervals import (
 )
 from onepoint.sampling import random_closed_in, random_point_in
 from onepoint.space import split_points
+
+import references
 
 S = parse_set
 
@@ -160,7 +161,7 @@ def test_separate_random_pairs(corpus200):
             g = difference(random_closed_in(x, rng), f.closure())
             if intersect(f, g) or not is_closed_in(g, x):
                 continue
-            check_separation(sp, f, g)
+            assert check_separation(sp, f, g) == reference_separation(sp, f, g)
             done += 1
     assert done > 150
 
@@ -205,17 +206,7 @@ def reference_separation(sp, f, g):
         return EMPTY, x
     if not g:
         return x, EMPTY
-    pf, pg = f.pieces, g.pieces
-    tagged = []
-    fi = gi = 0
-    while fi < len(pf) and gi < len(pg):
-        if _starts_before(pg[gi], pf[fi]):
-            tagged.append((pg[gi], 1))
-            gi += 1
-        else:
-            tagged.append((pf[fi], 0))
-            fi += 1
-    tagged += [(piece, 0) for piece in pf[fi:]] + [(piece, 1) for piece in pg[gi:]]
+    tagged = references.merge_tagged(f, g)
     zones = ([], [])
     run_start = NEG_INF
     for idx, (piece, owner) in enumerate(tagged):
@@ -302,19 +293,13 @@ def greedy_subcover(target, members):
     chosen = []
     remaining = target
 
-    def frontier(s):
-        if not s:
-            return (float("inf"), 2)
-        iv = s.pieces[0]
-        return (iv.lo, 0 if iv.lo_closed else 1)
-
     while remaining:
-        best, best_key, best_rest = None, frontier(remaining), None
+        best, best_key, best_rest = None, references.frontier(remaining), None
         for i, m in enumerate(members):
             if i in chosen:
                 continue
             rest = difference(remaining, m)
-            key = frontier(rest)
+            key = references.frontier(rest)
             if key > best_key:
                 best, best_key, best_rest = i, key, rest
         if best is None:

@@ -6,7 +6,8 @@ gaps, rays and compactness, so it maps components to components (in
 reverse order when a < 0) and a connectifiable space to a connectifiable
 one.  Each image goes through ``cli.main`` as text, its ``connectify``
 records are judged by perfbench's own checker, and witnesses built on the
-space are carried to the image and verified there.
+space are carried to the image, verified there, and compared with the ones
+the engine builds on the image.
 """
 
 import random
@@ -17,6 +18,7 @@ from pathlib import Path
 from onepoint import (
     NEG_INF,
     POS_INF,
+    ExtClosedSet,
     Interval,
     IntervalSet,
     P,
@@ -27,13 +29,17 @@ from onepoint import (
     cli,
     components,
     hausdorff_witness,
+    intersect,
     is_compact,
     least_valid_tails,
+    normality_witness,
+    only,
     parse_set,
     verify_hausdorff,
+    verify_normality,
 )
 from onepoint.connectify import Connectifiable
-from onepoint.sampling import random_point_in, random_space
+from onepoint.sampling import random_disjoint_closed_pair, random_point_in, random_space
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
@@ -62,6 +68,31 @@ def image_set(a, b, s):
     return IntervalSet(tuple(pieces if a > 0 else reversed(pieces)))  # rechecks canonical form
 
 
+def carried_open(a, b, iext, w):
+    """The image of an open of the extension: its trace mapped, and for a
+    type-II open its tails recomputed on the image's filters."""
+    trace = image_set(a, b, w.trace)
+    return TypeII(trace, least_valid_tails(iext, trace)) if isinstance(w, TypeII) else TypeI(trace)
+
+
+def shape(ext, pair):
+    """Per open of a witness pair, the components its trace meets, and
+    which of the two holds p."""
+    met = tuple(
+        frozenset(i for i, c in enumerate(ext.space.ambient.pieces) if intersect(w.trace, only(c)))
+        for w in pair
+    )
+    return met, tuple(isinstance(w, TypeII) for w in pair)
+
+
+def pair_with_p(ext, rng):
+    """Two disjoint closed sets of the extension, p in one of them."""
+    while True:
+        f, g = random_disjoint_closed_pair(ext, rng)
+        if f.has_p or g.has_p:
+            return f, g
+
+
 def run(verb, text):
     lines = []
     return cli.main([verb, text], emit=lines.append), lines
@@ -81,12 +112,16 @@ def spaces():
 def test_affine_images_keep_every_verdict(corpus200):
     rng = random.Random(2031)
     checker = checks.Checker()
-    counts = {"refused": 0, "two points": 0, "from p": 0, "mirrored": 0}
+    prng = random.Random(2032)
+    counts = {"refused": 0, "two points": 0, "from p": 0, "mirrored": 0, "normal": 0}
     for k, space in enumerate(list(corpus200) + spaces()):
         text = str(space)
         base = {verb: run(verb, text) for verb in VERBS}
         verdict = check_connectifiable(space)
         y, z = random_point_in(space.ambient, rng), random_point_in(space.ambient, rng)
+        if isinstance(verdict, Connectifiable):
+            f, g = pair_with_p(verdict.extension, prng)
+            normal = normality_witness(verdict.extension, f, g)
         for j, a in enumerate(SLOPES):
             b = SHIFTS[(k + j) % len(SHIFTS)]
             image = image_set(a, b, space.ambient)
@@ -143,9 +178,23 @@ def test_affine_images_keep_every_verdict(corpus200):
             comp = next(c for c in space.ambient.pieces if c.contains(z))
             if a > 0 or comp.lo_closed or comp.hi_closed:
                 assert tails is not None
-                assert verify_hausdorff(iext, P, fz, TypeII(u_trace, tails), TypeI(v_trace))
+                moved = TypeII(u_trace, tails), TypeI(v_trace)
+                assert verify_hausdorff(iext, P, fz, *moved)
+                assert shape(iext, moved) == shape(iext, hausdorff_witness(iext, P, fz))
                 counts["from p"] += 1
             else:
                 assert tails is None
                 counts["mirrored"] += 1
+
+            # A normality witness with p holds a tail of every component, so
+            # it carries over when every component's escape end maps to the
+            # image's: always for a > 0, and for a < 0 when every piece has an
+            # included end, the end no filter escapes to (see above).
+            if a > 0 or all(c.lo_closed or c.hi_closed for c in space.ambient.pieces):
+                fi, gi = (ExtClosedSet(w.has_p, image_set(a, b, w.trace)) for w in (f, g))
+                moved = tuple(carried_open(a, b, iext, w) for w in normal)
+                assert verify_normality(iext, fi, gi, *moved), (text, a, b, f, g)
+                built = normality_witness(iext, fi, gi)
+                assert shape(iext, moved) == shape(iext, built)
+                counts["normal"] += 1
     assert min(counts.values()) > 20, counts
