@@ -10,8 +10,8 @@ from .errors import NotACover
 from .frozen import Frozen
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
-from .intervals import EMPTY, _lt, _mk_interval, _mk_set, _plus, _starts_before
-from .intervals import difference, interior_in, is_finite, midpoint, union
+from .intervals import _lt, _mk_interval, _mk_set, _plus, _starts_before, _union_all
+from .intervals import difference, interior_in, is_finite, midpoint
 from .space import Space, closed_and_bounded, component_index
 
 
@@ -106,7 +106,10 @@ def compactification_hausdorff_witness(
 def verify_compact_hausdorff(
     ce: CompactExtension, y: CompPoint, z: CompPoint, u: CompOpenSet, v: CompOpenSet
 ) -> bool:
-    return verify_separated(comp_contains, lambda w: is_open_in_compactification(ce, w), y, z, u, v)
+    def is_open(w):
+        return isinstance(w, (TypeI, TypeInf)) and is_open_in_compactification(ce, w)
+
+    return verify_separated(comp_contains, is_open, y, z, u, v)
 
 
 def finite_subcover(ce: CompactExtension, cover) -> list[CompOpenSet]:
@@ -125,10 +128,7 @@ def finite_subcover(ce: CompactExtension, cover) -> list[CompOpenSet]:
     inf_members = [i for i, m in enumerate(cover) if isinstance(m, TypeInf)]
     if not inf_members:
         raise NotACover("no member covers the infinity point")
-    total = EMPTY
-    for m in cover:
-        total = union(total, m.trace)
-    if total != x:
+    if _union_all(m.trace for m in cover) != x:
         raise NotACover("union of traces misses part of the space")
     chosen = [inf_members[0]]
     remaining = difference(x, cover[inf_members[0]].trace)

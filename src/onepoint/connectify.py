@@ -37,7 +37,6 @@ from .errors import (
 )
 from .frozen import Frozen
 from .intervals import (
-    EMPTY,
     Interval,
     IntervalSet,
     Value,
@@ -53,6 +52,7 @@ from .intervals import (
     _mk_set,
     _plus,
     _starts_before,
+    _union_all,
     as_point,
     difference,
     inner_point,
@@ -104,9 +104,9 @@ class EscapeFilter(Frozen):
         """The near endpoint of element(n), the one away from the escape end."""
         if n == 0:
             return self.anchor  # both formulas give it; a rebuilt element shares its ends
-        an, ad = self.anchor._numerator, self.anchor._denominator
         if not is_finite(self.end):
-            return _frac(an + self.side * n * ad, ad)
+            return _plus(self.anchor, self.side * n, 1)
+        an, ad = self.anchor._numerator, self.anchor._denominator
         # end - s/2^n with s = end - anchor = sn/sd, over one denominator.
         en, ed = self.end._numerator, self.end._denominator
         sn, sd = en * ad - an * ed, ed * ad
@@ -465,13 +465,12 @@ def union_open(ext: Extension, opens) -> ExtOpenSet:
     input error.
     """
     opens = list(opens)
-    trace = EMPTY
     tail_rows = []
     for o in opens:
-        trace = union(trace, o.trace)
         if isinstance(o, TypeII):
             _check_tails_shape(ext, o)
             tail_rows.append(o.tails)
+    trace = _union_all(o.trace for o in opens)
     if tail_rows:
         return TypeII(trace, tuple(min(col) for col in zip(*tail_rows)))
     return TypeI(trace)
@@ -484,10 +483,12 @@ def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpen
 
 
 def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
-    """Open in the extension, and for type II the stored tails really fit.
+    """An extension open, type I or II, and for type II the stored tails really fit.
 
     Fitting tails already reach every escape end, so what is left is the trace.
     """
+    if not isinstance(u, (TypeI, TypeII)):
+        return False
     if isinstance(u, TypeII) and not declared_tails_hold(ext, u):
         return False
     return bool(trace_open_check(u.trace, ext.space.ambient))
@@ -567,7 +568,7 @@ def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
         if not _open_as_declared(ext, u):
             return False
     for w in cert.base_opens:
-        if not _open_as_declared(ext, TypeI(w)):
+        if not (isinstance(w, IntervalSet) and _open_as_declared(ext, TypeI(w))):
             return False
     return True
 
@@ -766,9 +767,9 @@ def normality_witness(
             raise NotClosedInY(f"{name} is not closed in the extension: {s.trace}, p={s.has_p}")
     if intersect(f.trace, g.trace):
         raise NotDisjoint(f"{f.trace} meets {g.trace}")
-    if g.has_p:
-        v, u = normality_witness(ext, g, f)
-        return u, v
+    swapped = g.has_p
+    if swapped:
+        f, g = g, f  # build with p on F's side, then swap the pair back
     if not f.has_p:
         u0, v0 = separate_disjoint_closed(ext.space, f.trace, g.trace)
         return TypeI(u0), TypeI(v0)
@@ -806,7 +807,8 @@ def normality_witness(
     u_pieces.extend(pc[ci:])
     # Each component's pieces come in line order, inside it, and the
     # ambient's gaps part the pieces of different components: no normalize.
-    return TypeII(_mk_set(tuple(u_pieces)), tails), TypeI(_mk_set(tuple(v_pieces)))
+    u, v = TypeII(_mk_set(tuple(u_pieces)), tails), TypeI(_mk_set(tuple(v_pieces)))
+    return (v, u) if swapped else (u, v)
 
 
 def verify_normality(

@@ -28,8 +28,6 @@ MAX_POINTS = 6
 MAX_FAMILY_POINTS = 4
 MAX_SEARCH_POINTS = 5  # size of the extended space in the connectification search
 
-AXIOMS = ("T0", "T1", "T2", "connected", "locally_connected", "normal-pairs")
-
 
 class FiniteSpace(Frozen):
     """A topology on {0..size-1} given as the family of open masks."""
@@ -233,6 +231,7 @@ _AXIOM_CHECKS = {
     "locally_connected": lambda rows: True,
     "normal-pairs": _normal_pairs,
 }
+AXIOMS = tuple(_AXIOM_CHECKS)
 
 
 def _axiom_check(axiom: str):

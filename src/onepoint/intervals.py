@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 
 from .errors import MalformedInterval, NotASubset, ParseError, SizeTooLarge
 from .frozen import Frozen
@@ -427,6 +427,11 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _mk_set(tuple(out))
 
 
+def _union_all(sets) -> IntervalSet:
+    """The union of many canonical sets, folded in order from the empty set."""
+    return reduce(union, sets, EMPTY)
+
+
 def _absorb(out: list[Interval], pieces, i: int, n: int) -> int:
     # pieces[i] overlaps or touches out[-1] and starts no earlier: skip the
     # run of pieces ending inside out[-1], then stretch out[-1] over the
@@ -588,9 +593,9 @@ def inner_point(lo: Value, hi: Value) -> Fraction:
     if is_finite(lo):
         if is_finite(hi):
             return midpoint(lo, hi)
-        return _frac(lo._numerator + lo._denominator, lo._denominator)
+        return _plus(lo, 1, 1)
     if is_finite(hi):
-        return _frac(hi._numerator - hi._denominator, hi._denominator)
+        return _plus(hi, -1, 1)
     return Fraction(0)
 
 

@@ -132,9 +132,7 @@ def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> Interval:
     the open block from start(n) moved j/8 away from the end (j drawn from
     1..8) to the end, cut to the component piece."""
     j = rng.randint(1, 8)
-    start = flt.start(n)
-    sn, sd = start._numerator, start._denominator
-    near = _frac(8 * sn - flt.side * j * sd, 8 * sd)
+    near = _plus(flt.start(n), -flt.side * j, 8)
     comp = flt.component.piece
     # near lies before the escape end, so the block lies inside the component
     # when near is in it, and covers it otherwise.
@@ -172,7 +170,7 @@ def random_ext_open(ext: Extension, rng: random.Random):
 def clopen_candidates(ext: Extension, rng: random.Random, count: int):
     """Candidates for the clopen falsifier, biased toward near-clopen sets."""
     x = ext.space.ambient
-    comps = [f.component.piece for f in ext.filters]
+    comps = x.pieces
     out = []
     for j in range(count):
         roll = rng.random()

@@ -22,7 +22,7 @@ from .compactify import (
     finite_subcover,
     verify_compact_hausdorff,
 )
-from .intervals import EMPTY, difference, intersect, is_closed_in, is_open_in, union
+from .intervals import _union_all, difference, intersect, is_closed_in, is_open_in, union
 from .space import (
     components,
     is_compact,
@@ -249,17 +249,11 @@ def _check_duality():
         hull = intersect(sampling._open_expansion(box, Fraction(1)), x) if box else box
         cover = [u, cn.TypeI(hull), cn.TypeI(sampling.random_open_in(x, rng))]
         sub = finite_subcover(verdict, cover)
-        if difference(x, _union_all(sub)) or not any(isinstance(m, TypeInf) for m in sub):
+        covered = _union_all(m.trace for m in sub)
+        if difference(x, covered) or not any(isinstance(m, TypeInf) for m in sub):
             return False, f"subcover-gap space={space}"
         covers += 1
     return True, f"singles={len(singles)} witnesses={witnesses} covers={covers}"
-
-
-def _union_all(members):
-    total = EMPTY
-    for m in members:
-        total = union(total, m.trace)
-    return total
 
 
 _CHECKS = (

@@ -1,0 +1,195 @@
+"""The kept mutant catalogue: small deliberate faults, each with the test
+files that must catch it.
+
+    python tests/mutants.py                  # run every entry
+    python tests/mutants.py 33-1 32-4        # run the named entries
+    python tests/mutants.py --json out.json  # also write the results as JSON
+
+An entry names a file, an anchor that occurs exactly once in it, the text
+that replaces the anchor, and the test files of which at least one must
+fail.  Each run copies ``pyproject.toml``, ``src/``, ``tests/`` and
+``perfbench/`` into a fresh temporary directory, applies one entry there
+and runs pytest on the entry's test files inside the copy, so the
+mutated ``src/`` is the one imported; the working tree is never edited.
+An entry is *killed* when pytest reports a failure, *survived* when every
+test passes, and an *error* on any other pytest exit.  A survivor is a gap
+in the tests, not grounds to drop the entry.  An id ``N-k`` is entry k of
+the ``"mutants"`` list in ``BENCH_N.json``, the record of its first run.
+
+Not collected by pytest; ``tests/test_mutant_catalogue.py`` checks the
+anchors and the test files.  One entry takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench")
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]
+    what: str
+
+
+CATALOGUE = (
+    Mutant(
+        "32-1",
+        "src/onepoint/compactify.py",
+        "if best_rest and (not rest or _starts_before(best_rest.pieces[0], rest.pieces[0])):",
+        "if best_rest and (not rest or not _starts_before(rest.pieces[0], best_rest.pieces[0])):",
+        ("tests/test_compactify.py",),
+        "finite_subcover advances on a tie (non-strict)",
+    ),
+    Mutant(
+        "32-2",
+        "src/onepoint/space.py",
+        "tagged.sort(key=lambda t: _BY_START(t[0]))",
+        "tagged.sort(key=lambda t: _BY_START(t[0]), reverse=True)",
+        ("tests/test_space.py",),
+        "separate_disjoint_closed sorts the tagged pieces in reverse",
+    ),
+    Mutant(
+        "32-3",
+        "src/onepoint/connectify.py",
+        "+ (flt.toward_end(edge, False),) + x.pieces[i + 1 :])",
+        "+ (flt.toward_end(edge, False),) + x.pieces[i:])",
+        ("tests/test_connectify.py",),
+        "the splice of U keeps z's own piece",
+    ),
+    Mutant(
+        "32-4",
+        "src/onepoint/compactify.py",
+        "k_lo, k_hi = _plus(z, -1, 1), _plus(z, 1, 1)",
+        "k_lo, k_hi = _plus(z, 1, 1), _plus(z, 1, 1)",
+        ("tests/test_compactify.py",),
+        "the compactify box around z starts at z + 1",
+    ),
+    Mutant(
+        "32-5",
+        "src/onepoint/connectify.py",
+        "if not isinstance(nb, TypeII) or not nb.trace or not _open_as_declared(ext, nb):",
+        "if not nb.trace or not _open_as_declared(ext, nb):",
+        ("tests/test_connectify.py",),
+        "verify_density without its type check",
+    ),
+    Mutant(
+        "33-1",
+        "src/onepoint/connectify.py",
+        "return (v, u) if swapped else (u, v)",
+        "return u, v",
+        ("tests/test_connectify.py",),
+        "normality_witness with p in G does not swap the pair back",
+    ),
+    Mutant(
+        "33-2",
+        "src/onepoint/intervals.py",
+        "return reduce(union, sets, EMPTY)",
+        "return reduce(union, list(sets)[1:], EMPTY)",
+        ("tests/test_compactify.py", "tests/test_connectify.py"),
+        "_union_all skips its first set",
+    ),
+    Mutant(
+        "33-3",
+        "src/onepoint/connectify.py",
+        "if not isinstance(u, (TypeI, TypeII)):",
+        "if False:",
+        ("tests/test_connectify.py",),
+        "_open_as_declared without its type check",
+    ),
+    Mutant(
+        "33-4",
+        "src/onepoint/intervals.py",
+        "return _plus(lo, 1, 1)",
+        "return _plus(lo, 1, 2)",
+        ("tests/test_intervals.py", "tests/test_connectify.py"),
+        "inner_point moved half a unit in from a single finite lower end",
+    ),
+    Mutant(
+        "33-5",
+        "src/onepoint/connectify.py",
+        "if not (isinstance(w, IntervalSet) and _open_as_declared(ext, TypeI(w))):",
+        "if not _open_as_declared(ext, TypeI(w)):",
+        ("tests/test_connectify.py",),
+        "verify_fidelity takes any object as a base open",
+    ),
+    Mutant(
+        "33-6",
+        "src/onepoint/compactify.py",
+        "return isinstance(w, (TypeI, TypeInf)) and is_open_in_compactification(ce, w)",
+        "return is_open_in_compactification(ce, w)",
+        ("tests/test_compactify.py",),
+        "verify_compact_hausdorff takes an open of any type",
+    ),
+)
+
+
+def apply(entry: Mutant, root: Path) -> None:
+    """Replace the entry's anchor in the copy rooted at ``root``."""
+    path = root / entry.file
+    text = path.read_text()
+    if text.count(entry.anchor) != 1:
+        raise ValueError(f"{entry.id}: the anchor does not occur exactly once in {entry.file}")
+    path.write_text(text.replace(entry.anchor, entry.replacement))
+
+
+def run(entry: Mutant) -> dict:
+    """Run one entry in a temporary copy of the tree: its outcome, pytest's
+    summary line and the tests that failed."""
+    with tempfile.TemporaryDirectory(prefix="onepoint-mutant-") as tmp:
+        copy = Path(tmp)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        for name in COPIED:
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+        apply(entry, copy)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *entry.tests],
+            cwd=copy,
+            capture_output=True,
+            text=True,
+        )
+    lines = proc.stdout.splitlines()
+    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return {
+        "id": entry.id,
+        "what": entry.what,
+        "tests": list(entry.tests),
+        "result": outcome,
+        "summary": lines[-1] if lines else proc.stderr.strip()[-200:],
+        "failed": [ln.split()[1].split("::")[-1] for ln in lines if ln.startswith("FAILED ")],
+    }
+
+
+def main(argv: list[str]) -> int:
+    out = None
+    if "--json" in argv:
+        at = argv.index("--json")
+        out, argv = argv[at + 1], argv[:at] + argv[at + 2 :]
+    known = {m.id: m for m in CATALOGUE}
+    unknown = [i for i in argv if i not in known]
+    if unknown:
+        print(f"unknown mutant ids: {' '.join(unknown)}", file=sys.stderr)
+        return 2
+    results = []
+    for entry in [known[i] for i in argv] if argv else CATALOGUE:
+        result = run(entry)
+        results.append(result)
+        print(f"{entry.id} {result['result']}: {result['summary']}", flush=True)
+    if out:
+        Path(out).write_text(json.dumps(results, indent=1) + "\n")
+    return 0 if all(r["result"] == "killed" for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

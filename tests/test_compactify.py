@@ -30,6 +30,7 @@ from onepoint import (
 )
 from onepoint import compactify as cp
 from onepoint.compactify import compactify
+from onepoint.connectify import TypeII
 from onepoint.sampling import _open_expansion, random_open_in, random_point_in
 
 import references
@@ -89,6 +90,22 @@ def test_hausdorff_orientation():
     u, v = compactification_hausdorff_witness(ce, Fraction(1, 2), INFINITY)
     assert comp_contains(u, Fraction(1, 2)) and comp_contains(v, INFINITY)
     assert verify_compact_hausdorff(ce, Fraction(1, 2), INFINITY, u, v)
+
+
+def test_hausdorff_verifier_takes_only_compactification_opens():
+    """An extension's type-II open over an open trace is no open of the
+    compactification: on `(0,1) U [2,3]` it is refused in place of either
+    open of a two-point witness, which passes as built, as does a witness
+    from infinity with its `TypeInf`."""
+    ce = compactify(space("(0,1) U [2,3]"))
+    y, z = Fraction(1, 2), Fraction(5, 2)
+    u, v = compactification_hausdorff_witness(ce, y, z)
+    assert isinstance(u, TypeI) and isinstance(v, TypeI)
+    assert verify_compact_hausdorff(ce, y, z, u, v)
+    assert not verify_compact_hausdorff(ce, y, z, TypeII(u.trace, (0, 0)), v)
+    assert not verify_compact_hausdorff(ce, y, z, u, TypeII(v.trace, (0, 0)))
+    u, v = compactification_hausdorff_witness(ce, INFINITY, y)
+    assert isinstance(u, TypeInf) and verify_compact_hausdorff(ce, INFINITY, y, u, v)
 
 
 def test_finite_subcover_examples():

@@ -67,6 +67,7 @@ from onepoint import (
 from onepoint.compactify import (
     INFINITY,
     CompactExtension,
+    TypeInf,
     comp_contains,
     compactification_hausdorff_witness,
     compactify,
@@ -373,6 +374,42 @@ def test_fidelity_rejects_declared_tails_that_do_not_fit():
     base_open = S("(6,7)")
     assert verify_fidelity(ext, FidelityCertificate((TypeI(base_open),), (base_open,)))
     assert not verify_fidelity(ext, FidelityCertificate((forged,), (base_open,)))
+
+
+def test_verifiers_take_only_extension_opens():
+    """A compactification open is no extension open, even over an open trace
+    of the base: on `(0,1) U [2,inf)` the Hausdorff, normality and fidelity
+    verifiers refuse a `TypeInf` in place of an extension open and accept
+    the `TypeI` twin over the same trace.  (`fmt_witness_pair` cannot write
+    a pair holding a `TypeInf`.)"""
+    ext = ext_of("(0,1) U [2,inf)")
+    y, z = Fraction(1, 2), Fraction(5)
+    u, v = hausdorff_witness(ext, y, z)
+    assert isinstance(u, TypeI) and isinstance(v, TypeI)
+    assert verify_hausdorff(ext, y, z, u, v)
+    assert not verify_hausdorff(ext, y, z, TypeInf(u.trace), v)
+    assert not verify_hausdorff(ext, y, z, u, TypeInf(v.trace))
+    f, g = ExtClosedSet(False, S("[1/4,1/2]")), ExtClosedSet(False, S("[3,4]"))
+    u, v = normality_witness(ext, f, g)
+    assert isinstance(u, TypeI) and isinstance(v, TypeI)
+    assert verify_normality(ext, f, g, u, v)
+    assert not verify_normality(ext, f, g, TypeInf(u.trace), v)
+    assert not verify_normality(ext, f, g, u, TypeInf(v.trace))
+    w = S("(1/4,1/2)")
+    assert verify_fidelity(ext, FidelityCertificate((TypeI(w),), (w,)))
+    assert not verify_fidelity(ext, FidelityCertificate((TypeInf(w),), (w,)))
+
+
+def test_fidelity_takes_only_base_sets_as_base_opens():
+    """A base open is a set of the base: an extension open in its place is
+    refused with `False`, not an error, and the set itself passes."""
+    ext = ext_of("(0,1) U [2,inf)")
+    w = S("(1/4,1/2)")
+    assert verify_fidelity(ext, FidelityCertificate((TypeI(w),), (w,)))
+    assert not verify_fidelity(ext, FidelityCertificate((TypeI(w),), (TypeI(w),)))
+    wide = S("(1/4,1/2) U (3,inf)")
+    twin = TypeII(wide, least_valid_tails(ext, wide))
+    assert not verify_fidelity(ext, FidelityCertificate((TypeI(w),), (twin,)))
 
 
 def test_fidelity_rejects_halves_of_unequal_length():
@@ -685,6 +722,46 @@ def test_normality_p_in_g_swaps():
     u, v = normality_witness(ext, f, g)
     assert isinstance(u, TypeI) and isinstance(v, TypeII)
     assert verify_normality(ext, f, g, u, v)
+
+
+def test_normal_with_p_in_g_checks_the_pair_once(monkeypatch):
+    """A `witness normal` request with p in G checks that F and G are closed
+    once each, F first: the pair is swapped after the checks, not checked
+    again in a second call."""
+    from onepoint import connectify
+
+    checked = []
+    closed = connectify.closed_in_extension
+
+    def counted(ext, s):
+        checked.append(s.has_p)
+        return closed(ext, s)
+
+    monkeypatch.setattr(connectify, "closed_in_extension", counted)
+    lines = []
+    assert cli.main(["witness", "normal", "[5,inf)", "[5,7]", "p"], emit=lines.append) == 0
+    assert lines == ["U = I trace=[5,15/2)", "V = II trace=(15/2,inf) tails=C#0:2"]
+    assert checked == [False, True]
+
+
+def test_normal_with_p_in_g_is_the_swapped_pair(extensions):
+    """With p in G the witness is the pair built with F and G exchanged, in
+    reverse order, on the corpus and the seed-7 `large` spaces."""
+    rng = random.Random(3301)
+    exts = list(extensions) + [Extension(sp) for sp in perfbench_large_spaces(7)]
+    count = 0
+    for ext in exts:
+        for _ in range(4):
+            f, g = random_disjoint_closed_pair(ext, rng)
+            if f.has_p:
+                f, g = g, f
+            g = ExtClosedSet(True, g.trace)  # a closed trace of X with p is closed
+            u, v = normality_witness(ext, f, g)
+            assert (u, v) == normality_witness(ext, g, f)[::-1], (ext.space, f, g)
+            assert isinstance(u, TypeI) and isinstance(v, TypeII)
+            assert verify_normality(ext, f, g, u, v)
+            count += 1
+    assert count > 500
 
 
 def test_normality_preconditions():
