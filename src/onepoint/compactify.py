@@ -10,7 +10,7 @@ from .errors import NotACover
 from .frozen import Frozen
 from .connectify import NamedPoint, OpenCheck, TypeI, trace_open_check
 from .connectify import separate_points, verify_separated
-from .intervals import _lt, _mk_interval, _mk_set, _plus, _starts_before, _union_all
+from .intervals import IntervalSet, _lt, _mk_interval, _mk_set, _plus, _starts_before, _union_all
 from .intervals import difference, interior_in, is_finite, midpoint
 from .space import Space, closed_and_bounded, component_index
 
@@ -107,7 +107,8 @@ def verify_compact_hausdorff(
     ce: CompactExtension, y: CompPoint, z: CompPoint, u: CompOpenSet, v: CompOpenSet
 ) -> bool:
     def is_open(w):
-        return isinstance(w, (TypeI, TypeInf)) and is_open_in_compactification(ce, w)
+        kind_ok = isinstance(w, (TypeI, TypeInf)) and isinstance(w.trace, IntervalSet)
+        return kind_ok and is_open_in_compactification(ce, w)
 
     return verify_separated(comp_contains, is_open, y, z, u, v)
 

@@ -28,7 +28,6 @@ from .errors import (
     FidelityFailure,
     InvalidExtension,
     MalformedInterval,
-    NotASubset,
     NotClosed,
     NotClosedInY,
     NotDisjoint,
@@ -46,10 +45,12 @@ from .intervals import (
     _eq,
     _frac,
     _gallop,
+    _hosts,
     _intersect_pieces,
-    _lt,
     _mk_interval,
     _mk_set,
+    _not_interior,
+    _open_in_host,
     _plus,
     _starts_before,
     _union_all,
@@ -58,7 +59,6 @@ from .intervals import (
     inner_point,
     intersect,
     is_finite,
-    not_interior_in,
     pick_point,
     union,
 )
@@ -104,13 +104,18 @@ class EscapeFilter(Frozen):
         """The near endpoint of element(n), the one away from the escape end."""
         if n == 0:
             return self.anchor  # both formulas give it; a rebuilt element shares its ends
-        if not is_finite(self.end):
-            return _plus(self.anchor, self.side * n, 1)
+        return _frac(*self._start_ratio(n))
+
+    def _start_ratio(self, n: int) -> tuple[int, int]:
+        """start(n) as integers num/den, den > 0, not reduced: a caller that
+        moves start(n) further reduces once."""
         an, ad = self.anchor._numerator, self.anchor._denominator
+        if not is_finite(self.end):
+            return an + self.side * n * ad, ad
         # end - s/2^n with s = end - anchor = sn/sd, over one denominator.
         en, ed = self.end._numerator, self.end._denominator
         sn, sd = en * ad - an * ed, ed * ad
-        return _frac((en * sd << n) - sn * ed, ed * sd << n)
+        return (en * sd << n) - sn * ed, ed * sd << n
 
     def toward_end(self, near: Fraction, closed: bool) -> Interval:
         """The interval from a near point to the escape end, which it excludes;
@@ -323,10 +328,15 @@ OPEN_OK = OpenCheck()
 def trace_open_check(trace: IntervalSet, x: IntervalSet) -> OpenCheck:
     """Openness of a trace in x; a failure carries a trace point outside x or
     not interior in it as its boundary."""
-    try:
-        bad = not_interior_in(trace, x)
-    except NotASubset:
+    return _trace_check(trace, x, _hosts(trace, x))
+
+
+def _trace_check(trace: IntervalSet, x: IntervalSet, hosts) -> OpenCheck:
+    """`trace_open_check` given the trace's hosts in x (`intervals._hosts`),
+    None when the trace is no subset of x."""
+    if hosts is None:
         return OpenCheck("TraceNotOpen", boundary=pick_point(difference(trace, x)))
+    bad = _not_interior(trace.pieces, hosts)
     return OpenCheck("TraceNotOpen", boundary=pick_point(bad)) if bad else OPEN_OK
 
 
@@ -347,45 +357,46 @@ def _least_tail(flt: EscapeFilter, piece: Interval) -> int:
     return flt._index_past(near, closed) if is_finite(near) else 0
 
 
-def _escape_pieces(ext: Extension, trace: IntervalSet):
-    """Per component, in line order, the piece of a trace reaching its escape end.
+def _escape_pieces(ext: Extension, trace: IntervalSet, hosts=None) -> list[Interval | None]:
+    """Per component, in line order, the piece of a trace reaching its escape end, or None.
 
-    One merge sweep of the trace against the components, which builds no
-    filter: `_escape_end` gives each component's end.  Past the pieces that
-    end before the escape end (or at it, for a left end), the next piece
-    alone can reach the end inside the component, and does when it starts
-    before the end (or at it, for a left end); it is clipped to the
-    component unless it already lies inside it.  A skipped piece, and a hit
-    piece ending inside its component, end before every later component, so
-    the sweep never steps back.
+    ``hosts`` are the trace's hosts in X (`intervals._hosts`) when the
+    caller has them; a trace reaching outside X is first cut to X, where the
+    filters lie.  The pieces a component hosts come as one run, and only the
+    last of them (the first, for a left end) can reach its escape end, given
+    by `_escape_end`: no filter is built.  A component's own piece is its
+    whole run.
     """
+    x = ext.space.ambient
+    if hosts is None:
+        hosts = _hosts(trace, x)
+        if hosts is None:
+            trace = intersect(trace, x)
+            hosts = _hosts(trace, x)
     pieces = trace.pieces
     n = len(pieces)
-    i = 0
-    for comp in ext.space.ambient.pieces:
-        if i < n and pieces[i] is comp:
-            yield comp  # the whole component reaches its own escape end
-            i += 1
+    out = []
+    k = 0
+    for comp in x.pieces:
+        if k < n and pieces[k] is comp:
+            out.append(comp)
+            k += 1
             continue
+        if k == n or hosts[k] is not comp:
+            out.append(None)
+            continue
+        r = k + 1
+        while r < n and hosts[r] is comp:
+            r += 1
         side, end = _escape_end(comp)
         if side > 0:
-            while i < n and _lt(pieces[i].hi, end):
-                i += 1
-            hit = i < n and _lt(pieces[i].lo, end)
+            piece = pieces[r - 1]
+            out.append(piece if _eq(piece.hi, end) else None)
         else:
-            while i < n and not _lt(end, pieces[i].hi):
-                i += 1
-            hit = i < n and not _lt(end, pieces[i].lo)
-        if not hit:
-            yield None
-            continue
-        piece = pieces[i]
-        ends_inside = _ends_by(piece, comp)
-        if ends_inside:
-            i += 1
-        if not ends_inside or _starts_before(piece, comp):
-            piece = _intersect_pieces(piece, comp)
-        yield piece
+            piece = pieces[k]
+            out.append(piece if _eq(piece.lo, end) else None)
+        k = r
+    return out
 
 
 def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
@@ -394,14 +405,17 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
     Type I needs an open trace.  Type II additionally needs the trace to run
     all the way to the escape end of every component: that is exactly the
     existence of a contained filter tail.  A type-II set without one natural
-    tail index per component is an input error.
+    tail index per component is an input error.  One `_hosts` sweep of the
+    trace serves both checks.
     """
     if isinstance(u, TypeII):
         _check_tails_shape(ext, u)
-    chk = trace_open_check(u.trace, ext.space.ambient)
+    x = ext.space.ambient
+    hosts = _hosts(u.trace, x)
+    chk = _trace_check(u.trace, x, hosts)
     if not chk or isinstance(u, TypeI):
         return chk
-    for i, piece in enumerate(_escape_pieces(ext, u.trace)):
+    for i, piece in enumerate(_escape_pieces(ext, u.trace, hosts)):
         if piece is None:
             return OpenCheck("MissingTail", i)
     return OPEN_OK
@@ -419,23 +433,33 @@ def declared_tails_hold(ext: Extension, u: TypeII) -> bool:
     """The stored indices really witness tail containment (the type invariant).
 
     The chain descends, so a declared tail fits exactly when it is at least
-    the least one that fits (so a negative index never does, nor a tuple of
-    the wrong length); no element is built, however large the index.
+    the least one that fits; no element is built, however large the index.
     """
-    least = least_valid_tails(ext, u.trace)
-    if least is None or len(u.tails) != len(least):
+    return _tails_fit(u.tails, least_valid_tails(ext, u.trace))
+
+
+def _tails_fit(tails, least: tuple[int, ...] | None) -> bool:
+    """Declared tails, a tuple of naturals, each at least the least tail of
+    its component; a shape that is not such a tuple never fits."""
+    if least is None or type(tails) is not tuple or len(tails) != len(least):
         return False
-    return all(n >= m for n, m in zip(u.tails, least))
+    return all(isinstance(t, int) and t >= m for t, m in zip(tails, least))
 
 
 def least_valid_tails(ext: Extension, trace: IntervalSet) -> tuple[int, ...] | None:
-    """Smallest witnessing tail indices for a trace, or None if one is missing.
+    """Smallest witnessing tail indices for a trace, or None if one is missing."""
+    return _least_tails(ext, _escape_pieces(ext, trace))
+
+
+def _least_tails(ext: Extension, escapes: list[Interval | None]) -> tuple[int, ...] | None:
+    """The least tail of each component from its escape piece, or None if
+    one is missing.
 
     A component's own piece takes 0, as element(0) starts at the anchor
     inside it; only a component whose escape piece is cut short builds its
     filter."""
     tails = []
-    for i, (comp, piece) in enumerate(zip(ext.space.ambient.pieces, _escape_pieces(ext, trace))):
+    for i, (comp, piece) in enumerate(zip(ext.space.ambient.pieces, escapes)):
         if piece is None:
             return None
         tails.append(0 if piece is comp else _least_tail(ext.filter_at(i), piece))
@@ -485,13 +509,23 @@ def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpen
 def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
     """An extension open, type I or II, and for type II the stored tails really fit.
 
-    Fitting tails already reach every escape end, so what is left is the trace.
+    One `_hosts` sweep gives each trace piece its component: the trace is
+    open when each piece is open in its host, and the tails fit when each is
+    at least the least tail of its component's escape piece.  Fitting tails
+    reach every escape end.  An open whose trace is not a set, or whose
+    tails are not a tuple of naturals, is not one.
     """
     if not isinstance(u, (TypeI, TypeII)):
         return False
-    if isinstance(u, TypeII) and not declared_tails_hold(ext, u):
+    trace = u.trace
+    if not isinstance(trace, IntervalSet):
         return False
-    return bool(trace_open_check(u.trace, ext.space.ambient))
+    hosts = _hosts(trace, ext.space.ambient)
+    if hosts is None or not all(map(_open_in_host, trace.pieces, hosts)):
+        return False
+    if isinstance(u, TypeI):
+        return True
+    return _tails_fit(u.tails, _least_tails(ext, _escape_pieces(ext, trace, hosts)))
 
 
 # --------------------------------------------------------------------------
@@ -568,7 +602,8 @@ def verify_fidelity(ext: Extension, cert: FidelityCertificate) -> bool:
         if not _open_as_declared(ext, u):
             return False
     for w in cert.base_opens:
-        if not (isinstance(w, IntervalSet) and _open_as_declared(ext, TypeI(w))):
+        # a base open that is not a set is a trace `_open_as_declared` refuses
+        if not _open_as_declared(ext, TypeI(w)):
             return False
     return True
 
@@ -716,10 +751,12 @@ def separate_points(space: Space, added: NamedPoint, from_added, y, z):
 
 def verify_separated(contains, is_open, y, z, u, v) -> bool:
     """The four postconditions of a point separation: each open holds its point,
-    both are open, the traces are disjoint, at most one holds the added point."""
-    if not (contains(u, y) and contains(v, z)):
-        return False
+    both are open, the traces are disjoint, at most one holds the added point.
+    Openness comes first: it refuses an open that is not one, whose trace
+    membership could not be asked."""
     if not (is_open(u) and is_open(v)):
+        return False
+    if not (contains(u, y) and contains(v, z)):
         return False
     if intersect(u.trace, v.trace):
         return False

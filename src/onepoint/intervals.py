@@ -538,23 +538,35 @@ def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def not_interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
     """The points of ``s`` not interior in the subspace ``x``: s ∩ cl(x∖s).
 
-    Decided per piece P of s and its host H in x: no other piece of s touches
-    P, so a point of P fails to be interior exactly when H reaches past it.
-    The points come out in line order, hence canonical.
+    Decided per piece P of s and its host H in x by `_open_in_host`: no
+    other piece of s touches P, so a point of P fails to be interior exactly
+    when it is a closed end of P that H reaches past.  The points come out
+    in line order, hence canonical.
     """
+    return _not_interior(s.pieces, _hosts_or_raise(s, x))
+
+
+def _not_interior(pieces, hosts) -> IntervalSet:
+    """`not_interior_in` given each piece's host."""
     out = []
-    for p, h in zip(s.pieces, _hosts_or_raise(s, x)):
-        if p is h:
-            continue  # a piece of x is clopen in x
-        if p.lo_closed and p.hi_closed and _eq(p.lo, p.hi):
-            if _lt(h.lo, p.lo) or _lt(p.hi, h.hi):
-                out.append(p)
+    for p, h in zip(pieces, hosts):
+        if _open_in_host(p, h):
             continue
         if p.lo_closed and _lt(h.lo, p.lo):
             out.append(_mk_interval(p.lo, p.lo, True, True))
+            if _eq(p.lo, p.hi):
+                continue  # a single point, already out
         if p.hi_closed and _lt(p.hi, h.hi):
             out.append(_mk_interval(p.hi, p.hi, True, True))
     return _mk_set(tuple(out))
+
+
+def _open_in_host(p: Interval, h: Interval) -> bool:
+    """A piece is open in a piece h holding it: h reaches past no closed end
+    of p."""
+    if p is h:
+        return True  # a piece of x is clopen in x
+    return not ((p.lo_closed and _lt(h.lo, p.lo)) or (p.hi_closed and _lt(p.hi, h.hi)))
 
 
 def interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:

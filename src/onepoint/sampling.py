@@ -2,6 +2,9 @@
 
 Everything is driven by an explicit `random.Random`, so identical seeds give
 identical objects; the selftest and the golden record checks rely on that.
+Every draw goes through `rng.random()` or `rng.getrandbits` alone: integer
+draws are `_randint`, written as CPython 3.11 draws `randint`, so the stream
+does not rest on how another interpreter version implements `randrange`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .intervals import (
     IntervalSet,
     NEG_INF,
     POS_INF,
+    _eq,
     _frac,
+    _lt,
     _mk_interval,
     _mk_set,
     _plus,
@@ -37,16 +42,32 @@ from .intervals import (
 from .space import Space
 
 
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """A uniform integer from a to b, both included: `rng.randint(a, b)`.
+
+    Drawn as CPython 3.11's `_randbelow_with_getrandbits` draws it: as many
+    bits as the width has, redrawn until below the width.  The call skips
+    `randint`'s and `randrange`'s argument checks, and takes the same bits
+    from the stream.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 6) -> Fraction:
-    den = rng.randint(1, max_den)
-    return _frac(rng.randint(lo * den, hi * den), den)
+    den = _randint(rng, 1, max_den)
+    return _frac(_randint(rng, lo * den, hi * den), den)
 
 
 def random_space(rng: random.Random, max_components: int = 5, allow_compact: bool = True) -> Space:
     """A space with 1..max_components pieces of mixed endpoint kinds."""
-    k = rng.randint(1, max_components)
+    k = _randint(rng, 1, max_components)
     pieces: list[Interval] = []
-    cursor = _frac(rng.randint(-12, -6), 1)
+    cursor = _frac(_randint(rng, -12, -6), 1)
     for i in range(k):
         last = i == k - 1
         if i == 0 and rng.random() < 0.2:
@@ -60,14 +81,14 @@ def random_space(rng: random.Random, max_components: int = 5, allow_compact: boo
             ):
                 lo, lo_closed = pieces[-1].hi, False  # single missing point between pieces
             else:
-                lo = _plus(cursor, rng.randint(1, 8), rng.randint(1, 3))
+                lo = _plus(cursor, _randint(rng, 1, 8), _randint(rng, 1, 3))
                 lo_closed = rng.random() < 0.5
             if last and rng.random() < 0.2:
                 pieces.append(_mk_interval(lo, POS_INF, lo_closed, False))
             elif allow_compact and lo_closed and rng.random() < 0.12:
                 pieces.append(_mk_interval(lo, lo, True, True))
             else:
-                hi = _plus(lo, rng.randint(1, 10), rng.randint(1, 3))
+                hi = _plus(lo, _randint(rng, 1, 10), _randint(rng, 1, 3))
                 hi_closed = rng.random() < 0.5
                 if not allow_compact and lo_closed and hi_closed:
                     hi_closed = False
@@ -83,7 +104,7 @@ def random_space(rng: random.Random, max_components: int = 5, allow_compact: boo
 def random_real_open(rng: random.Random) -> IntervalSet:
     """A random open subset of the line (possibly empty)."""
     parts: list[Interval] = []
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(_randint(rng, 0, 3)):
         roll = rng.random()
         if roll < 0.12:
             parts.append(_mk_interval(NEG_INF, rand_fraction(rng), False, False))
@@ -91,9 +112,10 @@ def random_real_open(rng: random.Random) -> IntervalSet:
             parts.append(_mk_interval(rand_fraction(rng), POS_INF, False, False))
         else:
             a = rand_fraction(rng)
-            b = _plus(a, rng.randint(1, 20), rng.randint(1, 4))
+            b = _plus(a, _randint(rng, 1, 20), _randint(rng, 1, 4))
             parts.append(_mk_interval(a, b, False, False))
-    return normalize(parts)
+    # No parts, or one, are canonical as drawn.
+    return _mk_set(tuple(parts)) if len(parts) < 2 else normalize(parts)
 
 
 def random_open_in(x: IntervalSet, rng: random.Random) -> IntervalSet:
@@ -108,7 +130,7 @@ def random_point_in(s: IntervalSet, rng: random.Random) -> Fraction:
     """A rational inside a nonempty set; sometimes an included endpoint."""
     if not s.pieces:
         raise ValueError("cannot sample a point from the empty set")
-    iv = s.pieces[rng.randrange(len(s.pieces))]
+    iv = s.pieces[_randint(rng, 0, len(s.pieces) - 1)]
     if iv.degenerate:
         return iv.lo
     if rng.random() < 0.15 and is_finite(iv.lo) and iv.lo_closed:
@@ -117,13 +139,13 @@ def random_point_in(s: IntervalSet, rng: random.Random) -> Fraction:
         return iv.hi
     if is_finite(iv.lo) and is_finite(iv.hi):
         # lo + (hi - lo) * k/16, over one denominator
-        k = rng.randint(1, 15)
+        k = _randint(rng, 1, 15)
         ln, ld, hn, hd = iv.lo._numerator, iv.lo._denominator, iv.hi._numerator, iv.hi._denominator
         return _frac(ln * hd * (16 - k) + hn * ld * k, 16 * ld * hd)
     if is_finite(iv.lo):
-        return _plus(iv.lo, rng.randint(1, 24), rng.randint(1, 4))
+        return _plus(iv.lo, _randint(rng, 1, 24), _randint(rng, 1, 4))
     if is_finite(iv.hi):
-        return _plus(iv.hi, -rng.randint(1, 24), rng.randint(1, 4))
+        return _plus(iv.hi, -_randint(rng, 1, 24), _randint(rng, 1, 4))
     return rand_fraction(rng)
 
 
@@ -131,19 +153,25 @@ def _escape_hull(flt: EscapeFilter, n: int, rng: random.Random) -> Interval:
     """A component-open neighborhood of the escape end containing element(n):
     the open block from start(n) moved j/8 away from the end (j drawn from
     1..8) to the end, cut to the component piece."""
-    j = rng.randint(1, 8)
-    near = _plus(flt.start(n), -flt.side * j, 8)
+    j = _randint(rng, 1, 8)
+    num, den = flt._start_ratio(n)
+    near = _frac(8 * num - flt.side * j * den, 8 * den)
     comp = flt.component.piece
     # near lies before the escape end, so the block lies inside the component
-    # when near is in it, and covers it otherwise.
-    return flt.toward_end(near, False) if comp.contains(near) else comp
+    # when near is past the other end, and covers it otherwise.
+    if flt.side > 0:
+        inside = _lt(comp.lo, near) or (comp.lo_closed and _eq(comp.lo, near))
+    else:
+        inside = _lt(near, comp.hi) or (comp.hi_closed and _eq(near, comp.hi))
+    return flt.toward_end(near, False) if inside else comp
 
 
 def random_p_neighborhood(ext: Extension, rng: random.Random, max_tail: int = 32) -> TypeII:
     """A valid type-II neighborhood of the extra point with random tails."""
-    tails = tuple(rng.randint(0, max_tail) for _ in ext.filters)
+    filters = ext.filters
+    tails = tuple(_randint(rng, 0, max_tail) for _ in filters)
     # One hull per component, in line order: canonical by construction.
-    trace = _mk_set(tuple(_escape_hull(flt, n, rng) for flt, n in zip(ext.filters, tails)))
+    trace = _mk_set(tuple(_escape_hull(flt, n, rng) for flt, n in zip(filters, tails)))
     if rng.random() < 0.5:
         trace = union(trace, random_open_in(ext.space.ambient, rng))
     return TypeII(trace, tails)
@@ -196,7 +224,7 @@ def random_closed_in_extension(ext: Extension, rng: random.Random, include_p: bo
     trace = random_closed_in(ext.space.ambient, rng)
     if include_p:
         return ExtClosedSet(True, trace)
-    hulls = _mk_set(tuple(_escape_hull(flt, rng.randint(0, 6), rng) for flt in ext.filters))
+    hulls = _mk_set(tuple(_escape_hull(flt, _randint(rng, 0, 6), rng) for flt in ext.filters))
     return ExtClosedSet(False, difference(trace, hulls))
 
 
@@ -219,11 +247,11 @@ def random_disjoint_closed_pair(
 ) -> tuple[ExtClosedSet, ExtClosedSet]:
     """Two disjoint extension-closed sets; the extra point lands in F, in G,
     or in neither, with equal odds."""
-    mode = rng.choice(("pF", "pG", "plain"))
+    mode = ("pF", "pG", "plain")[_randint(rng, 0, 2)]
     f = random_closed_in_extension(ext, rng, mode == "pF")
     g = random_closed_in_extension(ext, rng, mode == "pG")
     if f.trace:
-        margin = _frac(1, rng.randint(2, 4))
+        margin = _frac(1, _randint(rng, 2, 4))
         g = ExtClosedSet(g.has_p, difference(g.trace, _open_expansion(f.trace, margin)))
     return f, g
 

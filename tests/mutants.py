@@ -119,18 +119,186 @@ CATALOGUE = (
     Mutant(
         "33-5",
         "src/onepoint/connectify.py",
-        "if not (isinstance(w, IntervalSet) and _open_as_declared(ext, TypeI(w))):",
-        "if not _open_as_declared(ext, TypeI(w)):",
+        "    if not isinstance(trace, IntervalSet):\n        return False\n",
+        "",
         ("tests/test_connectify.py",),
-        "verify_fidelity takes any object as a base open",
+        "verify_fidelity takes any object as a base open (_open_as_declared takes any trace)",
     ),
     Mutant(
         "33-6",
         "src/onepoint/compactify.py",
-        "return isinstance(w, (TypeI, TypeInf)) and is_open_in_compactification(ce, w)",
-        "return is_open_in_compactification(ce, w)",
+        "kind_ok = isinstance(w, (TypeI, TypeInf)) and isinstance(w.trace, IntervalSet)",
+        "kind_ok = isinstance(w.trace, IntervalSet)",
         ("tests/test_compactify.py",),
         "verify_compact_hausdorff takes an open of any type",
+    ),
+    Mutant(
+        "24-1",
+        "src/onepoint/connectify.py",
+        "            out.append(piece if _eq(piece.lo, end) else None)\n        k = r\n",
+        "            out.append(piece if _eq(piece.lo, end) else None)\n        k = r + 1\n",
+        ("tests/test_components.py", "tests/test_certificates.py"),
+        "the escape sweep steps one piece past a component's run",
+    ),
+    Mutant(
+        "24-2",
+        "src/onepoint/connectify.py",
+        "            trace = intersect(trace, x)\n",
+        "            trace = trace\n",
+        ("tests/test_components.py",),
+        "the escape sweep does not cut a trace reaching outside X to X",
+    ),
+    Mutant(
+        "24-3",
+        "src/onepoint/sampling.py",
+        "return flt.toward_end(near, False) if inside else comp",
+        "return flt.toward_end(near, False) if not inside else comp",
+        ("tests/test_golden_outputs.py", "tests/test_connectify.py"),
+        "the escape hull test inverted",
+    ),
+    Mutant(
+        "24-4",
+        "src/onepoint/sampling.py",
+        "inside = _lt(near, comp.hi) or (comp.hi_closed and _eq(near, comp.hi))",
+        "inside = _lt(comp.lo, near) or (comp.lo_closed and _eq(comp.lo, near))",
+        ("tests/test_golden_outputs.py", "tests/test_connectify.py"),
+        "the escape hull test reads the lower end on either side",
+    ),
+    Mutant(
+        "24-5",
+        "src/onepoint/connectify.py",
+        "            out.append(comp)\n            k += 1\n",
+        "            out.append(comp)\n",
+        ("tests/test_components.py", "tests/test_connectify.py"),
+        "the identity shortcut of the escape sweep does not step on",
+    ),
+    Mutant(
+        "24-6",
+        "src/onepoint/connectify.py",
+        "tails.append(0 if piece is comp else _least_tail(ext.filter_at(i), piece))",
+        "tails.append(0 if _eq(piece.hi, comp.hi) else _least_tail(ext.filter_at(i), piece))",
+        ("tests/test_connectify.py", "tests/test_certificates.py"),
+        "the least-tail shortcut taken on an equal upper end",
+    ),
+    Mutant(
+        "24-7a",
+        "src/onepoint/intervals.py",
+        '    of p."""\n    if p is h:\n',
+        '    of p."""\n    if _eq(p.hi, h.hi):\n',
+        ("tests/test_intervals.py", "tests/test_certificates.py"),
+        "a piece is open in its host on an equal upper end rather than by identity",
+    ),
+    Mutant(
+        "24-7b",
+        "src/onepoint/intervals.py",
+        '    p lies in h."""\n    if p is h:\n',
+        '    p lies in h."""\n    if _eq(p.hi, h.hi):\n',
+        ("tests/test_intervals.py", "tests/test_certificates.py"),
+        "a piece is closed in its host on an equal upper end rather than by identity",
+    ),
+    Mutant(
+        "24-8",
+        "src/onepoint/cli.py",
+        '        if "--" in tokens:\n            return None\n',
+        '        if False:\n            return None\n',
+        ("tests/test_cli.py",),
+        "the request table reads a second '--' as a positional",
+    ),
+    Mutant(
+        "29-1",
+        "src/onepoint/connectify.py",
+        "u_pieces.extend(pc[ci:i])",
+        "u_pieces.extend(_intersect_pieces(c, c) for c in pc[ci:i])",
+        ("tests/test_connectify.py",),
+        "U takes a copy of a G-free component in place of the piece itself",
+    ),
+    Mutant(
+        "29-3",
+        "src/onepoint/connectify.py",
+        "tails.append(0 if piece is comp else _least_tail(ext.filter_at(i), piece))",
+        "tails.append(_least_tail(ext.filter_at(i), piece))",
+        ("tests/test_connectify.py",),
+        "least tails without the identity shortcut build every filter",
+    ),
+    Mutant(
+        "29-4",
+        "src/onepoint/connectify.py",
+        "return EscapeFilter(Component(self.space.ambient.pieces[i], i))",
+        "return self.filters[i]",
+        ("tests/test_connectify.py",),
+        "filter_at builds and keeps every filter",
+    ),
+    Mutant(
+        "29-5",
+        "src/onepoint/connectify.py",
+        "edge, tail = start, n + 1",
+        "edge, tail = start, n",
+        ("tests/test_connectify.py",),
+        "tail n in place of n + 1 for the block past start(n)",
+    ),
+    Mutant(
+        "29-6",
+        "src/onepoint/connectify.py",
+        "mirror = _frac(t // d2, (td // d1) * (sd // d2))",
+        "mirror = _frac((zn << 1) * sd - sn * zd, zd * sd)",
+        ("tests/test_connectify.py",),
+        "the mirror 2z - start reduced from the full cross product",
+    ),
+    Mutant(
+        "34-1",
+        "src/onepoint/intervals.py",
+        "return not ((p.lo_closed and _lt(h.lo, p.lo)) or (p.hi_closed and _lt(p.hi, h.hi)))",
+        "return not (p.lo_closed and _lt(h.lo, p.lo))",
+        ("tests/test_certificates.py", "tests/test_connectify.py"),
+        "the openness sweep skips the closed upper end test",
+    ),
+    Mutant(
+        "34-2",
+        "src/onepoint/connectify.py",
+        "            piece = pieces[k]\n",
+        "            piece = pieces[r - 1]\n",
+        ("tests/test_components.py", "tests/test_certificates.py"),
+        "a left escape end reads the last piece of the run",
+    ),
+    Mutant(
+        "34-3",
+        "src/onepoint/connectify.py",
+        "if k < n and pieces[k] is comp:",
+        "if k < n and hosts[k] is comp:",
+        ("tests/test_certificates.py", "tests/test_connectify.py"),
+        "the identity shortcut taken for any piece its component hosts",
+    ),
+    Mutant(
+        "34-4",
+        "src/onepoint/sampling.py",
+        "k = n.bit_length()",
+        "k = (n - 1).bit_length()",
+        ("tests/test_sampling.py",),
+        "_randint draws as many bits as the width less one has",
+    ),
+    Mutant(
+        "34-5",
+        "src/onepoint/connectify.py",
+        "return all(isinstance(t, int) and t >= m for t, m in zip(tails, least))",
+        "return all(t >= m for t, m in zip(tails, least))",
+        ("tests/test_connectify.py",),
+        "declared tails are compared without checking they are integers",
+    ),
+    Mutant(
+        "34-6",
+        "src/onepoint/connectify.py",
+        "    if not (is_open(u) and is_open(v)):\n        return False\n    if not (contains(u, y) and contains(v, z)):",
+        "    if not (contains(u, y) and contains(v, z)):\n        return False\n    if not (is_open(u) and is_open(v)):",
+        ("tests/test_connectify.py",),
+        "verify_separated asks membership before openness",
+    ),
+    Mutant(
+        "34-7",
+        "src/onepoint/sampling.py",
+        "near = _frac(8 * num - flt.side * j * den, 8 * den)",
+        "near = _frac(8 * num + flt.side * j * den, 8 * den)",
+        ("tests/test_golden_outputs.py", "tests/test_connectify.py"),
+        "the escape hull moves start(n) toward the end, not away from it",
     ),
 )
 

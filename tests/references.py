@@ -5,9 +5,11 @@ reaches them, so they live here rather than in the package.  Not collected
 by pytest; tests import it as ``import references``.
 """
 
-from onepoint import REALS, IntervalSet, TypeInf, components, difference, intersect, union
-from onepoint.intervals import NEG_INF, POS_INF, _hosts_or_raise, _mk_interval, _mk_set, _starts_before
-from onepoint.intervals import is_finite
+from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
+from onepoint import intersect, union
+from onepoint.connectify import _escape_end, _least_tail
+from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
+from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
 
 def complement(a: IntervalSet) -> IntervalSet:
@@ -89,3 +91,81 @@ def u_around_p(x: IntervalSet, i: int, block) -> IntervalSet:
     """The trace of U around the added point in two sweeps: the ambient
     without component i, joined with the escape block inside it."""
     return union(difference(x, _mk_set((x.pieces[i],))), _mk_set((block,)))
+
+
+def escape_pieces(ext, trace):
+    """The merge sweep of the trace against the components that the
+    hosts-based `_escape_pieces` replaced: per component, in line order, the
+    piece reaching its escape end, clipped to the component, or None."""
+    pieces = trace.pieces
+    n = len(pieces)
+    i = 0
+    for comp in ext.space.ambient.pieces:
+        if i < n and pieces[i] is comp:
+            yield comp
+            i += 1
+            continue
+        side, end = _escape_end(comp)
+        if side > 0:
+            while i < n and _lt(pieces[i].hi, end):
+                i += 1
+            hit = i < n and _lt(pieces[i].lo, end)
+        else:
+            while i < n and not _lt(end, pieces[i].hi):
+                i += 1
+            hit = i < n and not _lt(end, pieces[i].lo)
+        if not hit:
+            yield None
+            continue
+        piece = pieces[i]
+        ends_inside = _ends_by(piece, comp)
+        if ends_inside:
+            i += 1
+        if not ends_inside or _starts_before(piece, comp):
+            piece = _intersect_pieces(piece, comp)
+        yield piece
+
+
+def least_valid_tails(ext, trace):
+    """Least tails over the merge sweep, or None if one is missing."""
+    tails = []
+    for i, (comp, piece) in enumerate(zip(ext.space.ambient.pieces, escape_pieces(ext, trace))):
+        if piece is None:
+            return None
+        tails.append(0 if piece is comp else _least_tail(ext.filter_at(i), piece))
+    return tuple(tails)
+
+
+def trace_is_open(trace, x):
+    """Openness of a trace in x by the per-piece formula of the old
+    `not_interior_in`: no closed end of a piece lies inside its host."""
+    try:
+        hosts = _hosts_or_raise(trace, x)
+    except NotASubset:
+        return False
+    for p, h in zip(trace.pieces, hosts):
+        if p is h:
+            continue
+        if p.lo_closed and p.hi_closed and _eq(p.lo, p.hi):
+            if _lt(h.lo, p.lo) or _lt(p.hi, h.hi):
+                return False
+            continue
+        if (p.lo_closed and _lt(h.lo, p.lo)) or (p.hi_closed and _lt(p.hi, h.hi)):
+            return False
+    return True
+
+
+def open_as_declared(ext, u):
+    """The verifier the one-sweep `_open_as_declared` replaced, for opens
+    with a set as trace and a tuple of integers as tails: the declared
+    tails against the least ones over the merge sweep, then the trace's
+    openness, in two sweeps of the trace."""
+    if not isinstance(u, (TypeI, TypeII)):
+        return False
+    if isinstance(u, TypeII):
+        least = least_valid_tails(ext, u.trace)
+        if least is None or len(u.tails) != len(least):
+            return False
+        if not all(n >= m for n, m in zip(u.tails, least)):
+            return False
+    return trace_is_open(u.trace, ext.space.ambient)

@@ -1,7 +1,8 @@
-"""The certificate replays decided on endpoints, against the set-algebra
-replays they replaced, on `corpus(200)` and the `large` spaces, with
-forgeries that each change one claim; and counts that show the replays
-build no set per component."""
+"""The certificate replays decided on endpoints, and the one-sweep verifier
+of an extension open, against the replays and the two-sweep verifier they
+replaced, on `corpus(200)` and the `large` spaces, with forgeries that each
+change one claim; and counts that show the replays build no set per
+component."""
 
 import random
 import sys
@@ -16,16 +17,29 @@ from onepoint import (
     EscapeFilter,
     Interval,
     IntervalSet,
+    P,
+    TypeI,
+    TypeII,
     check_connectifiable,
     connectedness_certificate,
+    density_check,
+    difference,
+    hausdorff_witness,
     is_closed_in,
+    least_valid_tails,
     local_connectedness_certificate,
+    subspace_fidelity,
+    union,
     verify_connectedness,
     verify_local_connectedness,
 )
 from onepoint import intervals
 from onepoint.connectify import ConnectednessCertificate, ConnectednessStep, _escape_piece
+from onepoint.connectify import _escape_pieces, _open_as_declared
 from onepoint.intervals import NEG_INF, POS_INF, _mk_interval
+from onepoint.sampling import clopen_candidates, random_point_in
+
+import references
 from onepoint.space import LocalConnectednessCertificate
 from test_components import endpoint_pool, pool_set, reference_window_check
 from test_connectify import perfbench_large_spaces
@@ -241,3 +255,66 @@ def test_the_replays_build_no_set_per_component(monkeypatch):
     assert verify_connectedness(ext, cert)
     assert [(flt.component.index, n) for flt, n in elements] == [(i, 0) for i in range(128)]
     assert intersects == [] and sets == []
+
+
+def sampled_opens(ext, rng):
+    """The opens the certificates and witnesses sample, and falsifier
+    candidates, which include closed traces."""
+    x = ext.space.ambient
+    fid = subspace_fidelity(ext, 3, rng.randrange(1000))
+    opens = list(density_check(ext, 3, rng.randrange(1000)).neighborhoods)
+    opens += fid.extension_opens + tuple(TypeI(w) for w in fid.base_opens)
+    opens += hausdorff_witness(ext, P, random_point_in(x, rng))
+    return opens + clopen_candidates(ext, rng, 4)
+
+
+def open_forgeries(ext, u, rng):
+    """Single-claim forgeries of an open: a tail one too small, a hull end
+    moved onto its filter's anchor, a trace leaving X, and a closed end
+    inside its host."""
+    x = ext.space.ambient
+    trace = u.trace
+    out = []
+    if isinstance(u, TypeII):
+        escapes = _escape_pieces(ext, trace)
+        least = least_valid_tails(ext, trace) or (0,) * len(x.pieces)
+        picks = [i for i, m in enumerate(least) if m > 0]
+        for i in rng.sample(picks, min(2, len(picks))):
+            out.append(TypeII(trace, least[:i] + (least[i] - 1,) + least[i + 1 :]))
+        cut = [i for i, e in enumerate(escapes) if e is not None and e is not x.pieces[i]]
+        for i in rng.sample(cut, min(2, len(cut))):
+            flt, e = ext.filter_at(i), escapes[i]
+            near_closed = e.lo_closed if flt.side > 0 else e.hi_closed
+            moved = intervals.only(flt.toward_end(flt.anchor, near_closed))
+            out.append(TypeII(union(difference(trace, intervals.only(e)), moved), u.tails))
+    outside = [q for q in endpoint_pool(x)[1:-1] if q not in x]
+    if outside:
+        q = rng.choice(outside)
+        leaving = union(trace, intervals.only(Interval(q, q, True, True)))
+        out.append(TypeII(leaving, u.tails) if isinstance(u, TypeII) else TypeI(leaving))
+    for j, p in enumerate(trace.pieces):
+        if isinstance(p.lo, Fraction) and not p.lo_closed and p.lo in x:
+            closed = Interval(p.lo, p.hi, True, p.hi_closed)
+            shut = intervals.normalize(trace.pieces[:j] + (closed,) + trace.pieces[j + 1 :])
+            out.append(TypeII(shut, u.tails) if isinstance(u, TypeII) else TypeI(shut))
+            break
+    return out
+
+
+def test_one_sweep_verifier_matches_the_two_sweeps(spaces):
+    """`_open_as_declared` (one `_hosts` sweep) against `declared_tails_hold`
+    and `trace_open_check` as they were (the merge sweep, then openness)."""
+    rng = random.Random(3401)
+    verdicts = []
+    for space in spaces:
+        verdict = check_connectifiable(space)
+        if not isinstance(verdict, Connectifiable):
+            continue
+        ext = verdict.extension
+        for u in sampled_opens(ext, rng):
+            assert least_valid_tails(ext, u.trace) == references.least_valid_tails(ext, u.trace)
+            for w in [u] + open_forgeries(ext, u, rng):
+                got = _open_as_declared(ext, w)
+                assert got == references.open_as_declared(ext, w), (space, w)
+                verdicts.append(got)
+    assert verdicts.count(True) > 2000 and verdicts.count(False) > 2000

@@ -108,6 +108,19 @@ def test_hausdorff_verifier_takes_only_compactification_opens():
     assert isinstance(u, TypeInf) and verify_compact_hausdorff(ce, INFINITY, y, u, v)
 
 
+def test_hausdorff_verifier_refuses_an_open_over_an_open():
+    """An open whose trace is itself an open, not a set, is refused with
+    `False`, not an error."""
+    ce = compactify(space("(0,1) U [2,inf)"))
+    y, z = Fraction(1, 2), Fraction(5)
+    u, v = compactification_hausdorff_witness(ce, y, z)
+    assert verify_compact_hausdorff(ce, y, z, u, v)
+    assert not verify_compact_hausdorff(ce, y, z, TypeI(u), v)
+    assert not verify_compact_hausdorff(ce, y, z, u, TypeInf(v))
+    u, v = compactification_hausdorff_witness(ce, INFINITY, y)
+    assert not verify_compact_hausdorff(ce, INFINITY, y, TypeInf(u), v)
+
+
 def test_finite_subcover_examples():
     ce = compactify(space("(0,1)"))
     cover = [

@@ -400,6 +400,52 @@ def test_verifiers_take_only_extension_opens():
     assert not verify_fidelity(ext, FidelityCertificate((TypeInf(w),), (w,)))
 
 
+def test_hausdorff_verifier_refuses_an_open_over_an_open():
+    """An open whose trace is itself an open, not a set, is refused with
+    `False`: openness is checked before membership, which could not be
+    asked of it."""
+    ext = ext_of("(0,1) U [2,inf)")
+    y, z = Fraction(1, 2), Fraction(5)
+    u, v = hausdorff_witness(ext, y, z)
+    assert verify_hausdorff(ext, y, z, u, v)
+    assert not verify_hausdorff(ext, y, z, TypeI(u), v)
+    assert not verify_hausdorff(ext, y, z, u, TypeI(v))
+    assert not verify_hausdorff(ext, z, y, TypeI(v), u)
+
+
+def test_normality_verifier_refuses_an_open_over_an_open():
+    ext = ext_of("(0,1) U [2,inf)")
+    f, g = ExtClosedSet(False, S("[1/4,1/2]")), ExtClosedSet(False, S("[3,4]"))
+    u, v = normality_witness(ext, f, g)
+    assert verify_normality(ext, f, g, u, v)
+    assert not verify_normality(ext, f, g, TypeI(u), v)
+    assert not verify_normality(ext, f, g, u, TypeI(v))
+    f, g = ExtClosedSet(True, EMPTY), ExtClosedSet(False, S("[3,4]"))
+    u, v = normality_witness(ext, f, g)
+    assert isinstance(u, TypeII) and verify_normality(ext, f, g, u, v)
+    assert not verify_normality(ext, f, g, TypeII(u, u.tails), v)
+
+
+def test_fidelity_verifier_refuses_an_open_over_an_open():
+    ext = ext_of("(0,1) U [2,inf)")
+    w = S("(1/4,1/2)")
+    assert verify_fidelity(ext, FidelityCertificate((TypeI(w),), (w,)))
+    assert not verify_fidelity(ext, FidelityCertificate((TypeI(TypeI(w)),), (w,)))
+    nb = ext.whole_open()
+    assert verify_fidelity(ext, FidelityCertificate((nb,), (w,)))
+    assert not verify_fidelity(ext, FidelityCertificate((TypeII(nb, nb.tails),), (w,)))
+
+
+def test_density_verifier_refuses_tails_that_are_not_naturals():
+    """Tails that are no tuple of naturals are refused with `False`, not an
+    error: None, a list, a negative or a fractional index."""
+    ext = ext_of("(0,1) U [2,inf)")
+    nb = ext.whole_open()
+    assert verify_density(ext, DensityCertificate((nb,)))
+    for tails in (None, [0, 0], (0, -1), (0, Fraction(1, 2)), (0, "1"), (0,)):
+        assert not verify_density(ext, DensityCertificate((TypeII(nb.trace, tails),))), tails
+
+
 def test_fidelity_takes_only_base_sets_as_base_opens():
     """A base open is a set of the base: an extension open in its place is
     refused with `False`, not an error, and the set itself passes."""
