@@ -6,8 +6,16 @@ and the module works on these row tuples alone.  The walk yields them, the
 axioms read them and the search builds them; a ``FiniteSpace`` (the family
 of opens) is made only for a space the module returns.  The walk bounds row
 i by the AND of the earlier rows that hold i (transitivity) and visits only
-the submasks of that bound.  The search builds the rows of each one-point
-extension of a base, one per (up-set, down-set) pair of the new point.
+the submasks of that bound, one rule giving the valid rows of each point;
+counting adds up how many there are at the last row, building no tuples.
+
+The search builds each one-point extension of a base x from x: one per
+(up-set A, down-set B) pair of the new point p.  The extension is connected
+exactly when p lies in the closure of every component of x, that is when A
+meets every component, which is read off x's components once per search.
+The opens of a found extension are x's opens missing B, and each open
+holding A with p added: the paper's topology on the extension, restricted
+to finite spaces.
 
 Axioms on rows: T0 is distinct rows, T1 each row being its point alone.  T2
 is the T1 rule: a row holding y holds y's row, so rows are pairwise disjoint
@@ -116,44 +124,66 @@ def _family_enumeration(n: int):
             yield FiniteSpace(n, frozenset(fam))
 
 
-def _preorder_enumeration(n: int):
-    """Every preorder on n points as its row tuple, in lexicographic order.
+def _row_choices(rows: list[int], n: int) -> list[int]:
+    """The valid rows of point i = len(rows) of a preorder on n points, given
+    the earlier rows, in ascending order.
 
     Row i must lie inside every earlier row holding i, so only the submasks
-    of that bound (with bit i set) are walked, in ascending order; each one
-    is kept when every earlier point in it brings its whole row.
+    of that bound (with bit i set) are walked; each one is kept when every
+    earlier point in it brings its whole row.
     """
+    bit = 1 << len(rows)
+    cap = (1 << n) - 1
+    for ur in rows:
+        if ur & bit:
+            cap &= ur
+    free = cap & ~bit
+    out = []
+    sub = 0
+    while True:
+        m = sub | bit
+        rest = m & (bit - 1)
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~m:
+                break
+            rest ^= low
+        else:
+            out.append(m)
+        if sub == free:
+            return out
+        sub = (sub - free) & free  # the next submask of free, ascending
+
+
+def _preorder_enumeration(n: int):
+    """Every preorder on n points as its row tuple, in lexicographic order."""
     rows: list[int] = []
-    full = (1 << n) - 1
 
     def extend(i: int):
         if i == n:
             yield tuple(rows)
             return
-        bit = 1 << i
-        cap = full
-        for ur in rows:
-            if ur & bit:
-                cap &= ur
-        free = cap & ~bit
-        sub = 0
-        while True:
-            m = sub | bit
-            rest = m & (bit - 1)
-            while rest:
-                low = rest & -rest
-                if rows[low.bit_length() - 1] & ~m:
-                    break
-                rest ^= low
-            else:
-                rows.append(m)
-                yield from extend(i + 1)
-                rows.pop()
-            if sub == free:
-                break
-            sub = (sub - free) & free  # the next submask of free, ascending
+        for m in _row_choices(rows, n):
+            rows.append(m)
+            yield from extend(i + 1)
+            rows.pop()
 
     yield from extend(0)
+
+
+def _count_preorders(rows: list[int], n: int) -> int:
+    """The number of preorders on n points (n at least 1) that begin with
+    ``rows``: the walk of `_preorder_enumeration`, adding up the number of
+    valid rows at the last row instead of building the tuples."""
+    choices = _row_choices(rows, n)
+    if len(rows) == n - 1:
+        return len(choices)
+    total = 0
+    for m in choices:
+        rows.append(m)
+        total += _count_preorders(rows, n)
+        rows.pop()
+    return total
 
 
 def enumerate_topologies(n: int, method: str = "preorder"):
@@ -177,10 +207,10 @@ def enumerate_topologies(n: int, method: str = "preorder"):
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
-    """Count topologies; the preorder method counts the row tuples the walk
-    yields, without turning each into its family of opens."""
+    """Count topologies; the preorder method counts the walk's valid last
+    rows, building neither row tuples nor opens."""
     if method == "preorder" and 0 <= n <= MAX_POINTS:
-        return sum(1 for _ in _preorder_enumeration(n))
+        return _count_preorders([], n) if n else 1
     return sum(1 for _ in enumerate_topologies(n, method))
 
 
@@ -202,6 +232,20 @@ def _connected(rows: tuple[int, ...]) -> bool:
                 reach |= r
                 grown = True
     return reach == (1 << len(rows)) - 1
+
+
+def _components(rows: tuple[int, ...]) -> list[int]:
+    """The components as masks: each row joins every component it meets."""
+    comps: list[int] = []
+    for r in rows:
+        rest = []
+        for c in comps:
+            if c & r:
+                r |= c
+            else:
+                rest.append(c)
+        comps = rest + [r]
+    return comps
 
 
 def _points_open(rows: tuple[int, ...]) -> bool:
@@ -257,29 +301,42 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     and the closed B of points below p, with every point of B below every
     point of A.  Its rows are those of x with p added to the rows of B, plus
     {p} with A for p, so its subspace on the original points is x.  x is
-    dense exactly when {p} is not open, that is when A is not empty.  Keeps
-    the extensions that are connected and satisfy the axiom, in the
-    lexicographic order of their rows, and builds the opens of those only.
-    The extra point always carries the last label.
+    dense exactly when {p} is not open, that is when A is not empty.
+
+    A component of x meeting B meets A too, B lying below A, so the
+    extension is connected exactly when A meets every component of x; only
+    those A get their candidates' rows built, for the axiom.  Keeps the
+    extensions that satisfy it, in the lexicographic order of their rows,
+    and reads the opens of those only off x's.  The extra point always
+    carries the last label.
     """
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
     satisfies = _axiom_check(axiom)
     up = to_preorder(x)
+    comps = _components(up)
+    opens = x.opens
     p_bit = 1 << x.size
     found = []
-    for a in x.opens - {0}:
+    for a in opens - {0}:
+        if not all(c & a for c in comps):
+            continue
         below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
-        for o in x.opens:
+        for o in opens:
             b = x.full ^ o
             if b & ~below_a:
                 continue
             rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
             rows += (a | p_bit,)
-            if _connected(rows) and satisfies(rows):
-                found.append(rows)
+            if satisfies(rows):
+                found.append((rows, a, b))
     found.sort()
-    return [_space(rows) for rows in found]
+    return [
+        FiniteSpace(
+            x.size + 1, frozenset([o for o in opens if not o & b] + [o | p_bit for o in opens if o & a == a])
+        )
+        for _, a, b in found
+    ]
 
 
 # --------------------------------------------------------------------------

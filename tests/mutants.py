@@ -300,6 +300,54 @@ CATALOGUE = (
         ("tests/test_golden_outputs.py", "tests/test_connectify.py"),
         "the escape hull moves start(n) toward the end, not away from it",
     ),
+    Mutant(
+        "35-1",
+        "src/onepoint/finite.py",
+        "if not all(c & a for c in comps):",
+        "if not any(c & a for c in comps):",
+        ("tests/test_finite.py",),
+        "the search keeps an A that meets some component of the base, not every one",
+    ),
+    Mutant(
+        "35-2",
+        "src/onepoint/finite.py",
+        "[o | p_bit for o in opens if o & a == a]",
+        "[o | p_bit for o in opens if o & a]",
+        ("tests/test_finite.py",),
+        "a found space's opens through p take the opens meeting A, not holding it",
+    ),
+    Mutant(
+        "35-3",
+        "src/onepoint/finite.py",
+        "[o for o in opens if not o & b]",
+        "[o for o in opens if o & b]",
+        ("tests/test_finite.py",),
+        "a found space's opens without p take the opens meeting B, not missing it",
+    ),
+    Mutant(
+        "35-4",
+        "src/onepoint/finite.py",
+        "        return len(choices)\n",
+        "        return 1\n",
+        ("tests/test_finite.py",),
+        "the counter counts one row per last-level node",
+    ),
+    Mutant(
+        "35-5",
+        "src/onepoint/finite.py",
+        "            if c & r:\n",
+        "            if c & r and c != comps[0]:\n",
+        ("tests/test_finite.py",),
+        "_components skips the merge of a row with the first component",
+    ),
+    Mutant(
+        "35-6",
+        "src/onepoint/finite.py",
+        "    if not validate_topology(n, space.opens):\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "tests/test_finite.py"),
+        "parse_topology_literal takes a family not closed under union or intersection",
+    ),
 )
 
 

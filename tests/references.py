@@ -8,6 +8,7 @@ by pytest; tests import it as ``import references``.
 from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
 from onepoint import intersect, union
 from onepoint.connectify import _escape_end, _least_tail
+from onepoint.finite import _axiom_check, _connected, _space, to_preorder
 from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
 from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
@@ -169,3 +170,26 @@ def open_as_declared(ext, u):
         if not all(n >= m for n, m in zip(u.tails, least)):
             return False
     return trace_is_open(u.trace, ext.space.ambient)
+
+
+def search_by_rows(x, axiom):
+    """The connectification search that reading connectedness off x's
+    components replaced: every (A, B) candidate's rows built, merged by
+    `_connected`, and the opens of each found extension built from its rows
+    by `_space`."""
+    satisfies = _axiom_check(axiom)
+    up = to_preorder(x)
+    p_bit = 1 << x.size
+    found = []
+    for a in x.opens - {0}:
+        below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
+        for o in x.opens:
+            b = x.full ^ o
+            if b & ~below_a:
+                continue
+            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
+            rows += (a | p_bit,)
+            if _connected(rows) and satisfies(rows):
+                found.append(rows)
+    found.sort()
+    return [_space(rows) for rows in found]

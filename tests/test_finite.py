@@ -19,7 +19,8 @@ from onepoint import (
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import MAX_FAMILY_POINTS, _preorder_enumeration, _space
+from onepoint.finite import MAX_FAMILY_POINTS, _components, _preorder_enumeration, _space
+from references import search_by_rows
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -109,9 +110,13 @@ def test_least_opens_are_preorder_rows_up_to_5():
 
 
 def test_enumerator_counts_agree():
+    """The preorder count, which adds up the walk's valid last rows, equals
+    the number of row tuples the walk yields."""
     expected = [1, 1, 4, 29, 355, 6942, 209527]  # OEIS A000798
     for n, want in enumerate(expected):
         assert count_topologies(n, "preorder") == want
+        if n <= 5:
+            assert sum(1 for _ in _preorder_enumeration(n)) == want
         if n <= 4:
             assert count_topologies(n, "family") == want
 
@@ -189,6 +194,10 @@ def test_size_limits():
         list(enumerate_topologies(5, "family"))
     with pytest.raises(SizeTooLarge):
         list(enumerate_topologies(7, "preorder"))
+    with pytest.raises(SizeTooLarge, match="^negative point count$"):
+        count_topologies(-1)
+    with pytest.raises(SizeTooLarge, match="^preorder enumeration handles at most 6 points$"):
+        count_topologies(7)
     with pytest.raises(SizeTooLarge):
         search_one_point_connectifications(discrete(5), "T2")
 
@@ -379,9 +388,13 @@ def components_growth(s):
 
 
 def test_components_algorithms_agree():
+    """The search's `_components`, where each row joins every component it
+    meets, agrees with both references."""
+    assert _components((0b001, 0b110, 0b100, 0b1100)) == [0b001, 0b1110]
     for n in range(5):
         for t in enumerate_topologies(n, "preorder"):
             assert components_exhaustive(t) == components_growth(t)
+            assert tuple(sorted(_components(to_preorder(t)))) == components_growth(t)
 
 
 def test_connected_iff_one_component():
@@ -481,17 +494,17 @@ def reference_extensions(x):
 
 
 def test_search_candidates_match_preorder_construction(monkeypatch):
-    """With the connectedness and axiom filters switched off, the search
-    returns exactly the dense candidates of the preorder construction,
-    density is A != 0 on every candidate, and the axiom is handed each
-    candidate's least opens."""
+    """With the connectedness and axiom filters switched off (the base
+    given no components for A to meet), the search returns exactly the dense
+    candidates of the preorder construction, density is A != 0 on every
+    candidate, and the axiom is handed each candidate's least opens."""
     handed = []
 
     def any_axiom(rows):
         handed.append(rows)
         return True
 
-    monkeypatch.setattr(finite, "_connected", lambda rows: True)
+    monkeypatch.setattr(finite, "_components", lambda rows: [])
     monkeypatch.setitem(finite._AXIOM_CHECKS, "any", any_axiom)
     bases = pairs = empty_a = 0
     for n in range(5):
@@ -527,6 +540,21 @@ def test_search_builds_only_the_spaces_it_returns(monkeypatch):
             built.clear()
             found = search_one_point_connectifications(x, axiom)
             assert list(map(id, built)) == list(map(id, found)), (topology_literal(x), axiom)
+            total += len(found)
+    assert total == 10889
+
+
+def test_search_matches_the_search_by_rows():
+    """Connectedness read off the base's components and opens read off the
+    base's opens give the spaces of building every candidate's rows, merging
+    them and building the opens from the rows: equal lists, in one order."""
+    total = 0
+    for x in (t for n in range(5) for t in _topologies(n)):
+        for axiom in AXIOMS:
+            found = search_one_point_connectifications(x, axiom)
+            assert found == search_by_rows(x, axiom), (topology_literal(x), axiom)
+            for t in found:
+                assert t.opens == _space(to_preorder(t)).opens
             total += len(found)
     assert total == 10889
 
