@@ -333,11 +333,12 @@ def trace_open_check(trace: IntervalSet, x: IntervalSet) -> OpenCheck:
 
 def _trace_check(trace: IntervalSet, x: IntervalSet, hosts) -> OpenCheck:
     """`trace_open_check` given the trace's hosts in x (`intervals._hosts`),
-    None when the trace is no subset of x."""
+    None when the trace is no subset of x; only a failure builds its boundary."""
     if hosts is None:
         return OpenCheck("TraceNotOpen", boundary=pick_point(difference(trace, x)))
-    bad = _not_interior(trace.pieces, hosts)
-    return OpenCheck("TraceNotOpen", boundary=pick_point(bad)) if bad else OPEN_OK
+    if all(map(_open_in_host, trace.pieces, hosts)):
+        return OPEN_OK
+    return OpenCheck("TraceNotOpen", boundary=pick_point(_not_interior(trace.pieces, hosts)))
 
 
 def _escape_piece(flt: EscapeFilter, trace_in_c: IntervalSet) -> Interval | None:
@@ -422,8 +423,8 @@ def is_open_in_extension(ext: Extension, u: ExtOpenSet) -> OpenCheck:
 
 
 def _check_tails_shape(ext: Extension, u: TypeII) -> None:
-    """One natural tail index per component; else an input error (exit 2), not an engine bug."""
-    if len(u.tails) != len(ext.space.ambient.pieces) or any(t < 0 for t in u.tails):
+    """Tails that fit least tails of 0; else an input error (exit 2), not an engine bug."""
+    if not _tails_fit(u.tails, (0,) * len(ext.space.ambient.pieces)):
         raise MalformedInterval(
             f"type-II set needs one natural tail index per component, got {u.tails}"
         )
@@ -509,9 +510,9 @@ def _complement_open(ext: Extension, has_p: bool, trace: IntervalSet) -> ExtOpen
 def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
     """An extension open, type I or II, and for type II the stored tails really fit.
 
-    One `_hosts` sweep gives each trace piece its component: the trace is
-    open when each piece is open in its host, and the tails fit when each is
-    at least the least tail of its component's escape piece.  Fitting tails
+    One `_hosts` sweep gives each trace piece its component, for the trace
+    check (`_trace_check`) and for the tails, which fit when each is at
+    least the least tail of its component's escape piece.  Fitting tails
     reach every escape end.  An open whose trace is not a set, or whose
     tails are not a tuple of naturals, is not one.
     """
@@ -520,8 +521,9 @@ def _open_as_declared(ext: Extension, u: ExtOpenSet) -> bool:
     trace = u.trace
     if not isinstance(trace, IntervalSet):
         return False
-    hosts = _hosts(trace, ext.space.ambient)
-    if hosts is None or not all(map(_open_in_host, trace.pieces, hosts)):
+    x = ext.space.ambient
+    hosts = _hosts(trace, x)
+    if not _trace_check(trace, x, hosts):
         return False
     if isinstance(u, TypeI):
         return True

@@ -20,9 +20,9 @@ to finite spaces.
 Axioms on rows: T0 is distinct rows, T1 each row being its point alone.  T2
 is the T1 rule: a row holding y holds y's row, so rows are pairwise disjoint
 only when each is its own point.  Locally connected always holds: each row
-is a connected open, its point lying below the rest of it.  Connected: the
-rows that meet, merged, cover every point.  Normal-pairs: no two points with
-disjoint closures have meeting rows.
+is a connected open, its point lying below the rest of it.  Connected: one
+component, the rows that meet merged into one.  Normal-pairs: no two points
+with disjoint closures have meeting rows.
 """
 
 from __future__ import annotations
@@ -219,23 +219,9 @@ def count_topologies(n: int, method: str = "preorder") -> int:
 # --------------------------------------------------------------------------
 
 
-def _connected(rows: tuple[int, ...]) -> bool:
-    """Each row is connected, its point lying below the rest of it, so rows
-    that meet lie in one component; the space is connected when the rows
-    merged from the first reach every point."""
-    reach = rows[0] if rows else 0
-    grown = True
-    while grown:
-        grown = False
-        for r in rows:
-            if r & reach and r & ~reach:
-                reach |= r
-                grown = True
-    return reach == (1 << len(rows)) - 1
-
-
 def _components(rows: tuple[int, ...]) -> list[int]:
-    """The components as masks: each row joins every component it meets."""
+    """The components as masks: each row is connected, its point lying below
+    the rest of it, so each row joins every component it meets."""
     comps: list[int] = []
     for r in rows:
         rest = []
@@ -270,7 +256,8 @@ _AXIOM_CHECKS = {
     # A row holding y holds y's row, so rows are pairwise disjoint exactly
     # when each row is its own point.
     "T2": _points_open,
-    "connected": _connected,
+    # One component, or none for the empty space.
+    "connected": lambda rows: len(_components(rows)) < 2,
     # Every row is a connected open neighbourhood of its point.
     "locally_connected": lambda rows: True,
     "normal-pairs": _normal_pairs,

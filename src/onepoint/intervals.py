@@ -575,7 +575,9 @@ def interior_in(s: IntervalSet, x: IntervalSet) -> IntervalSet:
 
 
 def is_open_in(s: IntervalSet, x: IntervalSet) -> bool:
-    return not not_interior_in(s, x)
+    """s is open in x when each piece of s is open in its host piece of x
+    (`_open_in_host`)."""
+    return all(map(_open_in_host, s.pieces, _hosts_or_raise(s, x)))
 
 
 def is_closed_in(s: IntervalSet, x: IntervalSet) -> bool:

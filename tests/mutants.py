@@ -13,7 +13,11 @@ and runs pytest on the entry's test files inside the copy, so the
 mutated ``src/`` is the one imported; the working tree is never edited.
 An entry is *killed* when pytest reports a failure, *survived* when every
 test passes, and an *error* on any other pytest exit.  A survivor is a gap
-in the tests, not grounds to drop the entry.  An id ``N-k`` is entry k of
+in the tests, not grounds to drop the entry.  An entry with an
+``equivalent`` reason changes no answer, for the reason given: it is
+*equivalent*, and accepted, when it survives, and an *error* when it is
+killed, since then the reason no longer holds and the entry should become
+an ordinary one.  An id ``N-k`` is entry k of
 the ``"mutants"`` list in ``BENCH_N.json``, the record of its first run.
 
 Not collected by pytest; ``tests/test_mutant_catalogue.py`` checks the
@@ -41,6 +45,7 @@ class Mutant(NamedTuple):
     replacement: str
     tests: tuple[str, ...]
     what: str
+    equivalent: str = ""  # why no test can tell the mutant apart, if none can
 
 
 CATALOGUE = (
@@ -348,6 +353,65 @@ CATALOGUE = (
         ("tests/test_cli.py", "tests/test_finite.py"),
         "parse_topology_literal takes a family not closed under union or intersection",
     ),
+    Mutant(
+        "36-1",
+        "src/onepoint/connectify.py",
+        "if all(map(_open_in_host, trace.pieces, hosts)):",
+        "if any(map(_open_in_host, trace.pieces, hosts)):",
+        ("tests/test_connectify.py", "tests/test_certificates.py"),
+        "the trace check passes a trace with any piece open in its host",
+    ),
+    Mutant(
+        "36-2",
+        "src/onepoint/connectify.py",
+        "if least is None or type(tails) is not tuple or len(tails) != len(least):",
+        "if least is None or len(tails) != len(least):",
+        ("tests/test_connectify.py",),
+        "declared tails fit as a list, in the algebra and the verifiers alike",
+    ),
+    Mutant(
+        "36-3",
+        "src/onepoint/finite.py",
+        '"connected": lambda rows: len(_components(rows)) < 2,',
+        '"connected": lambda rows: len(_components(rows)) < 3,',
+        ("tests/test_finite.py",),
+        "a finite space of two components counts as connected",
+    ),
+    Mutant(
+        "36-4",
+        "src/onepoint/intervals.py",
+        "            if _ends_by(iv, prev):\n",
+        "            if _ends_short_of(iv, prev):\n",
+        ("tests/test_intervals.py", "tests/test_oracle.py"),
+        "_merge_ordered keeps iv's end where the two ends are equal",
+        "on equal ends it keeps an included end and otherwise an equal one, so"
+        " the merged piece is the same (BENCH_25.json)",
+    ),
+    Mutant(
+        "36-5",
+        "src/onepoint/intervals.py",
+        "            if ordered and pieces and not _gap_between(pieces[-1], iv):\n"
+        "                ordered = False\n",
+        "",
+        ("tests/test_intervals.py", "tests/test_golden_outputs.py"),
+        "the canonical scan takes pieces out of order, touching or overlapping as the set",
+    ),
+    Mutant(
+        "36-6",
+        "src/onepoint/intervals.py",
+        '_CANON_END = r"(-?inf)|(-?[1-9][0-9]*|0)(?:/([1-9][0-9]*))?"',
+        '_CANON_END = r"(-?inf)|(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?"',
+        ("tests/test_intervals.py", "tests/test_golden_outputs.py"),
+        "the canonical scan reads numerals with leading zeros, keeping their text",
+    ),
+    Mutant(
+        "36-7",
+        "src/onepoint/intervals.py",
+        "                lo = _frac(int(lo_n), d)\n                if d == 1 or lo._denominator != d:\n",
+        "                lo = _frac(int(lo_n), d)\n                if lo._denominator != d:\n",
+        ("tests/test_intervals.py", "tests/test_golden_outputs.py"),
+        "a lower end over a written denominator of 1 keeps its text",
+    ),
 )
 
 
@@ -376,15 +440,25 @@ def run(entry: Mutant) -> dict:
             text=True,
         )
     lines = proc.stdout.splitlines()
-    outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
-    return {
+    result = {
         "id": entry.id,
         "what": entry.what,
         "tests": list(entry.tests),
-        "result": outcome,
+        "result": outcome(entry, proc.returncode),
         "summary": lines[-1] if lines else proc.stderr.strip()[-200:],
         "failed": [ln.split()[1].split("::")[-1] for ln in lines if ln.startswith("FAILED ")],
     }
+    if entry.equivalent:
+        result["equivalent"] = entry.equivalent
+    return result
+
+
+def outcome(entry: Mutant, returncode: int) -> str:
+    """The entry's result from pytest's exit code (see the module docstring)."""
+    result = {0: "survived", 1: "killed"}.get(returncode, "error")
+    if entry.equivalent:
+        return "equivalent" if result == "survived" else "error"
+    return result
 
 
 def main(argv: list[str]) -> int:
@@ -404,7 +478,7 @@ def main(argv: list[str]) -> int:
         print(f"{entry.id} {result['result']}: {result['summary']}", flush=True)
     if out:
         Path(out).write_text(json.dumps(results, indent=1) + "\n")
-    return 0 if all(r["result"] == "killed" for r in results) else 1
+    return 0 if all(r["result"] in ("killed", "equivalent") for r in results) else 1
 
 
 if __name__ == "__main__":

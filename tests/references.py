@@ -8,7 +8,7 @@ by pytest; tests import it as ``import references``.
 from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
 from onepoint import intersect, union
 from onepoint.connectify import _escape_end, _least_tail
-from onepoint.finite import _axiom_check, _connected, _space, to_preorder
+from onepoint.finite import _axiom_check, _space, to_preorder
 from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
 from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
@@ -170,6 +170,22 @@ def open_as_declared(ext, u):
         if not all(n >= m for n, m in zip(u.tails, least)):
             return False
     return trace_is_open(u.trace, ext.space.ambient)
+
+
+def _connected(rows):
+    """The connectedness test the one-component count replaced: each row is
+    connected, its point lying below the rest of it, so rows that meet lie
+    in one component; the space is connected when the rows merged from the
+    first reach every point."""
+    reach = rows[0] if rows else 0
+    grown = True
+    while grown:
+        grown = False
+        for r in rows:
+            if r & reach and r & ~reach:
+                reach |= r
+                grown = True
+    return reach == (1 << len(rows)) - 1
 
 
 def search_by_rows(x, axiom):

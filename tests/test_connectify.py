@@ -78,6 +78,7 @@ from onepoint.connectify import (
     OpenCheck,
     _escape_piece,
     _least_tail,
+    _open_as_declared,
 )
 from onepoint import cli
 from onepoint.frozen import Frozen
@@ -1013,16 +1014,25 @@ def test_every_point_entry_takes_the_membership_rule():
 
 
 def test_malformed_tails_are_input_errors():
+    """One tails rule for the algebra, the falsifier and the verifiers: a
+    tuple of one natural per component.  A list, a fraction or a text tail
+    is refused everywhere, never read as a shape nor compared."""
     ext = ext_of("(0,1) U [5,inf)")
     trace = S("(0,1) U (6,inf)")
-    for tails in ((0,), (0, -1), (0, 0, 0)):
+    for tails in ((0,), (0, -1), (0, 0, 0), [0, 0], (0.5, 0), (0, "1")):
+        u = TypeII(trace, tails)
         with pytest.raises(MalformedInterval) as opened:
-            is_open_in_extension(ext, TypeII(trace, tails))
+            is_open_in_extension(ext, u)
         with pytest.raises(MalformedInterval) as falsified:
-            clopen_falsifier(ext, TypeII(trace, tails))
+            clopen_falsifier(ext, u)
         assert str(opened.value) == str(falsified.value)
         with pytest.raises(MalformedInterval):  # whether or not the trace is open
             is_open_in_extension(ext, TypeII(S("(0,1) U [6,inf)"), tails))
+        with pytest.raises(MalformedInterval):
+            intersect_open(ext, u, ext.whole_open())
+        with pytest.raises(MalformedInterval):
+            union_open(ext, [TypeI(trace), u])
+        assert not _open_as_declared(ext, u)
 
 
 def test_filter_elements_are_blocks_cut_from_the_component(extensions):

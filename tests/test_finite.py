@@ -19,8 +19,8 @@ from onepoint import (
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import MAX_FAMILY_POINTS, _components, _preorder_enumeration, _space
-from references import search_by_rows
+from onepoint.finite import MAX_FAMILY_POINTS, _axiom_check, _components, _preorder_enumeration, _space
+from references import _connected, search_by_rows
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -520,6 +520,23 @@ def test_search_candidates_match_preorder_construction(monkeypatch):
             assert search_one_point_connectifications(x, "any") == want, topology_literal(x)
             assert sorted(handed) == [to_preorder(t) for t in want], topology_literal(x)
     assert (bases, pairs, empty_a) == (390, 7331, 2483)
+
+
+def test_connected_is_one_component_as_the_rows_merged():
+    """`connected`, one component of `_components`, agrees with the rows
+    merged from the first (`references._connected`) on every preorder of 1
+    to 5 points and on every (A, B) candidate of the search."""
+    connected = _axiom_check("connected")
+    preorders = candidates = 0
+    for n in range(1, 6):
+        for rows in _preorder_enumeration(n):
+            assert connected(rows) == _connected(rows), rows
+            preorders += 1
+    for x in (t for n in range(5) for t in _topologies(n)):
+        for rows, _, _, _ in reference_extensions(x):
+            assert connected(rows) == _connected(rows), topology_literal(x)
+            candidates += 1
+    assert (preorders, candidates) == (7331, 7331)
 
 
 def test_search_builds_only_the_spaces_it_returns(monkeypatch):

@@ -1,6 +1,7 @@
 """The kept mutant catalogue stays applicable: every anchor occurs exactly
-once in its file and every named test file exists.  Running the mutants
-themselves is `python tests/mutants.py`, outside this suite."""
+once in its file, every named test file exists and every equivalence
+reason is text.  Running the mutants themselves is `python
+tests/mutants.py`, outside this suite."""
 
 import pytest
 
@@ -19,6 +20,20 @@ def test_entry_applies_to_the_tree(entry):
     assert entry.file.startswith("src/") and entry.replacement != entry.anchor
     assert (ROOT / entry.file).read_text().count(entry.anchor) == 1
     assert entry.tests and all((ROOT / t).is_file() for t in entry.tests)
+
+
+def test_equivalence_reasons_are_text():
+    for entry in mutants.CATALOGUE:
+        assert type(entry.equivalent) is str
+    assert all(m.equivalent.strip() for m in mutants.CATALOGUE if m.equivalent)
+    assert any(m.equivalent for m in mutants.CATALOGUE)
+
+
+def test_an_equivalent_entry_must_survive():
+    plain = mutants.CATALOGUE[0]
+    marked = plain._replace(equivalent="changes no answer")
+    assert [mutants.outcome(plain, code) for code in (0, 1, 2)] == ["survived", "killed", "error"]
+    assert [mutants.outcome(marked, code) for code in (0, 1, 2)] == ["equivalent", "error", "error"]
 
 
 def test_apply_refuses_an_absent_anchor(tmp_path):
