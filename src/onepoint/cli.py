@@ -100,8 +100,7 @@ def _cmd_search(request):
 def _cmd_selftest(request):
     from . import selftest  # and through it sampling: no other request loads them
 
-    lines = []
-    return selftest.run(lines.append), lines
+    return selftest.run()
 
 
 # The nine request shapes, in the order `--help` lists them: the command

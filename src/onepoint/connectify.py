@@ -672,15 +672,13 @@ def clopen_falsifier(ext: Extension, s: ExtOpenSet):
     failing condition on the set or on its complement.  Finding neither would
     contradict connectedness of the extension and raises the bug signal.  A
     type-II candidate without one natural tail index per component is an
-    input error.
+    input error, which the openness check, asked first, raises.
     """
-    if isinstance(s, TypeII):
-        _check_tails_shape(ext, s)
+    chk = is_open_in_extension(ext, s)
     if isinstance(s, TypeI) and not s.trace:
         return IsTrivial("empty")
     if isinstance(s, TypeII) and s.trace == ext.space.ambient:
         return IsTrivial("whole")
-    chk = is_open_in_extension(ext, s)
     if not chk:
         return NotClopenEvidence("set", chk)
     chk = is_open_in_extension(ext, _complement_open(ext, isinstance(s, TypeII), s.trace))

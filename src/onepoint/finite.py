@@ -331,12 +331,14 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 # --------------------------------------------------------------------------
 
 
-# The text of every mask over MAX_POINTS points, and its (size, mask) order key.
+# Each point's text and bit, one table read both ways: each mask's text is
+# printed from it, and each token of a literal is read back through it.
+_POINT_OF = {str(x): 1 << x for x in range(MAX_POINTS)}
 _MASK_TEXT = tuple(
-    "{" + ",".join(str(x) for x in range(MAX_POINTS) if (m >> x) & 1) + "}"
+    "{" + ",".join(t for t, bit in _POINT_OF.items() if m & bit) + "}"
     for m in range(1 << MAX_POINTS)
 )
-_MASK_ORDER = tuple((bin(m).count("1"), m) for m in range(1 << MAX_POINTS))
+_MASK_ORDER = tuple((bin(m).count("1"), m) for m in range(1 << MAX_POINTS))  # size, then mask
 
 
 def topology_literal(s: FiniteSpace) -> str:
@@ -353,19 +355,19 @@ def parse_topology_literal(text: str) -> FiniteSpace:
         raise ParseError(f"bad topology literal: {text!r}")
     masks = []
     too_large = False
-    for group in re.findall(r"\{([0-9,]*)\}", flat):
+    for group in flat[1:-1].split("},{"):
         mask = 0
         if group:
             for tok in group.split(","):
                 if not tok:
                     raise ParseError(f"bad open set in literal: {{{group}}}")
-                # Length first, so a long token is never converted or shifted;
+                # A token missing from the table names a point past the last;
                 # the size error waits until every group has parsed.
-                digits = tok.lstrip("0") or "0"
-                if len(digits) > len(str(MAX_POINTS)) or int(digits) >= MAX_POINTS:
+                bit = _POINT_OF.get(tok.lstrip("0") or "0")
+                if bit is None:
                     too_large = True
                 else:
-                    mask |= 1 << int(digits)
+                    mask |= bit
         masks.append(mask)
     if too_large:
         raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")

@@ -63,9 +63,9 @@ def rand_fraction(rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 
     return _frac(_randint(rng, lo * den, hi * den), den)
 
 
-def random_space(rng: random.Random, max_components: int = 5, allow_compact: bool = True) -> Space:
-    """A space with 1..max_components pieces of mixed endpoint kinds."""
-    k = _randint(rng, 1, max_components)
+def random_space(rng: random.Random, allow_compact: bool = True) -> Space:
+    """A space with 1 to 5 pieces of mixed endpoint kinds."""
+    k = _randint(rng, 1, 5)
     pieces: list[Interval] = []
     cursor = _frac(_randint(rng, -12, -6), 1)
     for i in range(k):
@@ -96,9 +96,7 @@ def random_space(rng: random.Random, max_components: int = 5, allow_compact: boo
         if not is_finite(pieces[-1].hi):
             break
         cursor = pieces[-1].hi
-    ambient = normalize(pieces)
-    assert len(ambient.pieces) == len(pieces), "generator must emit canonical pieces"
-    return Space(ambient)
+    return Space(IntervalSet(pieces))  # the checked constructor: the pieces are canonical
 
 
 def random_real_open(rng: random.Random) -> IntervalSet:
@@ -282,5 +280,5 @@ def corpus(count: int = 200, seed: int = 20260808) -> list[Space]:
     rng = random.Random(seed)
     spaces = [Space(parse_set(text)) for text in EDGE_SPACES]
     while len(spaces) < count:
-        spaces.append(random_space(rng, 5, allow_compact=len(spaces) % 2 == 1))
+        spaces.append(random_space(rng, allow_compact=len(spaces) % 2 == 1))
     return spaces

@@ -271,15 +271,16 @@ _CHECKS = (
 )
 
 
-def run(emit=print) -> int:
-    """Run every invariant check; returns 0 when all pass, 1 otherwise."""
+def run() -> tuple[int, list[str]]:
+    """Run every invariant check: exit code 0 when all pass, else 1, and the lines."""
+    lines = []
     failing = 0
     for name, fn in _CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # an invariant check must never raise
             ok, detail = False, f"error={exc!r}"
-        emit(f"{'ok' if ok else 'FAIL'} {name} {detail}")
+        lines.append(f"{'ok' if ok else 'FAIL'} {name} {detail}")
         failing += not ok
-    emit(f"selftest checks={len(_CHECKS)} failing={failing}")
-    return 0 if failing == 0 else 1
+    lines.append(f"selftest checks={len(_CHECKS)} failing={failing}")
+    return (0 if failing == 0 else 1), lines

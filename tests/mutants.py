@@ -3,6 +3,7 @@ files that must catch it.
 
     python tests/mutants.py                  # run every entry
     python tests/mutants.py 33-1 32-4        # run the named entries
+    python tests/mutants.py --file src/onepoint/finite.py  # the entries anchored there
     python tests/mutants.py --json out.json  # also write the results as JSON
 
 An entry names a file, an anchor that occurs exactly once in it, the text
@@ -412,6 +413,81 @@ CATALOGUE = (
         ("tests/test_intervals.py", "tests/test_golden_outputs.py"),
         "a lower end over a written denominator of 1 keeps its text",
     ),
+    Mutant(
+        "37-1",
+        "src/onepoint/finite.py",
+        "_POINT_OF = {str(x): 1 << x for x in range(MAX_POINTS)}",
+        "_POINT_OF = {str(x + 1): 1 << x for x in range(MAX_POINTS)}",
+        ("tests/test_finite.py",),
+        "the point table names each point one past itself, printing and reading",
+    ),
+    Mutant(
+        "37-2",
+        "src/onepoint/finite.py",
+        'bit = _POINT_OF.get(tok.lstrip("0") or "0")',
+        "bit = _POINT_OF.get(tok)",
+        ("tests/test_finite.py",),
+        "a zero-padded token reads as a point past the last",
+    ),
+    Mutant(
+        "37-3",
+        "src/onepoint/finite.py",
+        'for group in flat[1:-1].split("},{"):',
+        'for group in flat.split("},{"):',
+        ("tests/test_finite.py",),
+        "the group split keeps the outer braces in the first and last group",
+    ),
+    Mutant(
+        "37-4",
+        "src/onepoint/connectify.py",
+        "    chk = is_open_in_extension(ext, s)\n"
+        "    if isinstance(s, TypeI) and not s.trace:\n"
+        '        return IsTrivial("empty")\n'
+        "    if isinstance(s, TypeII) and s.trace == ext.space.ambient:\n"
+        '        return IsTrivial("whole")\n',
+        "    if isinstance(s, TypeI) and not s.trace:\n"
+        '        return IsTrivial("empty")\n'
+        "    if isinstance(s, TypeII) and s.trace == ext.space.ambient:\n"
+        '        return IsTrivial("whole")\n'
+        "    chk = is_open_in_extension(ext, s)\n",
+        ("tests/test_connectify.py",),
+        "the falsifier's trivial tests come before openness, with no tails check",
+    ),
+    Mutant(
+        "37-5",
+        "src/onepoint/intervals.py",
+        "        g = math.gcd(n, d)\n",
+        "        g = 1\n",
+        ("tests/test_intervals.py",),
+        "_frac builds n/d without reducing it (BENCH_22.json)",
+    ),
+    Mutant(
+        "37-6",
+        "src/onepoint/intervals.py",
+        "    try:\n"
+        '        return str(n) if d == 1 else f"{n}/{d}"\n'
+        "    except ValueError as exc:  # beyond the interpreter's integer-to-text digit limit\n"
+        '        raise SizeTooLarge("a computed number has too many digits to print") from exc\n',
+        '    return str(n) if d == 1 else f"{n}/{d}"\n',
+        ("tests/test_cli.py",),
+        "fmt_value lets the digit limit's ValueError through (BENCH_22.json)",
+    ),
+    Mutant(
+        "31-7",
+        "src/onepoint/intervals.py",
+        "            if oi == n or _starts_before(p, po[oi]):\n",
+        "            if oi == n:\n",
+        ("tests/test_intervals.py", "tests/test_oracle.py", "tests/test_symmetry.py"),
+        "_hosts drops its left-end check",
+    ),
+    Mutant(
+        "37-7",
+        "src/onepoint/connectify.py",
+        "return flt._index_past(near, closed) if is_finite(near) else 0",
+        "return flt._index_past(near, True) if is_finite(near) else 0",
+        ("tests/test_connectify.py", "tests/test_components.py"),
+        "_least_tail reads every near end as included (the PR-20 re-anchor)",
+    ),
 )
 
 
@@ -461,18 +537,44 @@ def outcome(entry: Mutant, returncode: int) -> str:
     return result
 
 
-def main(argv: list[str]) -> int:
-    out = None
-    if "--json" in argv:
-        at = argv.index("--json")
-        out, argv = argv[at + 1], argv[:at] + argv[at + 2 :]
+def select(argv: list[str]) -> tuple[list[Mutant], str | None]:
+    """The entries an argument list asks for, and its ``--json`` path.
+
+    Entry ids name entries, every entry when none is named; ``--file FILE``
+    keeps those anchored in FILE.  Raises ValueError on an option without a
+    value, an unknown id, or a file that no named entry is anchored in.
+    """
+    opts: dict[str, str | None] = {"--json": None, "--file": None}
+    ids = []
+    args = iter(argv)
+    for arg in args:
+        if arg in opts:
+            opts[arg] = next(args, None)
+            if opts[arg] is None:
+                raise ValueError(f"{arg} takes a value")
+        else:
+            ids.append(arg)
     known = {m.id: m for m in CATALOGUE}
-    unknown = [i for i in argv if i not in known]
+    unknown = [i for i in ids if i not in known]
     if unknown:
-        print(f"unknown mutant ids: {' '.join(unknown)}", file=sys.stderr)
+        raise ValueError(f"unknown mutant ids: {' '.join(unknown)}")
+    entries = [known[i] for i in ids] if ids else list(CATALOGUE)
+    if opts["--file"] is not None:
+        path = Path(opts["--file"]).resolve()
+        entries = [m for m in entries if (ROOT / m.file).resolve() == path]
+        if not entries:
+            raise ValueError(f"no selected entry is anchored in {opts['--file']}")
+    return entries, opts["--json"]
+
+
+def main(argv: list[str]) -> int:
+    try:
+        entries, out = select(argv)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     results = []
-    for entry in [known[i] for i in argv] if argv else CATALOGUE:
+    for entry in entries:
         result = run(entry)
         results.append(result)
         print(f"{entry.id} {result['result']}: {result['summary']}", flush=True)

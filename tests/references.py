@@ -5,10 +5,12 @@ reaches them, so they live here rather than in the package.  Not collected
 by pytest; tests import it as ``import references``.
 """
 
+import re
+
 from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
-from onepoint import intersect, union
+from onepoint import FiniteSpace, ParseError, SizeTooLarge, intersect, union, validate_topology
 from onepoint.connectify import _escape_end, _least_tail
-from onepoint.finite import _axiom_check, _space, to_preorder
+from onepoint.finite import _LITERAL_RE, MAX_POINTS, _axiom_check, _space, to_preorder
 from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
 from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
@@ -209,3 +211,37 @@ def search_by_rows(x, axiom):
                 found.append(rows)
     found.sort()
     return [_space(rows) for rows in found]
+
+
+def parse_literal_by_tokens(text):
+    """The literal reader the point table replaced: each group found again
+    by a second regex, and each token converted, bounded and shifted.  Its
+    errors, their messages and their order are the engine's."""
+    flat = "".join(text.split())
+    if not _LITERAL_RE.match(flat):
+        raise ParseError(f"bad topology literal: {text!r}")
+    masks = []
+    too_large = False
+    for group in re.findall(r"\{([0-9,]*)\}", flat):
+        mask = 0
+        if group:
+            for tok in group.split(","):
+                if not tok:
+                    raise ParseError(f"bad open set in literal: {{{group}}}")
+                # Length first, so a long token is never converted or shifted.
+                digits = tok.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_POINTS)) or int(digits) >= MAX_POINTS:
+                    too_large = True
+                else:
+                    mask |= 1 << int(digits)
+        masks.append(mask)
+    if too_large:
+        raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")
+    n = max(masks).bit_length()
+    try:
+        space = FiniteSpace(n, frozenset(masks))
+    except ParseError as exc:
+        raise ParseError(f"not a topology: {text!r} ({exc})") from exc
+    if not validate_topology(n, space.opens):
+        raise ParseError(f"family is not closed under union/intersection: {text!r}")
+    return space

@@ -224,6 +224,16 @@ def test_bad_point_arguments_exit_2():
     assert code == 2
 
 
+def test_whitespace_inside_a_numeral_is_squeezed():
+    """Pinned, not endorsed: the part reader and the point reader both drop
+    whitespace inside a numeral, so `[1 2,3 0]` reads as [12,30] and the
+    point `1 2` as 12.  Refusing either would change an exit code."""
+    assert run_cli("components", "[1 2,3 0]") == (0, ["C#0=[12,30]"])
+    squeezed = run_cli("witness", "hausdorff", "(0,inf)", "p", "1 2")
+    assert squeezed == (0, ["U = II trace=(13,inf) tails=C#0:13", "V = I trace=(11,13)"])
+    assert run_cli("witness", "hausdorff", "(0,inf)", "p", "12") == squeezed
+
+
 def test_cli_matches_library(capsys):
     # the CLI is a thin wrapper: its lines equal the library record output
     from onepoint import Space, check_connectifiable, parse_set

@@ -626,6 +626,37 @@ def test_clopen_falsifier_examples():
     assert out.check.boundary == Fraction(1, 2)
 
 
+def test_the_falsifier_answers_on_the_trivial_sets():
+    """The empty set and the whole extension are trivial; the whole ambient
+    with a negative tail is an input error, whichever test runs first."""
+    ext = ext_of("(0,1) U [5,inf)")
+    assert clopen_falsifier(ext, TypeI(EMPTY)) == IsTrivial("empty")
+    assert clopen_falsifier(ext, ext.whole_open()) == IsTrivial("whole")
+    with pytest.raises(MalformedInterval) as err:
+        clopen_falsifier(ext, TypeII(ext.space.ambient, (0, -1)))
+    assert str(err.value) == "type-II set needs one natural tail index per component, got (0, -1)"
+
+
+def test_the_falsifier_checks_type_ii_tails_once(monkeypatch):
+    """The falsifier asks openness first and the trivial tests after it, so
+    a type-II candidate's tails are checked once, by the openness check."""
+    from onepoint import connectify
+
+    checked = []
+    check = connectify._check_tails_shape
+
+    def counted(ext, u):
+        checked.append(u)
+        return check(ext, u)
+
+    monkeypatch.setattr(connectify, "_check_tails_shape", counted)
+    ext = ext_of("(0,1) U [5,inf)")
+    u = TypeII(S("(0,1) U (6,inf)"), (0, 0))
+    out = clopen_falsifier(ext, u)
+    assert isinstance(out, NotClopenEvidence) and out.side == "complement"
+    assert checked == [u]
+
+
 def test_clopen_falsifier_generated(extensions):
     rng = random.Random(88)
     for ext in extensions[:30]:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -20,7 +21,7 @@ from onepoint import (
 )
 from onepoint import finite
 from onepoint.finite import MAX_FAMILY_POINTS, _axiom_check, _components, _preorder_enumeration, _space
-from references import _connected, search_by_rows
+from references import _connected, parse_literal_by_tokens, search_by_rows
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -663,3 +664,64 @@ def test_parse_topology_literal_rejects_garbage():
         with pytest.raises(ParseError):
             parse_topology_literal(bad)
     assert parse_topology_literal("{},{0}") == discrete(1)
+
+
+def _read_both(text):
+    """The point-table reader's and the token loop's answer to one text: a
+    space, or the exception's type name and message."""
+    answers = []
+    for read in (parse_topology_literal, parse_literal_by_tokens):
+        try:
+            answers.append(read(text))
+        except Exception as exc:
+            answers.append((type(exc).__name__, str(exc)))
+    return answers
+
+
+def _variants(text, rng):
+    """A canonical literal, its groups shuffled and reversed, every token
+    zero-padded, and one token repeated."""
+    groups = text[1:-1].split("},{")
+    shuffled = rng.sample(groups, len(groups))
+    padded = [g and ",".join("0" * rng.randint(1, 3) + t for t in g.split(",")) for g in groups]
+    last = groups[-1]
+    repeated = groups[:-1] + [f"{last},{last.split(',')[0]}"] if last else groups
+    return [text] + ["{" + "},{".join(g) + "}" for g in (shuffled, groups[::-1], padded, repeated)]
+
+
+HOSTILE_TOKENS = ("", "0", "1", "3", "5", "6", "7", "10", "00", "05", "٣", " 2", "0" * 5000 + "1")
+HOSTILE_TEXTS = (
+    "{,}", "{0,}", "{7}", "{10}", "{٣}", "{},{" + "0" * 5000 + "}", "{},{7},{1,,2}", "{},{10},{,}",
+    "{},{0},{0,1},{1", " { } , { 0 } ", "{},{0}}", "{}{0}", "{},{0},{1}", "{0}", "",
+    "{" + "9" * 4400 + "}",
+)
+
+
+def _hostile_texts(rng, count):
+    """Texts of one to four groups of up to three tokens from the hostile
+    pool, a fifth of them with their braces left open."""
+    for _ in range(count):
+        groups = [
+            ",".join(rng.choice(HOSTILE_TOKENS) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        text = "{},{" + "},{".join(groups)
+        yield text + "}" if rng.random() < 0.8 else text
+
+
+def test_the_point_table_reads_as_the_token_loop():
+    """The literal read through the point table gives the token loop's space,
+    or its exception and message, on the literal of every base of at most
+    4 points and its variants, and on a seeded pool of hostile texts."""
+    rng = random.Random(3701)
+    for n in range(5):
+        for t in _topologies(n):
+            for text in _variants(topology_literal(t), rng):
+                new, old = _read_both(text)
+                assert new == old == t, text
+    seen = Counter()
+    for text in (*HOSTILE_TEXTS, *_hostile_texts(rng, 3000)):
+        new, old = _read_both(text)
+        assert new == old, text[:80]
+        seen[new[0] if isinstance(new, tuple) else "space"] += 1
+    assert min(seen["space"], seen["ParseError"], seen["SizeTooLarge"]) > 100, seen

@@ -42,3 +42,18 @@ def test_apply_refuses_an_absent_anchor(tmp_path):
     (tmp_path / entry.file).write_text("no anchor here\n")
     with pytest.raises(ValueError, match="exactly once"):
         mutants.apply(entry, tmp_path)
+
+
+def test_file_selects_exactly_the_entries_anchored_in_it(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    finite = [m for m in mutants.CATALOGUE if m.file == "src/onepoint/finite.py"]
+    assert finite and len(finite) < len(mutants.CATALOGUE)
+    assert mutants.select(["--file", "src/onepoint/finite.py"]) == (finite, None)
+    absolute = str(ROOT / "src/onepoint/finite.py")
+    assert mutants.select(["--json", "o.json", "--file", absolute]) == (finite, "o.json")
+    named = mutants.select(["35-4", "33-1", "--file", "src/onepoint/finite.py"])[0]
+    assert [m.id for m in named] == ["35-4"]
+    assert mutants.select([]) == (list(mutants.CATALOGUE), None)
+    for argv in (["--file"], ["--file", "src/onepoint/frozen.py"], ["33-1", "--file", absolute], ["0-0"]):
+        with pytest.raises(ValueError):
+            mutants.select(argv)
