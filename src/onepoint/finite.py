@@ -15,7 +15,10 @@ exactly when p lies in the closure of every component of x, that is when A
 meets every component, which is read off x's components once per search.
 The opens of a found extension are x's opens missing B, and each open
 holding A with p added: the paper's topology on the extension, restricted
-to finite spaces.
+to finite spaces.  The construction decides four axioms for every
+candidate, so the search asks only T0 and normal-pairs: connected and
+locally connected always hold, T1 and T2 never (p's least open holds the
+nonempty A).
 
 Axioms on rows: T0 is distinct rows, T1 each row being its point alone.  T2
 is the T1 rule: a row holding y holds y's row, so rows are pairwise disjoint
@@ -84,8 +87,9 @@ def to_preorder(space: FiniteSpace) -> tuple[int, ...]:
     below y (every open containing x contains y), is the least open of x,
     the intersection of the opens holding x."""
     rows = []
+    full = space.full
     for x in range(space.size):
-        m = space.full
+        m = full
         for o in space.opens:
             if (o >> x) & 1:
                 m &= o
@@ -264,6 +268,13 @@ _AXIOM_CHECKS = {
 }
 AXIOMS = tuple(_AXIOM_CHECKS)
 
+# The axioms every dense, connected one-point extension the search builds
+# answers alike, so it never asks them: connected, since its A meets every
+# component of the base; locally connected, since every row is a connected
+# open; and neither T1 nor T2, since p's least open is A with p added, and
+# A is not empty because the base is dense.
+_DECIDED = {"connected": True, "locally_connected": True, "T1": False, "T2": False}
+
 
 def _axiom_check(axiom: str):
     fn = _AXIOM_CHECKS.get(axiom)
@@ -292,17 +303,23 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 
     A component of x meeting B meets A too, B lying below A, so the
     extension is connected exactly when A meets every component of x; only
-    those A get their candidates' rows built, for the axiom.  Keeps the
-    extensions that satisfy it, in the lexicographic order of their rows,
-    and reads the opens of those only off x's.  The extra point always
-    carries the last label.
+    those A get their candidates' rows built, for the axiom, which is asked
+    of them only where the construction leaves it open (`_DECIDED`): a
+    connected or locally connected search keeps every candidate, and a T1
+    or T2 search finds none.  Keeps the extensions that satisfy it, in the
+    lexicographic order of their rows, and reads the opens of those only
+    off x's.  The extra point always carries the last label.
     """
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
     satisfies = _axiom_check(axiom)
+    decided = _DECIDED.get(axiom)
+    if decided is False:
+        return []
     up = to_preorder(x)
     comps = _components(up)
     opens = x.opens
+    full = x.full
     p_bit = 1 << x.size
     found = []
     for a in opens - {0}:
@@ -310,12 +327,12 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
             continue
         below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
         for o in opens:
-            b = x.full ^ o
+            b = full ^ o
             if b & ~below_a:
                 continue
             rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
             rows += (a | p_bit,)
-            if satisfies(rows):
+            if decided or satisfies(rows):
                 found.append((rows, a, b))
     found.sort()
     return [

@@ -221,7 +221,11 @@ def _check_micro_necessity():
         for space in fin.enumerate_topologies(n, "preorder"):
             if not fin.check_axiom(space, "T1"):
                 continue
-            if fin.search_one_point_connectifications(space, "T2"):
+            # The T2 search reads the search's table; the T2 rule reads rows.
+            connected = fin.search_one_point_connectifications(space, "connected")
+            if fin.search_one_point_connectifications(space, "T2") or any(
+                fin.check_axiom(t, "T2") for t in connected
+            ):
                 return False, f"found-forbidden-connectification n={n}"
             tested += 1
     return True, f"t1_spaces={tested}"

@@ -4,6 +4,7 @@ files that must catch it.
     python tests/mutants.py                  # run every entry
     python tests/mutants.py 33-1 32-4        # run the named entries
     python tests/mutants.py --file src/onepoint/finite.py  # the entries anchored there
+    python tests/mutants.py --function search_one_point_connectifications  # inside that def
     python tests/mutants.py --json out.json  # also write the results as JSON
 
 An entry names a file, an anchor that occurs exactly once in it, the text
@@ -27,6 +28,7 @@ anchors and the test files.  One entry takes a few seconds.
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 import subprocess
@@ -488,6 +490,38 @@ CATALOGUE = (
         ("tests/test_connectify.py", "tests/test_components.py"),
         "_least_tail reads every near end as included (the PR-20 re-anchor)",
     ),
+    Mutant(
+        "38-1",
+        "src/onepoint/finite.py",
+        '"T2": False}',
+        '"T2": True}',
+        ("tests/test_finite.py",),
+        "the decided table has every candidate Hausdorff",
+    ),
+    Mutant(
+        "38-2",
+        "src/onepoint/finite.py",
+        '_DECIDED = {"connected": True,',
+        '_DECIDED = {"connected": False,',
+        ("tests/test_finite.py",),
+        "the decided table has no candidate connected",
+    ),
+    Mutant(
+        "38-3",
+        "src/onepoint/finite.py",
+        "    if decided is False:\n        return []\n",
+        "",
+        ("tests/test_finite.py",),
+        "a T1 or T2 search builds the candidates' rows and asks its check of each",
+    ),
+    Mutant(
+        "38-4",
+        "src/onepoint/finite.py",
+        "if decided or satisfies(rows):",
+        "if satisfies(rows):",
+        ("tests/test_finite.py",),
+        "a connected or locally connected search asks its check of every candidate",
+    ),
 )
 
 
@@ -537,14 +571,28 @@ def outcome(entry: Mutant, returncode: int) -> str:
     return result
 
 
+def in_function(entry: Mutant, name: str) -> bool:
+    """Whether the entry's anchor starts inside a ``def name`` of its file,
+    by the line ranges of the file's ``ast``."""
+    text = (ROOT / entry.file).read_text()
+    line = text.count("\n", 0, text.find(entry.anchor)) + 1
+    return any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == name
+        and node.lineno <= line <= node.end_lineno
+        for node in ast.walk(ast.parse(text))
+    )
+
+
 def select(argv: list[str]) -> tuple[list[Mutant], str | None]:
     """The entries an argument list asks for, and its ``--json`` path.
 
     Entry ids name entries, every entry when none is named; ``--file FILE``
-    keeps those anchored in FILE.  Raises ValueError on an option without a
-    value, an unknown id, or a file that no named entry is anchored in.
+    keeps those anchored in FILE, and ``--function NAME`` those anchored
+    inside a ``def NAME``.  Raises ValueError on an option without a value,
+    an unknown id, or a file or function that no named entry is anchored in.
     """
-    opts: dict[str, str | None] = {"--json": None, "--file": None}
+    opts: dict[str, str | None] = {"--json": None, "--file": None, "--function": None}
     ids = []
     args = iter(argv)
     for arg in args:
@@ -564,6 +612,10 @@ def select(argv: list[str]) -> tuple[list[Mutant], str | None]:
         entries = [m for m in entries if (ROOT / m.file).resolve() == path]
         if not entries:
             raise ValueError(f"no selected entry is anchored in {opts['--file']}")
+    if opts["--function"] is not None:
+        entries = [m for m in entries if in_function(m, opts["--function"])]
+        if not entries:
+            raise ValueError(f"no selected entry is anchored in def {opts['--function']}")
     return entries, opts["--json"]
 
 

@@ -192,6 +192,8 @@ def test_criterion_6_micro_necessity():
                 continue
             t1_spaces += 1
             assert search_one_point_connectifications(t, "T2") == []
+            # Judged by rows too: the T2 search reads the search's table.
+            assert not any(check_axiom(e, "T2") for e in search_one_point_connectifications(t, "connected"))
     assert t1_spaces == 4  # exactly the discrete space at each size
     budget.done("criterion-6 micro-necessity", f"t1_spaces={t1_spaces} sizes=1..4")
 

@@ -577,6 +577,60 @@ def test_search_matches_the_search_by_rows():
     assert total == 10889
 
 
+def test_the_search_asks_only_the_axioms_left_open(monkeypatch):
+    """Over the 390 bases of at most 4 points, the search asks T0 and
+    normal-pairs of each of the 3,589 candidates past its component test,
+    and never asks the four axioms the construction decides."""
+    asked = Counter()
+
+    def counted(axiom, check):
+        def wrapper(rows):
+            asked[axiom] += 1
+            return check(rows)
+
+        return wrapper
+
+    for axiom, check in list(finite._AXIOM_CHECKS.items()):
+        monkeypatch.setitem(finite._AXIOM_CHECKS, axiom, counted(axiom, check))
+    for x in (t for n in range(5) for t in _topologies(n)):
+        for axiom in AXIOMS:
+            search_one_point_connectifications(x, axiom)
+    assert asked == {"T0": 3589, "normal-pairs": 3589}
+
+
+def test_t1_and_t2_searches_read_no_rows(monkeypatch):
+    """A T1 or T2 search answers [] without reading the base's rows, after
+    the size check and the axiom lookup have had their say."""
+    read = []
+    rows_of = finite.to_preorder
+    monkeypatch.setattr(finite, "to_preorder", lambda space: read.append(space) or rows_of(space))
+    for x in (t for n in range(5) for t in _topologies(n)):
+        assert search_one_point_connectifications(x, "T1") == []
+        assert search_one_point_connectifications(x, "T2") == []
+    assert read == []
+    with pytest.raises(SizeTooLarge):
+        search_one_point_connectifications(discrete(5), "bogus")
+    with pytest.raises(ValueError, match="^unknown axiom 'bogus'"):
+        search_one_point_connectifications(discrete(2), "bogus")
+
+
+def test_decided_axioms_are_their_rules_on_every_candidate():
+    """On each dense, connected (A, B) candidate of the bases of at most
+    4 points, rows built as the construction builds them and connectedness
+    merged as `references._connected` merges it, every axiom the search
+    does not ask answers as the table says."""
+    assert set(finite._DECIDED) <= set(AXIOMS)
+    candidates = 0
+    for x in (t for n in range(5) for t in _topologies(n)):
+        for rows, _, _, dense in reference_extensions(x):
+            if not (dense and _connected(rows)):
+                continue
+            candidates += 1
+            for axiom, answer in finite._DECIDED.items():
+                assert finite._AXIOM_CHECKS[axiom](rows) is answer, (topology_literal(x), rows, axiom)
+    assert candidates == 3589
+
+
 # --------------------------------------------------------------------------
 # the search against a scan of every topology on one more point
 # --------------------------------------------------------------------------

@@ -3,9 +3,12 @@ once in its file, every named test file exists and every equivalence
 reason is text.  Running the mutants themselves is `python
 tests/mutants.py`, outside this suite."""
 
+import inspect
+
 import pytest
 
 import mutants
+from onepoint import finite
 
 ROOT = mutants.ROOT
 
@@ -57,3 +60,29 @@ def test_file_selects_exactly_the_entries_anchored_in_it(monkeypatch):
     for argv in (["--file"], ["--file", "src/onepoint/frozen.py"], ["33-1", "--file", absolute], ["0-0"]):
         with pytest.raises(ValueError):
             mutants.select(argv)
+
+
+def test_function_selects_exactly_the_entries_anchored_inside_it():
+    """`--function NAME` keeps the entries whose anchor starts inside the
+    def, here counted by `inspect` rather than by `ast` line ranges."""
+    lines, first = inspect.getsourcelines(finite.search_one_point_connectifications)
+    text = (ROOT / "src/onepoint/finite.py").read_text()
+
+    def start_line(entry):
+        return text.count("\n", 0, text.find(entry.anchor)) + 1
+
+    inside = [
+        m
+        for m in mutants.CATALOGUE
+        if m.file == "src/onepoint/finite.py" and first <= start_line(m) < first + len(lines)
+    ]
+    assert [m.id for m in inside] == ["35-1", "35-2", "35-3", "38-3", "38-4"]
+    assert mutants.select(["--function", "search_one_point_connectifications"]) == (inside, None)
+    both = ["--file", "src/onepoint/finite.py", "--function", "search_one_point_connectifications"]
+    assert mutants.select(both) == (inside, None)
+    assert mutants.select(["35-1", "35-4", "--function", "search_one_point_connectifications"])[0] == inside[:1]
+    refused = (["--function"], ["--function", "no_such_def"], ["35-4", "--function", "search_one_point_connectifications"])
+    for argv in refused:
+        with pytest.raises(ValueError):
+            mutants.select(argv)
+    assert mutants.main(["--function", "no_such_def"]) == 2
