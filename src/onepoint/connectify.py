@@ -182,22 +182,21 @@ def _escape_end(piece: Interval) -> tuple[int, Value]:
 
 
 class NamedPoint:
-    """A point added to a space: a reserved token, not a rational.
+    """A point added to a space: a reserved token, not a rational.  It lies
+    in exactly the opens of class ``kind``.
 
     Each added point is one module-level instance, so identity is equality.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "kind")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, kind: type) -> None:
         self.name = name
+        self.kind = kind
 
     def __repr__(self) -> str:
         return self.name
 
-
-#: The added point of the extension.
-P = NamedPoint("p")
 
 ExtPoint = Fraction | NamedPoint
 
@@ -263,6 +262,9 @@ class TypeII(Frozen):
 
 ExtOpenSet = TypeI | TypeII
 
+#: The added point of the extension.
+P = NamedPoint("p", TypeII)
+
 
 class ExtClosedSet(Frozen):
     """Closed subset of the extension: optional extra point plus a trace."""
@@ -295,8 +297,10 @@ def check_connectifiable(space: Space) -> Verdict:
 
 
 def ext_contains(u: ExtOpenSet, pt: ExtPoint) -> bool:
-    if pt is P:
-        return isinstance(u, TypeII)
+    """An added point lies in exactly the opens of its kind, of either
+    extension; a point of the space, in the opens whose trace holds it."""
+    if isinstance(pt, NamedPoint):
+        return isinstance(u, pt.kind)
     return pt in u.trace
 
 
@@ -749,14 +753,14 @@ def separate_points(space: Space, added: NamedPoint, from_added, y, z):
     return TypeI(u), TypeI(v)
 
 
-def verify_separated(contains, is_open, y, z, u, v) -> bool:
+def verify_separated(is_open, y, z, u, v) -> bool:
     """The four postconditions of a point separation: each open holds its point,
     both are open, the traces are disjoint, at most one holds the added point.
     Openness comes first: it refuses an open that is not one, whose trace
     membership could not be asked."""
     if not (is_open(u) and is_open(v)):
         return False
-    if not (contains(u, y) and contains(v, z)):
+    if not (ext_contains(u, y) and ext_contains(v, z)):
         return False
     if intersect(u.trace, v.trace):
         return False
@@ -772,7 +776,7 @@ def verify_hausdorff(
     ext: Extension, y: ExtPoint, z: ExtPoint, u: ExtOpenSet, v: ExtOpenSet
 ) -> bool:
     """Independent check of the four witness postconditions."""
-    return verify_separated(ext_contains, lambda w: _open_as_declared(ext, w), y, z, u, v)
+    return verify_separated(lambda w: _open_as_declared(ext, w), y, z, u, v)
 
 
 # --------------------------------------------------------------------------

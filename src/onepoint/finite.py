@@ -351,6 +351,7 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
 # Each point's text and bit, one table read both ways: each mask's text is
 # printed from it, and each token of a literal is read back through it.
 _POINT_OF = {str(x): 1 << x for x in range(MAX_POINTS)}
+_PAST_LAST = 1 << MAX_POINTS
 _MASK_TEXT = tuple(
     "{" + ",".join(t for t, bit in _POINT_OF.items() if m & bit) + "}"
     for m in range(1 << MAX_POINTS)
@@ -371,27 +372,20 @@ def parse_topology_literal(text: str) -> FiniteSpace:
     if not _LITERAL_RE.match(flat):
         raise ParseError(f"bad topology literal: {text!r}")
     masks = []
-    too_large = False
     for group in flat[1:-1].split("},{"):
         mask = 0
         if group:
             for tok in group.split(","):
                 if not tok:
                     raise ParseError(f"bad open set in literal: {{{group}}}")
-                # A token missing from the table names a point past the last;
-                # the size error waits until every group has parsed.
-                bit = _POINT_OF.get(tok.lstrip("0") or "0")
-                if bit is None:
-                    too_large = True
-                else:
-                    mask |= bit
+                # A token missing from the table names a point past the last,
+                # which `FiniteSpace` refuses once every group has parsed.
+                mask |= _POINT_OF.get(tok.lstrip("0") or "0", _PAST_LAST)
         masks.append(mask)
-    if too_large:
-        raise SizeTooLarge(f"finite spaces handle at most {MAX_POINTS} points")
     n = max(masks).bit_length()
     try:
         space = FiniteSpace(n, frozenset(masks))
-    except ParseError as exc:  # n fits MAX_POINTS and every mask fits n bits
+    except ParseError as exc:  # every mask fits n bits
         raise ParseError(f"not a topology: {text!r} ({exc})") from exc
     if not validate_topology(n, space.opens):
         raise ParseError(f"family is not closed under union/intersection: {text!r}")

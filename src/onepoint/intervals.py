@@ -662,17 +662,16 @@ def _scan_canonical(flat: str) -> IntervalSet | None:
     the text to `parse_set`'s general reader.
 
     The scan reads pieces matching `_CANON_RE`, joined by exactly ``" U "``
-    and tiling the whole text, each a valid interval.  Pieces in canonical
-    order, each with a gap before the next, are the set; pieces out of
-    order, touching or overlapping go through `normalize`.  A piece keeps
-    its text when both of its endpoints print as read: an infinity, an
-    integer, or a fraction in lowest terms over a denominator other than 1.
+    and tiling the whole text, each a valid interval with a gap before the
+    next.  Text not already canonical, with pieces out of order, touching
+    or overlapping, is declined.  A piece keeps its text when both of its
+    endpoints print as read: an infinity, an integer, or a fraction in
+    lowest terms over a denominator other than 1.
     """
     found = _CANON_RE.findall(flat)
     if sum(len(m[0]) for m in found) + 3 * len(found) - 3 != len(flat):
         return None
     pieces: list[Interval] = []
-    ordered = True
     try:
         for text, lo_b, lo_inf, lo_n, lo_d, hi_inf, hi_n, hi_d, hi_b in found:
             if lo_inf:
@@ -697,12 +696,12 @@ def _scan_canonical(flat: str) -> IntervalSet | None:
             if _interval_fault(lo, hi, lo_closed, hi_closed):
                 return None
             iv = _mk_interval(lo, hi, lo_closed, hi_closed, text)
-            if ordered and pieces and not _gap_between(pieces[-1], iv):
-                ordered = False
+            if pieces and not _gap_between(pieces[-1], iv):
+                return None
             pieces.append(iv)
     except ValueError:  # beyond the interpreter's text-to-integer digit limit
         return None
-    return _mk_set(tuple(pieces)) if ordered else normalize(pieces)
+    return _mk_set(tuple(pieces))
 
 
 def parse_set(text: str) -> IntervalSet:

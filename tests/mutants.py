@@ -295,8 +295,8 @@ CATALOGUE = (
     Mutant(
         "34-6",
         "src/onepoint/connectify.py",
-        "    if not (is_open(u) and is_open(v)):\n        return False\n    if not (contains(u, y) and contains(v, z)):",
-        "    if not (contains(u, y) and contains(v, z)):\n        return False\n    if not (is_open(u) and is_open(v)):",
+        "    if not (is_open(u) and is_open(v)):\n        return False\n    if not (ext_contains(u, y) and ext_contains(v, z)):",
+        "    if not (ext_contains(u, y) and ext_contains(v, z)):\n        return False\n    if not (is_open(u) and is_open(v)):",
         ("tests/test_connectify.py",),
         "verify_separated asks membership before openness",
     ),
@@ -393,8 +393,8 @@ CATALOGUE = (
     Mutant(
         "36-5",
         "src/onepoint/intervals.py",
-        "            if ordered and pieces and not _gap_between(pieces[-1], iv):\n"
-        "                ordered = False\n",
+        "            if pieces and not _gap_between(pieces[-1], iv):\n"
+        "                return None\n",
         "",
         ("tests/test_intervals.py", "tests/test_golden_outputs.py"),
         "the canonical scan takes pieces out of order, touching or overlapping as the set",
@@ -426,8 +426,8 @@ CATALOGUE = (
     Mutant(
         "37-2",
         "src/onepoint/finite.py",
-        'bit = _POINT_OF.get(tok.lstrip("0") or "0")',
-        "bit = _POINT_OF.get(tok)",
+        '_POINT_OF.get(tok.lstrip("0") or "0", _PAST_LAST)',
+        "_POINT_OF.get(tok, _PAST_LAST)",
         ("tests/test_finite.py",),
         "a zero-padded token reads as a point past the last",
     ),
@@ -521,6 +521,46 @@ CATALOGUE = (
         "if satisfies(rows):",
         ("tests/test_finite.py",),
         "a connected or locally connected search asks its check of every candidate",
+    ),
+    Mutant(
+        "39-1",
+        "src/onepoint/connectify.py",
+        "        return isinstance(u, pt.kind)\n",
+        "        return not isinstance(u, TypeI)\n",
+        ("tests/test_connectify.py",),
+        "an added point lies in every open that is not type I, its own kind or not",
+    ),
+    Mutant(
+        "39-2",
+        "src/onepoint/finite.py",
+        "_PAST_LAST = 1 << MAX_POINTS",
+        "_PAST_LAST = 1 << (MAX_POINTS - 1)",
+        ("tests/test_finite.py",),
+        "a token past the table reads as the last point, not a point past it",
+    ),
+    Mutant(
+        "39-3",
+        "src/onepoint/cli.py",
+        '    elif any(token.startswith("-") for token in tokens):\n        return None\n',
+        "",
+        ("tests/test_cli.py",),
+        "the request table reads a token starting with '-' as a positional (BENCH_23.json)",
+    ),
+    Mutant(
+        "39-4",
+        "src/onepoint/cli.py",
+        '        if "choices" in options and token not in options["choices"]:\n            return None\n',
+        "",
+        ("tests/test_cli.py",),
+        "the request table leaves a choice unchecked (BENCH_23.json)",
+    ),
+    Mutant(
+        "39-5",
+        "src/onepoint/cli.py",
+        '        if "--" in tokens:\n            return None\n',
+        "",
+        ("tests/test_cli.py",),
+        "the request table accepts a second '--' (BENCH_23.json)",
     ),
 )
 

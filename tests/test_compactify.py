@@ -17,8 +17,8 @@ from onepoint import (
     TypeInf,
     check_connectifiable,
     compactification_hausdorff_witness,
-    comp_contains,
     difference,
+    ext_contains,
     finite_subcover,
     intersect,
     is_open_in_compactification,
@@ -88,7 +88,7 @@ def test_hausdorff_witness_golden():
 def test_hausdorff_orientation():
     ce = compactify(space("(0,1)"))
     u, v = compactification_hausdorff_witness(ce, Fraction(1, 2), INFINITY)
-    assert comp_contains(u, Fraction(1, 2)) and comp_contains(v, INFINITY)
+    assert ext_contains(u, Fraction(1, 2)) and ext_contains(v, INFINITY)
     assert verify_compact_hausdorff(ce, Fraction(1, 2), INFINITY, u, v)
 
 

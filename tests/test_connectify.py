@@ -68,9 +68,9 @@ from onepoint.compactify import (
     INFINITY,
     CompactExtension,
     TypeInf,
-    comp_contains,
     compactification_hausdorff_witness,
     compactify,
+    verify_compact_hausdorff,
 )
 from onepoint.connectify import (
     ConnectednessCertificate,
@@ -716,6 +716,38 @@ def test_hausdorff_golden():
     assert verify_hausdorff(ext3, P, z, u, v)
 
 
+def test_an_added_point_lies_in_exactly_the_opens_of_its_kind():
+    """p lies in the type-II opens alone and infinity in the `TypeInf` opens
+    alone, whatever the trace."""
+    trace = S("(0,inf)")
+    opens = (TypeI(trace), TypeII(trace, (0,)), TypeInf(trace))
+    assert [[ext_contains(u, pt) for u in opens] for pt in (P, INFINITY)] == [
+        [False, True, False],
+        [False, False, True],
+    ]
+
+
+def test_the_verifiers_refuse_the_other_extensions_added_point():
+    """Each witness builder raises `TypeError` for the other extension's
+    added point, which is no point of its space; each verifier answers
+    `False` for it, since no open of its own extension holds it."""
+    ext = ext_of("(0,1) U [5,inf)")
+    ce = compactify(Space(S("(0,1) U [5,inf)")))
+    z = Fraction(1, 2)
+    u, v = hausdorff_witness(ext, P, z)
+    assert verify_hausdorff(ext, P, z, u, v)
+    assert not verify_hausdorff(ext, INFINITY, z, u, v)
+    assert not verify_hausdorff(ext, z, INFINITY, v, u)
+    cu, cv = compactification_hausdorff_witness(ce, INFINITY, z)
+    assert verify_compact_hausdorff(ce, INFINITY, z, cu, cv)
+    assert not verify_compact_hausdorff(ce, P, z, cu, cv)
+    assert not verify_compact_hausdorff(ce, z, P, cv, cu)
+    with pytest.raises(TypeError):
+        hausdorff_witness(ext, INFINITY, z)
+    with pytest.raises(TypeError):
+        compactification_hausdorff_witness(ce, P, z)
+
+
 def test_hausdorff_orientation_and_errors():
     ext = ext_of("[5,inf)")
     u, v = hausdorff_witness(ext, Fraction(20), P)
@@ -1033,7 +1065,7 @@ def test_every_point_entry_takes_the_membership_rule():
         lambda q: hausdorff_witness(ext, Fraction(30), q),
         lambda q: compactification_hausdorff_witness(ce, q, INFINITY),
         lambda q: compactification_hausdorff_witness(ce, INFINITY, q),
-        lambda q: comp_contains(TypeI(S("(1,30)")), q),
+        lambda q: ext_contains(TypeI(S("(1,30)")), q),
     )
     for entry in entries:
         for bad in (True, 0.5, "1/2", "1e200000"):
