@@ -6,8 +6,10 @@ and the module works on these row tuples alone.  The walk yields them, the
 axioms read them and the search builds them; a ``FiniteSpace`` (the family
 of opens) is made only for a space the module returns.  The walk bounds row
 i by the AND of the earlier rows that hold i (transitivity) and visits only
-the submasks of that bound, one rule giving the valid rows of each point;
-counting adds up how many there are at the last row, building no tuples.
+the submasks of that bound, one rule giving the valid rows of each point.
+Counting walks one point fewer: each preorder on n points is one on n - 1
+extended by an (A, B) pair as in the search below, A empty or not, so the
+count adds up how many pairs each of the walk's (n - 1)-point tuples has.
 
 The search builds each one-point extension of a base x from x: one per
 (up-set A, down-set B) pair of the new point p.  The extension is connected
@@ -175,19 +177,35 @@ def _preorder_enumeration(n: int):
     yield from extend(0)
 
 
-def _count_preorders(rows: list[int], n: int) -> int:
-    """The number of preorders on n points (n at least 1) that begin with
-    ``rows``: the walk of `_preorder_enumeration`, adding up the number of
-    valid rows at the last row instead of building the tuples."""
-    choices = _row_choices(rows, n)
-    if len(rows) == n - 1:
-        return len(choices)
-    total = 0
-    for m in choices:
-        rows.append(m)
-        total += _count_preorders(rows, n)
-        rows.pop()
-    return total
+# Bit s of _SUBSETS[u] is set when mask s lies inside u, for every mask u
+# of a base the count extends (at most MAX_POINTS - 1 points).
+_SUBSETS = tuple(sum(1 << s for s in range(u + 1) if s & u == s) for u in range(1 << (MAX_POINTS - 1)))
+
+
+def _extension_count(up: tuple[int, ...]) -> int:
+    """The number of preorders on one point p more whose rows without p are
+    ``up``: one per (A, B) pair, A the open of points above p and B the
+    closed set below it, with A inside the row of every point of B.
+
+    The mask loop of `_space` finds the opens, as a bitmap ``fam`` of them,
+    and ``above[mask]``, the AND of the rows of the mask's points; the A
+    that fit a closed B are then the bits of ``fam`` inside ``above[B]``.
+    """
+    full = (1 << len(up)) - 1
+    reach = [0] * (full + 1)
+    above = [full] * (full + 1)
+    opens = [0]
+    fam = 1
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        row = up[low.bit_length() - 1]
+        r = reach[mask ^ low] | row
+        reach[mask] = r
+        above[mask] = above[mask ^ low] & row
+        if r == mask:
+            opens.append(mask)
+            fam |= 1 << mask
+    return sum((fam & _SUBSETS[above[full ^ o]]).bit_count() for o in opens)
 
 
 def enumerate_topologies(n: int, method: str = "preorder"):
@@ -211,10 +229,11 @@ def enumerate_topologies(n: int, method: str = "preorder"):
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
-    """Count topologies; the preorder method counts the walk's valid last
-    rows, building neither row tuples nor opens."""
+    """Count topologies; the preorder method adds up, over every preorder on
+    n - 1 points, how many ways it extends by the last point, building no
+    n-point rows or opens."""
     if method == "preorder" and 0 <= n <= MAX_POINTS:
-        return _count_preorders([], n) if n else 1
+        return sum(map(_extension_count, _preorder_enumeration(n - 1))) if n else 1
     return sum(1 for _ in enumerate_topologies(n, method))
 
 

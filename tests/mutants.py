@@ -335,10 +335,10 @@ CATALOGUE = (
     Mutant(
         "35-4",
         "src/onepoint/finite.py",
-        "        return len(choices)\n",
-        "        return 1\n",
+        "    return sum((fam & _SUBSETS[above[full ^ o]]).bit_count() for o in opens)\n",
+        "    return 1\n",
         ("tests/test_finite.py",),
-        "the counter counts one row per last-level node",
+        "the counter counts one pair per base (re-anchored from the walk counter, BENCH_40.json)",
     ),
     Mutant(
         "35-5",
@@ -561,6 +561,30 @@ CATALOGUE = (
         "",
         ("tests/test_cli.py",),
         "the request table accepts a second '--' (BENCH_23.json)",
+    ),
+    Mutant(
+        "40-1",
+        "src/onepoint/finite.py",
+        "    fam = 1\n",
+        "    fam = 0\n",
+        ("tests/test_finite.py",),
+        "the counter's bitmap of opens leaves out the empty A",
+    ),
+    Mutant(
+        "40-2",
+        "src/onepoint/finite.py",
+        "above[mask] = above[mask ^ low] & row",
+        "above[mask] = above[mask ^ low] | row",
+        ("tests/test_finite.py",),
+        "the counter's table of common rows takes the OR of the mask's rows, not the AND",
+    ),
+    Mutant(
+        "40-3",
+        "src/onepoint/finite.py",
+        "_SUBSETS[above[full ^ o]]",
+        "_SUBSETS[above[o]]",
+        ("tests/test_finite.py",),
+        "the counter reads each open as B, not its complement",
     ),
 )
 

@@ -10,7 +10,7 @@ import re
 from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
 from onepoint import FiniteSpace, ParseError, SizeTooLarge, intersect, union, validate_topology
 from onepoint.connectify import _escape_end, _least_tail
-from onepoint.finite import _LITERAL_RE, MAX_POINTS, _axiom_check, _space, to_preorder
+from onepoint.finite import _LITERAL_RE, MAX_POINTS, _axiom_check, _row_choices, _space, to_preorder
 from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
 from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
@@ -188,6 +188,25 @@ def _connected(rows):
                 reach |= r
                 grown = True
     return reach == (1 << len(rows)) - 1
+
+
+def count_preorders(n, rows=None):
+    """The walk counter that counting one-point extensions replaced: the
+    number of preorders on n points that begin with ``rows``, walking every
+    row as `_preorder_enumeration` does and adding up the number of valid
+    rows at the last row instead of building the tuples."""
+    rows = [] if rows is None else rows
+    if len(rows) == n:
+        return 1
+    choices = _row_choices(rows, n)
+    if len(rows) == n - 1:
+        return len(choices)
+    total = 0
+    for m in choices:
+        rows.append(m)
+        total += count_preorders(n, rows)
+        rows.pop()
+    return total
 
 
 def search_by_rows(x, axiom):

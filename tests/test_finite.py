@@ -20,8 +20,9 @@ from onepoint import (
     validate_topology,
 )
 from onepoint import finite
-from onepoint.finite import MAX_FAMILY_POINTS, _axiom_check, _components, _preorder_enumeration, _space
-from references import _connected, parse_literal_by_tokens, search_by_rows
+from onepoint.finite import MAX_FAMILY_POINTS, MAX_POINTS, _axiom_check, _components, _extension_count
+from onepoint.finite import _preorder_enumeration, _space
+from references import _connected, count_preorders, parse_literal_by_tokens, search_by_rows
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -110,16 +111,58 @@ def test_least_opens_are_preorder_rows_up_to_5():
 # --------------------------------------------------------------------------
 
 
+A000798 = [1, 1, 4, 29, 355, 6942, 209527]  # topologies on n labeled points (OEIS)
+
+
 def test_enumerator_counts_agree():
-    """The preorder count, which adds up the walk's valid last rows, equals
-    the number of row tuples the walk yields."""
-    expected = [1, 1, 4, 29, 355, 6942, 209527]  # OEIS A000798
-    for n, want in enumerate(expected):
+    """The preorder count, which adds up the one-point extensions of every
+    preorder on one point fewer, equals the number of row tuples the walk
+    yields."""
+    for n, want in enumerate(A000798):
         assert count_topologies(n, "preorder") == want
         if n <= 5:
             assert sum(1 for _ in _preorder_enumeration(n)) == want
         if n <= 4:
             assert count_topologies(n, "family") == want
+
+
+def test_count_matches_the_walk_counter():
+    """Counting one-point extensions gives the walk counter's number
+    (`references.count_preorders`) for every size up to the largest."""
+    for n in range(MAX_POINTS + 1):
+        assert count_topologies(n) == count_preorders(n), n
+
+
+def test_extension_count_is_the_number_of_preorders_over_each_base():
+    """Each preorder on n points is one extension of the preorder its first
+    n - 1 rows make without point n - 1: grouping the walk's n-point tuples
+    that way gives every (n - 1)-point base, each as often as
+    `_extension_count` of that base says."""
+    for n in range(1, 6):
+        last = 1 << (n - 1)
+        groups = Counter(tuple(r & ~last for r in rows[:-1]) for rows in _preorder_enumeration(n))
+        bases = list(_preorder_enumeration(n - 1))
+        assert sorted(groups) == bases, n
+        for base in bases:
+            assert groups[base] == _extension_count(base), (n, base)
+
+
+def test_counting_walks_one_point_fewer(monkeypatch):
+    """`count_topologies(n)` reads the walk on n - 1 points, one tuple per
+    topology there, and never walks n points."""
+    walk = finite._preorder_enumeration
+    walked = []
+
+    def counted(k):
+        for rows in walk(k):
+            walked.append(k)
+            yield rows
+
+    monkeypatch.setattr(finite, "_preorder_enumeration", counted)
+    for n in range(1, MAX_POINTS + 1):
+        walked.clear()
+        assert count_topologies(n) == A000798[n]
+        assert walked == [n - 1] * A000798[n - 1], n
 
 
 def test_enumerator_sets_agree():
