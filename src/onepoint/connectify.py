@@ -112,10 +112,18 @@ class EscapeFilter(Frozen):
         an, ad = self.anchor._numerator, self.anchor._denominator
         if not is_finite(self.end):
             return an + self.side * n * ad, ad
-        # end - s/2^n with s = end - anchor = sn/sd, over one denominator.
+        # end - s/2^n with s = end - anchor, over 2^n times the lcm of the
+        # two denominators (Knuth 4.5.1), less the powers of two that the
+        # numerator shares: near the end those can be as many as n, and
+        # with them the integers would be twice as wide as start(n).
         en, ed = self.end._numerator, self.end._denominator
-        sn, sd = en * ad - an * ed, ed * ad
-        return (en * sd << n) - sn * ed, ed * sd << n
+        d = gcd(ed, ad)
+        q = ad // d
+        num = (en * q << n) - en * q + an * (ed // d)
+        den = ed * q << n
+        low = num | den
+        twos = (low & -low).bit_length() - 1
+        return num >> twos, den >> twos
 
     def toward_end(self, near: Fraction, closed: bool) -> Interval:
         """The interval from a near point to the escape end, which it excludes;

@@ -2,20 +2,27 @@
 
 Subsets of {0..n-1} are n-bit masks.  Every finite topology is Alexandrov:
 row ``up[i]`` of its specialization preorder is the least open of point i,
-and the module works on these row tuples alone.  The walk yields them, the
-axioms read them and the search builds them; a ``FiniteSpace`` (the family
-of opens) is made only for a space the module returns.  The walk bounds row
-i by the AND of the earlier rows that hold i (transitivity) and visits only
-the submasks of that bound, one rule giving the valid rows of each point.
-Counting walks one point fewer: each preorder on n points is one on n - 1
-extended by an (A, B) pair as in the search below, A empty or not, so the
-count adds up how many pairs each of the walk's (n - 1)-point tuples has.
+and the module works on these row tuples alone.  One rule yields them, the
+axioms read them and the search filters them; a ``FiniteSpace`` (the family
+of opens) is made only for a space the module returns.
 
-The search builds each one-point extension of a base x from x: one per
-(up-set A, down-set B) pair of the new point p.  The extension is connected
-exactly when p lies in the closure of every component of x, that is when A
-meets every component, which is read off x's components once per search.
-The opens of a found extension are x's opens missing B, and each open
+The rule is the paper's: add one point.  Each preorder on n points is one
+on n - 1 points, its base, extended by a point p, fixed by the open A of
+points above p and the closed B of points below it, with every point of B
+below every point of A (Erne and Stege, Order 8, 1991).  One mask table,
+`_table`, gives a base's opens and the AND of the rows of each mask's
+points; the A that fit a closed B are the opens inside that AND of B.
+`_extensions` walks those A, yielding each pair with its rows, and
+`_extension_count` adds them up bit-parallel.  The preorders on n points
+recurse through `_extensions` from the empty space, and sorted they are the
+lexicographic stream of `enumerate_topologies`.  Counting reads one point
+fewer: it adds up the pairs of each preorder on n - 1 points.
+
+The search keeps a base x's pairs with A not empty, x being dense exactly
+then.  The extension is connected exactly when p lies in the closure of
+every component of x, that is when A meets every component, which is read
+off x's components once per search.  Those A are all `_extensions` walks,
+so the rows of a B that no such A fits are never built.  The opens of a found extension are x's opens missing B, and each open
 holding A with p added: the paper's topology on the extension, restricted
 to finite spaces.  The construction decides four axioms for every
 candidate, so the search asks only T0 and normal-pairs: connected and
@@ -99,97 +106,14 @@ def to_preorder(space: FiniteSpace) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _space(up: tuple[int, ...]) -> FiniteSpace:
-    """The space whose least opens are the rows ``up``.
+def _table(up: tuple[int, ...]) -> tuple[list[int], int, list[int]]:
+    """The opens of the space whose least opens are the rows ``up``, in
+    ascending order and as a bitmap ``fam`` (bit m set when mask m is open),
+    and ``above[mask]``, the AND of the rows of the mask's points (all points
+    for the empty mask).
 
-    One table holds, per mask, the union of the up-sets of its points, built
-    from the mask without its lowest point; a mask is open when that union
-    stays inside it.
-    """
-    n = len(up)
-    reach = [0] * (1 << n)
-    opens = [0]
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        r = reach[mask ^ low] | up[low.bit_length() - 1]
-        reach[mask] = r
-        if r == mask:
-            opens.append(mask)
-    return FiniteSpace(n, frozenset(opens))
-
-
-def _family_enumeration(n: int):
-    full = (1 << n) - 1
-    optional = [m for m in range(full + 1) if m != 0 and m != full]
-    for sel in range(1 << len(optional)):
-        fam = {0, full}
-        for j, m in enumerate(optional):
-            if (sel >> j) & 1:
-                fam.add(m)
-        if validate_topology(n, fam):
-            yield FiniteSpace(n, frozenset(fam))
-
-
-def _row_choices(rows: list[int], n: int) -> list[int]:
-    """The valid rows of point i = len(rows) of a preorder on n points, given
-    the earlier rows, in ascending order.
-
-    Row i must lie inside every earlier row holding i, so only the submasks
-    of that bound (with bit i set) are walked; each one is kept when every
-    earlier point in it brings its whole row.
-    """
-    bit = 1 << len(rows)
-    cap = (1 << n) - 1
-    for ur in rows:
-        if ur & bit:
-            cap &= ur
-    free = cap & ~bit
-    out = []
-    sub = 0
-    while True:
-        m = sub | bit
-        rest = m & (bit - 1)
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & ~m:
-                break
-            rest ^= low
-        else:
-            out.append(m)
-        if sub == free:
-            return out
-        sub = (sub - free) & free  # the next submask of free, ascending
-
-
-def _preorder_enumeration(n: int):
-    """Every preorder on n points as its row tuple, in lexicographic order."""
-    rows: list[int] = []
-
-    def extend(i: int):
-        if i == n:
-            yield tuple(rows)
-            return
-        for m in _row_choices(rows, n):
-            rows.append(m)
-            yield from extend(i + 1)
-            rows.pop()
-
-    yield from extend(0)
-
-
-# Bit s of _SUBSETS[u] is set when mask s lies inside u, for every mask u
-# of a base the count extends (at most MAX_POINTS - 1 points).
-_SUBSETS = tuple(sum(1 << s for s in range(u + 1) if s & u == s) for u in range(1 << (MAX_POINTS - 1)))
-
-
-def _extension_count(up: tuple[int, ...]) -> int:
-    """The number of preorders on one point p more whose rows without p are
-    ``up``: one per (A, B) pair, A the open of points above p and B the
-    closed set below it, with A inside the row of every point of B.
-
-    The mask loop of `_space` finds the opens, as a bitmap ``fam`` of them,
-    and ``above[mask]``, the AND of the rows of the mask's points; the A
-    that fit a closed B are then the bits of ``fam`` inside ``above[B]``.
+    Each is built per mask from the mask without its lowest point; a mask
+    is open when the union of its points' rows stays inside it.
     """
     full = (1 << len(up)) - 1
     reach = [0] * (full + 1)
@@ -205,6 +129,72 @@ def _extension_count(up: tuple[int, ...]) -> int:
         if r == mask:
             opens.append(mask)
             fam |= 1 << mask
+    return opens, fam, above
+
+
+def _space(up: tuple[int, ...]) -> FiniteSpace:
+    """The space whose least opens are the rows ``up``."""
+    return FiniteSpace(len(up), frozenset(_table(up)[0]))
+
+
+def _family_enumeration(n: int):
+    full = (1 << n) - 1
+    optional = [m for m in range(full + 1) if m != 0 and m != full]
+    for sel in range(1 << len(optional)):
+        fam = {0, full}
+        for j, m in enumerate(optional):
+            if (sel >> j) & 1:
+                fam.add(m)
+        if validate_topology(n, fam):
+            yield FiniteSpace(n, frozenset(fam))
+
+
+# Bit s of _SUBSETS[u] is set when mask s lies inside u, for every mask u
+# of a base that is extended (at most MAX_POINTS - 1 points).
+_SUBSETS = tuple(sum(1 << s for s in range(u + 1) if s & u == s) for u in range(1 << (MAX_POINTS - 1)))
+
+
+def _extensions(up: tuple[int, ...], tops: int | None = None):
+    """Every preorder on one point p more whose rows without p are ``up``, as
+    (rows, A, B): A the open of points above p, B the closed set below it,
+    and every point of B below every point of A, that is A inside
+    ``above[B]``.  So the A that fit B are the bits of the bitmap of opens
+    inside ``_SUBSETS[above[B]]``; ``tops``, a bitmap of opens, keeps only
+    those A.  The rows are ``up`` with p added to the rows of B, built once
+    for a B that some A fits, and A with p for p."""
+    opens, fam, above = _table(up)
+    if tops is not None:
+        fam = tops
+    full = len(above) - 1
+    p = full + 1
+    for o in opens:
+        b = full ^ o
+        fits = fam & _SUBSETS[above[b]]
+        if fits:
+            rows_b = tuple([u | p if b >> i & 1 else u for i, u in enumerate(up)])
+            while fits:
+                low = fits & -fits
+                a = low.bit_length() - 1
+                yield rows_b + (a | p,), a, b
+                fits ^= low
+
+
+def _preorders(n: int):
+    """Every preorder on n points as its row tuple: each one on n - 1 points
+    extended by each of its (A, B) pairs."""
+    if n == 0:
+        yield ()
+        return
+    for up in _preorders(n - 1):
+        for rows, _, _ in _extensions(up):
+            yield rows
+
+
+def _extension_count(up: tuple[int, ...]) -> int:
+    """How many pairs `_extensions` yields for ``up``, counted bit-parallel:
+    the bits of ``fam`` inside ``_SUBSETS[above[B]]``, added up over B."""
+    opens, fam, above = _table(up)
+    full = len(above) - 1
     return sum((fam & _SUBSETS[above[full ^ o]]).bit_count() for o in opens)
 
 
@@ -212,7 +202,8 @@ def enumerate_topologies(n: int, method: str = "preorder"):
     """Stream every topology on n labeled points.
 
     The direct family filter is the independent oracle (n at most 4); the
-    preorder walk scales to 6.  Both must agree on counts where they overlap.
+    preorders, sorted into the lexicographic order of their rows, scale to 6.
+    Both must agree on counts where they overlap.
     """
     if n < 0:
         raise SizeTooLarge("negative point count")
@@ -223,17 +214,17 @@ def enumerate_topologies(n: int, method: str = "preorder"):
     elif method == "preorder":
         if n > MAX_POINTS:
             raise SizeTooLarge(f"preorder enumeration handles at most {MAX_POINTS} points")
-        yield from map(_space, _preorder_enumeration(n))
+        yield from map(_space, sorted(_preorders(n)))
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
 
 
 def count_topologies(n: int, method: str = "preorder") -> int:
     """Count topologies; the preorder method adds up, over every preorder on
-    n - 1 points, how many ways it extends by the last point, building no
-    n-point rows or opens."""
+    n - 1 points, how many (A, B) pairs extend it by the last point, building
+    no n-point rows or opens."""
     if method == "preorder" and 0 <= n <= MAX_POINTS:
-        return sum(map(_extension_count, _preorder_enumeration(n - 1))) if n else 1
+        return sum(map(_extension_count, _preorders(n - 1))) if n else 1
     return sum(1 for _ in enumerate_topologies(n, method))
 
 
@@ -321,13 +312,13 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     dense exactly when {p} is not open, that is when A is not empty.
 
     A component of x meeting B meets A too, B lying below A, so the
-    extension is connected exactly when A meets every component of x; only
-    those A get their candidates' rows built, for the axiom, which is asked
-    of them only where the construction leaves it open (`_DECIDED`): a
-    connected or locally connected search keeps every candidate, and a T1
-    or T2 search finds none.  Keeps the extensions that satisfy it, in the
-    lexicographic order of their rows, and reads the opens of those only
-    off x's.  The extra point always carries the last label.
+    extension is connected exactly when A meets every component of x.  The
+    axiom is asked of those candidates' rows only where the construction
+    leaves it open (`_DECIDED`): a connected or locally connected search
+    keeps every candidate, and a T1 or T2 search finds none.  Keeps the
+    extensions that satisfy it, in the lexicographic order of their rows,
+    and reads the opens of those only off x's.  The extra point always
+    carries the last label.
     """
     if x.size + 1 > MAX_SEARCH_POINTS:
         raise SizeTooLarge(f"search handles base spaces up to {MAX_SEARCH_POINTS - 1} points")
@@ -338,22 +329,9 @@ def search_one_point_connectifications(x: FiniteSpace, axiom: str) -> list[Finit
     up = to_preorder(x)
     comps = _components(up)
     opens = x.opens
-    full = x.full
+    tops = sum(1 << a for a in opens if a and all(c & a for c in comps))
+    found = sorted((rows, a, b) for rows, a, b in _extensions(up, tops) if decided or satisfies(rows))
     p_bit = 1 << x.size
-    found = []
-    for a in opens - {0}:
-        if not all(c & a for c in comps):
-            continue
-        below_a = sum(1 << i for i, u in enumerate(up) if (a | u) == u)
-        for o in opens:
-            b = full ^ o
-            if b & ~below_a:
-                continue
-            rows = tuple(u | p_bit if (b >> i) & 1 else u for i, u in enumerate(up))
-            rows += (a | p_bit,)
-            if decided or satisfies(rows):
-                found.append((rows, a, b))
-    found.sort()
     return [
         FiniteSpace(
             x.size + 1, frozenset([o for o in opens if not o & b] + [o | p_bit for o in opens if o & a == a])

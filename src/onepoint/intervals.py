@@ -597,8 +597,12 @@ def _closed_in_host(p: Interval, h: Interval) -> bool:
 
 
 def midpoint(a: Fraction, b: Fraction) -> Fraction:
-    ad, bd = a._denominator, b._denominator
-    return _frac(a._numerator * bd + b._numerator * ad, 2 * ad * bd)
+    """(a + b)/2 over twice the lcm of the denominators (Knuth 4.5.1), not
+    their product, which is twice as wide when they share a wide factor."""
+    an, ad = a._numerator, a._denominator
+    bn, bd = b._numerator, b._denominator
+    d = math.gcd(ad, bd)
+    return _frac(an * (bd // d) + bn * (ad // d), 2 * (ad // d) * bd)
 
 
 def inner_point(lo: Value, hi: Value) -> Fraction:

@@ -311,10 +311,10 @@ CATALOGUE = (
     Mutant(
         "35-1",
         "src/onepoint/finite.py",
-        "if not all(c & a for c in comps):",
-        "if not any(c & a for c in comps):",
+        "all(c & a for c in comps)",
+        "any(c & a for c in comps)",
         ("tests/test_finite.py",),
-        "the search keeps an A that meets some component of the base, not every one",
+        "the search keeps an A that meets some component of the base, not every one (re-anchored, BENCH_42.json)",
     ),
     Mutant(
         "35-2",
@@ -517,10 +517,10 @@ CATALOGUE = (
     Mutant(
         "38-4",
         "src/onepoint/finite.py",
-        "if decided or satisfies(rows):",
-        "if satisfies(rows):",
+        "if decided or satisfies(rows)",
+        "if satisfies(rows)",
         ("tests/test_finite.py",),
-        "a connected or locally connected search asks its check of every candidate",
+        "a connected or locally connected search asks its check of every candidate (re-anchored, BENCH_42.json)",
     ),
     Mutant(
         "39-1",
@@ -568,7 +568,7 @@ CATALOGUE = (
         "    fam = 1\n",
         "    fam = 0\n",
         ("tests/test_finite.py",),
-        "the counter's bitmap of opens leaves out the empty A",
+        "the mask table's bitmap of opens leaves out the empty A",
     ),
     Mutant(
         "40-2",
@@ -576,7 +576,7 @@ CATALOGUE = (
         "above[mask] = above[mask ^ low] & row",
         "above[mask] = above[mask ^ low] | row",
         ("tests/test_finite.py",),
-        "the counter's table of common rows takes the OR of the mask's rows, not the AND",
+        "the mask table of common rows takes the OR of the mask's rows, not the AND",
     ),
     Mutant(
         "40-3",
@@ -585,6 +585,69 @@ CATALOGUE = (
         "_SUBSETS[above[o]]",
         ("tests/test_finite.py",),
         "the counter reads each open as B, not its complement",
+    ),
+    Mutant(
+        "42-1",
+        "src/onepoint/finite.py",
+        "fits = fam & _SUBSETS[above[b]]",
+        "fits = fam",
+        ("tests/test_finite.py",),
+        "the extensions pair every open A with every closed B, B below A or not",
+    ),
+    Mutant(
+        "42-2",
+        "src/onepoint/finite.py",
+        "_SUBSETS[above[b]]",
+        "_SUBSETS[above[b & (b - 1)]]",
+        ("tests/test_finite.py",),
+        "the extensions test B below A without the row of B's lowest point",
+    ),
+    Mutant(
+        "42-3",
+        "src/onepoint/finite.py",
+        "u | p if b >> i & 1 else u",
+        "u | p if not b >> i & 1 else u",
+        ("tests/test_finite.py",),
+        "the extensions add p to the rows of the points outside B, not inside it",
+    ),
+    Mutant(
+        "42-4",
+        "src/onepoint/finite.py",
+        "if a and all(",
+        "if all(",
+        ("tests/test_finite.py",),
+        "the search keeps an empty A, whose extension leaves the base not dense",
+    ),
+    Mutant(
+        "42-5",
+        "src/onepoint/intervals.py",
+        "    d = math.gcd(ad, bd)\n    return _frac(an * (bd // d) + bn * (ad // d), 2 * (ad // d) * bd)\n",
+        "    return _frac(an * bd + bn * ad, 2 * ad * bd)\n",
+        ("tests/test_connectify.py",),
+        "midpoint multiplies across both denominators before it reduces",
+    ),
+    Mutant(
+        "42-6",
+        "src/onepoint/connectify.py",
+        "        d = gcd(ed, ad)\n"
+        "        q = ad // d\n"
+        "        num = (en * q << n) - en * q + an * (ed // d)\n"
+        "        den = ed * q << n\n"
+        "        low = num | den\n"
+        "        twos = (low & -low).bit_length() - 1\n"
+        "        return num >> twos, den >> twos\n",
+        "        sn, sd = en * ad - an * ed, ed * ad\n"
+        "        return (en * sd << n) - sn * ed, ed * sd << n\n",
+        ("tests/test_connectify.py",),
+        "start(n) toward a finite end multiplies across the denominators before it reduces",
+    ),
+    Mutant(
+        "42-7",
+        "src/onepoint/connectify.py",
+        "        return num >> twos, den >> twos\n",
+        "        return num, den\n",
+        ("tests/test_connectify.py",),
+        "start(n) toward a finite end keeps the powers of two its numerator shares with 2^n",
     ),
 )
 

@@ -10,7 +10,7 @@ import re
 from onepoint import REALS, IntervalSet, NotASubset, TypeI, TypeII, TypeInf, components, difference
 from onepoint import FiniteSpace, ParseError, SizeTooLarge, intersect, union, validate_topology
 from onepoint.connectify import _escape_end, _least_tail
-from onepoint.finite import _LITERAL_RE, MAX_POINTS, _axiom_check, _row_choices, _space, to_preorder
+from onepoint.finite import _LITERAL_RE, MAX_POINTS, _axiom_check, _space, to_preorder
 from onepoint.intervals import NEG_INF, POS_INF, _ends_by, _eq, _hosts_or_raise, _intersect_pieces, _lt
 from onepoint.intervals import _mk_interval, _mk_set, _starts_before, is_finite
 
@@ -190,15 +190,64 @@ def _connected(rows):
     return reach == (1 << len(rows)) - 1
 
 
+def row_choices(rows, n):
+    """The valid rows of point i = len(rows) of a preorder on n points, given
+    the earlier rows, in ascending order.
+
+    Row i must lie inside every earlier row holding i, so only the submasks
+    of that bound (with bit i set) are walked; each one is kept when every
+    earlier point in it brings its whole row.
+    """
+    bit = 1 << len(rows)
+    cap = (1 << n) - 1
+    for ur in rows:
+        if ur & bit:
+            cap &= ur
+    free = cap & ~bit
+    out = []
+    sub = 0
+    while True:
+        m = sub | bit
+        rest = m & (bit - 1)
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~m:
+                break
+            rest ^= low
+        else:
+            out.append(m)
+        if sub == free:
+            return out
+        sub = (sub - free) & free  # the next submask of free, ascending
+
+
+def preorder_walk(n):
+    """The row walk that the (A, B) extensions replaced: every preorder on n
+    points as its row tuple, row by row in `row_choices`, so in
+    lexicographic order."""
+    rows = []
+
+    def extend(i):
+        if i == n:
+            yield tuple(rows)
+            return
+        for m in row_choices(rows, n):
+            rows.append(m)
+            yield from extend(i + 1)
+            rows.pop()
+
+    yield from extend(0)
+
+
 def count_preorders(n, rows=None):
     """The walk counter that counting one-point extensions replaced: the
     number of preorders on n points that begin with ``rows``, walking every
-    row as `_preorder_enumeration` does and adding up the number of valid
-    rows at the last row instead of building the tuples."""
+    row as `preorder_walk` does and adding up the number of valid rows at
+    the last row instead of building the tuples."""
     rows = [] if rows is None else rows
     if len(rows) == n:
         return 1
-    choices = _row_choices(rows, n)
+    choices = row_choices(rows, n)
     if len(rows) == n - 1:
         return len(choices)
     total = 0

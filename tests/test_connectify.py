@@ -1,7 +1,9 @@
 import inspect
 import math
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1293,6 +1295,86 @@ def test_hausdorff_from_p_arithmetic_is_the_size_of_its_answer(monkeypatch):
         answer = [z] + [e for e in ends if is_finite(e)]
         bound = 16 + max(max(abs(q.numerator), q.denominator).bit_length() for q in answer)
         assert bound > 4096 and widths and max(widths) <= bound, (text, max(widths), bound)
+
+
+# The points -1, 0, 1/2 and 3 cut the line into 9 atoms: the open gaps
+# (-inf,-1), (-1,0), (0,1/2), (1/2,3), (3,inf) at even indices and the points
+# at odd ones.  Each atom has a point of its own.
+POOL = (-1, 0, Fraction(1, 2), 3)
+POOL_INNER = (-2, Fraction(-1, 2), Fraction(1, 4), 1, 4)
+
+# How much wider a `_frac` argument may be than the widest integer of the
+# request and of its answer.  Every endpoint is built as one exact sum in
+# lowest terms (Knuth 4.5.1): a sum carries at most one bit, and a midpoint
+# halves, so 2 bits suffice and 4 leave room.  Multiplying across both
+# denominators before reducing doubles the width (about 8,200 bits on the
+# 2^-4096 pool), and each such site fails this bound.
+WIDTH_SLACK = 4
+
+
+def pool_requests(bits):
+    """Per nonempty union of the atoms (511 of them), `connectify` and the
+    `witness hausdorff` requests: from p to each atom point in the space,
+    and between each two neighbouring such points.  Every number x is mapped
+    to x/2^bits + 1/3, so the input integers are up to `bits` bits wide."""
+    scaled = [str(Fraction(q) / 2**bits + Fraction(1, 3)) for q in POOL]
+    ends = ["-inf"] + scaled + ["inf"]
+    points = [str(Fraction(q) / 2**bits + Fraction(1, 3)) for q in POOL_INNER]
+    atom_point = [points[i // 2] if i % 2 == 0 else scaled[i // 2] for i in range(9)]
+    for mask in range(1, 1 << 9):
+        parts, i = [], 0
+        while i < 9:
+            if mask >> i & 1:
+                j = i
+                while j < 8 and mask >> (j + 1) & 1:
+                    j += 1
+                lo = "(" + ends[i // 2] if i % 2 == 0 else "[" + scaled[i // 2]
+                hi = ends[j // 2 + 1] + ")" if j % 2 == 0 else scaled[j // 2] + "]"
+                parts.append(f"{lo},{hi}")
+                i = j
+            i += 1
+        text = " U ".join(parts)
+        inside = [atom_point[i] for i in range(9) if mask >> i & 1]
+        pairs = [("p", z) for z in inside] + list(zip(inside, inside[1:]))
+        yield ["connectify", text], [["witness", "hausdorff", text, y, z] for y, z in pairs]
+
+
+@pytest.mark.parametrize("bits", [64, 4096])
+def test_endpoint_integers_are_bounded_by_the_request_and_its_answer(bits, monkeypatch):
+    """Running time is bounded by the input size: over every space of the
+    4-point pool mapped to 2^-bits scale, no integer handed to `_frac`, the
+    one place an endpoint is built from integers, is more than WIDTH_SLACK
+    bits wider than the widest integer of the request's arguments and its
+    printed answer."""
+    from onepoint import connectify, intervals
+
+    widths = []
+    frac = intervals._frac
+
+    def recording(n, d):
+        widths.append(max(n.bit_length(), d.bit_length()))
+        return frac(n, d)
+
+    monkeypatch.setattr(connectify, "_frac", recording)
+    monkeypatch.setattr(intervals, "_frac", recording)
+
+    def run(argv):
+        widths.clear()
+        lines = []
+        code = cli.main(argv, emit=lines.append)
+        widest = max(int(m).bit_length() for text in argv + lines for m in re.findall(r"[0-9]+", text))
+        assert max(widths, default=0) <= widest + WIDTH_SLACK, (argv[0], argv[-2:])
+        return code
+
+    codes = Counter()
+    for connectify_argv, witnesses in pool_requests(bits):
+        code = run(connectify_argv)
+        codes["connectify", code] += 1
+        if code == 0:  # a refused space refuses every witness before its points
+            for argv in witnesses:
+                codes["witness", run(argv)] += 1
+    assert codes == {("connectify", 0): 279, ("connectify", 3): 232, ("witness", 0): 2361}
+
 
 def test_density_check_returns_only_verified_certificates(monkeypatch):
     ext = ext_of("[5,inf)")

@@ -21,8 +21,8 @@ from onepoint import (
 )
 from onepoint import finite
 from onepoint.finite import MAX_FAMILY_POINTS, MAX_POINTS, _axiom_check, _components, _extension_count
-from onepoint.finite import _preorder_enumeration, _space
-from references import _connected, count_preorders, parse_literal_by_tokens, search_by_rows
+from onepoint.finite import _extensions, _preorders, _space
+from references import _connected, count_preorders, parse_literal_by_tokens, preorder_walk, search_by_rows
 
 SIERPINSKI = FiniteSpace(2, frozenset({0, 1, 3}))
 
@@ -116,12 +116,12 @@ A000798 = [1, 1, 4, 29, 355, 6942, 209527]  # topologies on n labeled points (OE
 
 def test_enumerator_counts_agree():
     """The preorder count, which adds up the one-point extensions of every
-    preorder on one point fewer, equals the number of row tuples the walk
-    yields."""
+    preorder on one point fewer, equals the number of row tuples the
+    extensions yield."""
     for n, want in enumerate(A000798):
         assert count_topologies(n, "preorder") == want
         if n <= 5:
-            assert sum(1 for _ in _preorder_enumeration(n)) == want
+            assert sum(1 for _ in _preorders(n)) == want
         if n <= 4:
             assert count_topologies(n, "family") == want
 
@@ -135,30 +135,37 @@ def test_count_matches_the_walk_counter():
 
 def test_extension_count_is_the_number_of_preorders_over_each_base():
     """Each preorder on n points is one extension of the preorder its first
-    n - 1 rows make without point n - 1: grouping the walk's n-point tuples
-    that way gives every (n - 1)-point base, each as often as
-    `_extension_count` of that base says."""
+    n - 1 rows make without point n - 1: grouping the n-point tuples that
+    way gives every (n - 1)-point base, each as often as `_extension_count`
+    of that base says."""
     for n in range(1, 6):
         last = 1 << (n - 1)
-        groups = Counter(tuple(r & ~last for r in rows[:-1]) for rows in _preorder_enumeration(n))
-        bases = list(_preorder_enumeration(n - 1))
+        groups = Counter(tuple(r & ~last for r in rows[:-1]) for rows in _preorders(n))
+        bases = sorted(_preorders(n - 1))
         assert sorted(groups) == bases, n
         for base in bases:
             assert groups[base] == _extension_count(base), (n, base)
 
 
 def test_counting_walks_one_point_fewer(monkeypatch):
-    """`count_topologies(n)` reads the walk on n - 1 points, one tuple per
-    topology there, and never walks n points."""
-    walk = finite._preorder_enumeration
+    """`count_topologies(n)` reads the preorders on n - 1 points, one tuple
+    per topology there, and never builds n-point ones.  `_preorders`
+    recurses through itself, so only the outermost call's tuples are the
+    ones the count reads."""
+    walk = finite._preorders
     walked = []
+    open_calls = []
 
     def counted(k):
+        outermost = not open_calls
+        open_calls.append(k)
         for rows in walk(k):
-            walked.append(k)
+            if outermost:
+                walked.append(k)
             yield rows
+        open_calls.pop()
 
-    monkeypatch.setattr(finite, "_preorder_enumeration", counted)
+    monkeypatch.setattr(finite, "_preorders", counted)
     for n in range(1, MAX_POINTS + 1):
         walked.clear()
         assert count_topologies(n) == A000798[n]
@@ -213,15 +220,40 @@ def reference_opens(rows):
 
 
 def test_preorder_walk_matches_reference():
+    """`enumerate_topologies` streams the rows of the row walk it replaced
+    (`references.preorder_walk`), in its lexicographic order, and the walk
+    is the every-mask walk before it."""
     for n in range(6):
-        assert list(_preorder_enumeration(n)) == list(reference_preorder_rows(n)), n
+        walk = list(preorder_walk(n))
+        assert walk == list(reference_preorder_rows(n)), n
+        assert list(map(to_preorder, enumerate_topologies(n))) == walk, n
+
+
+def test_extension_count_is_the_number_of_pairs_extensions_yields():
+    """The bit-parallel count of a base's (A, B) pairs is the number of
+    triples `_extensions` yields for it, on every base of at most 5 points,
+    and each triple's rows are its base with p added to B's rows and A with
+    p as p's row.  Given a bitmap of opens as ``tops``, it yields the same
+    triples with those A alone, in the same order."""
+    bases = 0
+    for n in range(6):
+        p = 1 << n
+        for up in _preorders(n):
+            bases += 1
+            triples = list(_extensions(up))
+            assert len(triples) == _extension_count(up), up
+            for rows, a, b in triples:
+                assert rows == tuple(u | p if b >> i & 1 else u for i, u in enumerate(up)) + (a | p,)
+            tops = sum(1 << a for a in sorted({a for _, a, _ in triples})[1::2])
+            assert list(_extensions(up, tops)) == [t for t in triples if tops >> t[1] & 1], up
+    assert bases == sum(A000798[:6])
 
 
 def test_open_table_matches_reference():
-    """Every row tuple of the walk is a preorder, and its opens are the
-    up-closed masks."""
+    """Every row tuple of the extensions is a preorder, and its opens are
+    the up-closed masks."""
     for n in range(6):
-        for rows in _preorder_enumeration(n):
+        for rows in _preorders(n):
             assert reference_preorder_fault(rows) is None, rows
             assert _space(rows).opens == reference_opens(rows), rows
 
@@ -573,7 +605,7 @@ def test_connected_is_one_component_as_the_rows_merged():
     connected = _axiom_check("connected")
     preorders = candidates = 0
     for n in range(1, 6):
-        for rows in _preorder_enumeration(n):
+        for rows in _preorders(n):
             assert connected(rows) == _connected(rows), rows
             preorders += 1
     for x in (t for n in range(5) for t in _topologies(n)):

@@ -76,7 +76,7 @@ def test_function_selects_exactly_the_entries_anchored_inside_it():
         for m in mutants.CATALOGUE
         if m.file == "src/onepoint/finite.py" and first <= start_line(m) < first + len(lines)
     ]
-    assert [m.id for m in inside] == ["35-1", "35-2", "35-3", "38-3", "38-4"]
+    assert [m.id for m in inside] == ["35-1", "35-2", "35-3", "38-3", "38-4", "42-4"]
     assert mutants.select(["--function", "search_one_point_connectifications"]) == (inside, None)
     both = ["--file", "src/onepoint/finite.py", "--function", "search_one_point_connectifications"]
     assert mutants.select(both) == (inside, None)
